@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-query bench-cache bench-spill bench-smoke fuzz-smoke profile-smoke spill-smoke fmt vet
+.PHONY: all build test race bench bench-query bench-cache bench-spill bench-smoke bench-e2e bench-e2e-test fuzz-smoke profile-smoke spill-smoke loc fmt vet
 
 all: build test
 
@@ -64,13 +64,35 @@ spill-smoke:
 	$(GO) test -run 'TestSpill' -v ./internal/hyracks ./internal/bench
 	$(GO) test ./internal/spill
 
+# bench-e2e-test guards the end-to-end benchmark, which is its own Go module
+# (benchmark/, `replace vxq => ../`) that the root `go test ./...` does not
+# see: an engine API change that breaks it is caught here, not by the bench
+# pipeline. Its tests run all six BENCHMARK.json workloads at `-scale tiny`
+# against the independent oracle.
+bench-e2e-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# bench-e2e runs one BENCHMARK.json workload the way the driver does (builds
+# into .bench_build/, which is git-ignored): `make bench-e2e W=q2_join`.
+W ?= q1_groupby
+bench-e2e:
+	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 15 --trace 1
+
+# loc prints non-test Go lines per package and in total, excluding the
+# benchmark module and its build directory — the count simplification work
+# is held to.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
 # bench-smoke is the CI guard: every benchmark must still run (one
 # iteration), catching bit-rot in the harness without burning CI minutes.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # profile-smoke is the CI guard for the observability layer: the smoke test
-# profiles Q0-Q2 through both executors and validates the trace span schema,
+# profiles Q0-Q2 under both schedulers and validates the trace span schema,
 # then the CLI leg generates a small collection and runs Q1 with
 # -profile -trace end to end, checking a trace file comes out.
 profile-smoke:
@@ -83,9 +105,9 @@ profile-smoke:
 		>/dev/null
 	test -s /tmp/vxq-profile-smoke/trace.json
 
-# fuzz-smoke runs the structural-kernel fuzzers briefly: the three-way skip
-# differential (structural-index skip, byte-class skip, token-level reference,
-# cross-checked against encoding/json), the record-boundary scanner against
+# fuzz-smoke runs the structural-kernel fuzzers briefly: the skip differential
+# (structural-index skip vs the token-level reference, cross-checked against
+# encoding/json), the record-boundary scanner against
 # its scalar reference over the chunk-size sweep, and the speculative parallel
 # indexer against the sequential builder across worker/chunk/grain sweeps.
 # Seeds under testdata/fuzz are always replayed.

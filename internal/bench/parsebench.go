@@ -69,17 +69,12 @@ func ParseBenchPath(shape string) (jsonparse.Path, error) {
 }
 
 // ParseBenchMode resolves a benchmark mode name to the lexer's skip mode:
-// "index" is the SWAR structural-index kernel, "bytes" the byte-class scan,
-// "reference" the token-level oracle, and "kernel" the automatic production
-// choice (the structural index for in-memory buffers).
+// "index" is the SWAR structural-index kernel (the production default),
+// "reference" the token-level oracle.
 func ParseBenchMode(mode string) (jsonparse.SkipMode, error) {
 	switch mode {
-	case "kernel":
-		return jsonparse.SkipAuto, nil
 	case "index":
 		return jsonparse.SkipIndexed, nil
-	case "bytes":
-		return jsonparse.SkipRawBytes, nil
 	case "reference":
 		return jsonparse.SkipTokens, nil
 	default:
@@ -104,7 +99,7 @@ func ScanParseBench(data []byte, path jsonparse.Path, mode jsonparse.SkipMode) (
 // benchmark, serialized into BENCH_parse.json.
 type ParseBenchResult struct {
 	Shape           string  `json:"shape"`
-	Mode            string  `json:"mode"` // "index", "bytes", "reference" or "kernel" (auto)
+	Mode            string  `json:"mode"` // "index" or "reference"
 	Records         int64   `json:"records"`
 	Bytes           int64   `json:"bytes"`
 	Seconds         float64 `json:"seconds"`

@@ -1,7 +1,6 @@
 package hyracks
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,43 +10,52 @@ import (
 	"vxq/internal/runtime"
 )
 
-// runModes runs the job once in eager reference mode and once in the default
-// lazy encoded mode (both staged, same partitioning) and requires the sorted
-// results to be byte-identical under the canonical encoding.
+// runModes runs the job once in eager reference mode (staged, in memory — the
+// oracle) and then in the default lazy encoded mode under both schedulers
+// (see below for the one exception), each with spilling off, with a budget every blocking operator overruns, and
+// with a budget that is never reached (same partitioning throughout). Every
+// variant's sorted result must be byte-identical to the oracle's under the
+// canonical encoding.
 func runModes(t *testing.T, name string, job *Job) {
 	t.Helper()
 	eager, err := RunStaged(job, &Env{Source: testSource(), EagerReference: true})
 	if err != nil {
 		t.Fatalf("%s: eager: %v", name, err)
 	}
-	lazy, err := RunStaged(job, &Env{Source: testSource()})
-	if err != nil {
-		t.Fatalf("%s: lazy: %v", name, err)
-	}
 	eager.SortRows()
-	lazy.SortRows()
-	if len(eager.Rows) != len(lazy.Rows) {
-		t.Fatalf("%s: eager %d rows, lazy %d rows", name, len(eager.Rows), len(lazy.Rows))
-	}
-	for i := range eager.Rows {
-		if len(eager.Rows[i]) != len(lazy.Rows[i]) {
-			t.Fatalf("%s: row %d arity: eager %d, lazy %d", name, i, len(eager.Rows[i]), len(lazy.Rows[i]))
+	// Partition-local operators (a per-partition aggregate, a local group-by)
+	// make a plan's rows depend on which task scanned which morsel, and only
+	// the staged deal is deterministic: plans with a multi-partition scan skip
+	// the pipelined scheduler here (spill_test.go covers it on plans whose
+	// rows do not depend on the deal).
+	scheds := []struct {
+		name string
+		run  func(*Job, *Env) (*Result, error)
+	}{{"staged", RunStaged}, {"pipelined", RunPipelined}}
+	for _, f := range job.Fragments {
+		if _, scan := f.Source.(ScanSource); scan && f.Partitions > 1 {
+			scheds = scheds[:1]
 		}
-		for j := range eager.Rows[i] {
-			eb := item.EncodeSeq(nil, eager.Rows[i][j])
-			lb := item.EncodeSeq(nil, lazy.Rows[i][j])
-			if !bytes.Equal(eb, lb) {
-				t.Fatalf("%s: row %d field %d not byte-identical: eager %s, lazy %s",
-					name, i, j, item.JSONSeq(eager.Rows[i][j]), item.JSONSeq(lazy.Rows[i][j]))
+	}
+	for _, sched := range scheds {
+		for _, budget := range []int64{0, 256, roomyBudget} {
+			vname := fmt.Sprintf("%s: lazy/%s/budget=%d", name, sched.name, budget)
+			lazy, err := sched.run(job, &Env{Source: testSource(),
+				OpMemoryBudget: budget, SpillDir: t.TempDir(), SpillPartitions: 4})
+			if err != nil {
+				t.Fatalf("%s: %v", vname, err)
+			}
+			lazy.SortRows()
+			sameRowsBytes(t, vname, eager, lazy)
+			// The shuffle statistics must agree too: every variant moves the
+			// same tuples.
+			if eager.Stats.TuplesShuffled != lazy.Stats.TuplesShuffled ||
+				eager.Stats.BytesShuffled != lazy.Stats.BytesShuffled {
+				t.Errorf("%s: shuffle stats diverge: eager %d tuples/%d bytes, lazy %d tuples/%d bytes",
+					vname, eager.Stats.TuplesShuffled, eager.Stats.BytesShuffled,
+					lazy.Stats.TuplesShuffled, lazy.Stats.BytesShuffled)
 			}
 		}
-	}
-	// The shuffle statistics must agree too: both modes move the same tuples.
-	if eager.Stats.TuplesShuffled != lazy.Stats.TuplesShuffled ||
-		eager.Stats.BytesShuffled != lazy.Stats.BytesShuffled {
-		t.Errorf("%s: shuffle stats diverge: eager %d tuples/%d bytes, lazy %d tuples/%d bytes",
-			name, eager.Stats.TuplesShuffled, eager.Stats.BytesShuffled,
-			lazy.Stats.TuplesShuffled, lazy.Stats.BytesShuffled)
 	}
 }
 

@@ -1,9 +1,12 @@
 package hyracks
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"vxq/internal/frame"
@@ -23,9 +26,6 @@ type Env struct {
 	// Indexes provides zone-map lookups for DATASCAN file pruning (may be
 	// nil).
 	Indexes runtime.IndexLookup
-	// ChannelDepth is the per-channel frame buffer of the pipelined
-	// executor (default 4).
-	ChannelDepth int
 	// MorselSize is the byte-range granularity of morsel-driven scans
 	// (DefaultMorselSize when <= 0): raw-JSON files larger than this are
 	// split into independently schedulable byte ranges.
@@ -120,7 +120,7 @@ func buildScanQueues(job *Job, env *Env, shared bool) (map[int]*morselQueue, que
 }
 
 // TaskTime records the measured wall-clock work of one fragment-partition
-// task. The staged executor produces clean single-threaded measurements that
+// task. The staged scheduler produces clean single-threaded measurements that
 // the virtual-time scheduler consumes.
 type TaskTime struct {
 	Fragment  int
@@ -132,7 +132,7 @@ type TaskTime struct {
 	// deterministic per-partition split.
 	Morsels int
 	// Steals is how many of those morsels were taken off another partition's
-	// static share (always 0 under the staged executor's round-robin deal).
+	// static share (always 0 under the staged scheduler's round-robin deal).
 	Steals int
 }
 
@@ -152,7 +152,7 @@ type Result struct {
 }
 
 // SortRows orders the result canonically (for deterministic comparison
-// across executors and partition counts).
+// across schedulers and partition counts).
 func (r *Result) SortRows() {
 	sortRows(r.Rows)
 }
@@ -172,12 +172,368 @@ func sortRows(rows [][]item.Sequence) {
 	})
 }
 
-// --- task plumbing shared by both executors --------------------------------
+// --- the job runner ----------------------------------------------------------
+
+// RunStaged executes a job sequentially, one fragment-partition task at a
+// time in fragment order, materializing every exchange. Results are identical
+// to RunPipelined; in addition each task's single-threaded wall-clock work is
+// measured cleanly (no scheduler interference), which is what the
+// virtual-time cluster scheduler consumes.
+func RunStaged(job *Job, env *Env) (*Result, error) { return runJob(job, env, false) }
+
+// RunPipelined executes a job with one goroutine per fragment-partition
+// task; exchanges are bounded channels, so producers and consumers overlap
+// like Hyracks' pipelined connectors. Task timings include blocking time
+// and are therefore not used for virtual-time scheduling (use RunStaged's).
+func RunPipelined(job *Job, env *Env) (*Result, error) { return runJob(job, env, true) }
+
+// jobRun is the state the tasks of one job execution share.
+type jobRun struct {
+	job    *Job
+	env    *Env
+	pool   *frame.Pool
+	queues map[int]*morselQueue
+	links  map[int]exchangeLink
+	// collector gathers the result rows; the mutex serializes the pushes of
+	// concurrent collector-partition tasks.
+	collector lockedSink
+	epoch     time.Time // job start; profile span times are relative to it
+
+	// stop is closed by the first genuine task failure, which firstErr
+	// records; tasks blocked on a channel link give up with errStopped.
+	stop     chan struct{}
+	failOnce sync.Once
+	firstErr error
+}
+
+func (r *jobRun) fail(err error) {
+	r.failOnce.Do(func() {
+		r.firstErr = err
+		close(r.stop)
+	})
+}
+
+// runJob is the one executor. The two schedulers differ only in how the scan
+// morsels are dealt, how a task is started, and the exchange link between
+// producer and consumer tasks; everything a task does is task.run.
+func runJob(job *Job, env *Env, pipelined bool) (*Result, error) {
+	if err := job.Validate(); err != nil {
+		return nil, err
+	}
+	acct := env.accountant()
+	// Pipelined tasks of a scan fragment drain one shared atomic cursor, so
+	// partitions steal work from each other and a skewed file set leaves no
+	// stragglers. Staged tasks run one after another — a shared cursor would
+	// hand every morsel to whichever task runs first — so their queues are
+	// dealt round-robin, which also keeps the per-task times the virtual-time
+	// scheduler consumes deterministic.
+	queues, qstats, err := buildScanQueues(job, env, pipelined)
+	if err != nil {
+		return nil, err
+	}
+	r := &jobRun{job: job, env: env, pool: env.pool(), queues: queues, stop: make(chan struct{})}
+	producers := make(map[int]int, len(job.Exchanges))
+	for _, f := range job.Fragments {
+		if f.SinkExchange >= 0 {
+			producers[f.SinkExchange] += f.Partitions
+		}
+	}
+	r.links = make(map[int]exchangeLink, len(job.Exchanges))
+	for _, e := range job.Exchanges {
+		if pipelined {
+			r.links[e.ID] = newChanLink(e.ConsumerPartitions, producers[e.ID], r.stop, r.pool)
+		} else {
+			r.links[e.ID] = &bufferLink{parts: make([][]*frame.Frame, e.ConsumerPartitions)}
+		}
+	}
+	r.epoch = time.Now()
+
+	var (
+		tasks []*task
+		wg    sync.WaitGroup
+	)
+launch:
+	for _, f := range job.Fragments {
+		for p := 0; p < f.Partitions; p++ {
+			t := r.newTask(f, p)
+			tasks = append(tasks, t)
+			if pipelined {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					t.run()
+				}()
+			} else if t.run(); r.firstErr != nil {
+				break launch
+			}
+		}
+	}
+	wg.Wait()
+	if r.firstErr != nil {
+		// Frames no consumer took go back to the pool so its outstanding-
+		// frame accounting balances to zero.
+		for _, l := range r.links {
+			l.sweep(r.pool)
+		}
+		return nil, r.firstErr
+	}
+
+	// Per-task accumulation, merged once after every task has finished: each
+	// task wrote only its own TaskCtx, runtime.Stats and profile, so nothing
+	// was shared between workers.
+	res := &Result{Rows: r.collector.Rows, PeakMemory: acct.Peak()}
+	res.Stats.FilesSkipped = qstats.filesSkipped
+	res.Stats.MorselsSkipped = qstats.morselsSkipped
+	res.Stats.ColdIndexBuilds = qstats.coldIndexBuilds
+	var profs []*taskProf
+	for _, t := range tasks {
+		res.Tasks = append(res.Tasks, t.time)
+		res.Stats.Add(t.ctx.RT.Stats)
+		if t.ctx.prof != nil {
+			profs = append(profs, t.ctx.prof)
+		}
+	}
+	if env.Profile {
+		res.Profile = buildProfile(job, profs, time.Since(r.epoch).Nanoseconds())
+	}
+	return res, nil
+}
+
+// task is one fragment-partition unit of work.
+type task struct {
+	job  *jobRun
+	frag *Fragment
+	ctx  *TaskCtx
+	time TaskTime
+}
+
+// newTask builds a task and its execution context — the one place a job's
+// TaskCtx is put together.
+func (r *jobRun) newTask(f *Fragment, partition int) *task {
+	env := r.env
+	ctx := &TaskCtx{
+		RT: &runtime.Ctx{
+			Source:     env.Source,
+			Accountant: env.Accountant,
+			Stats:      &runtime.Stats{},
+			FrameSize:  env.FrameSize,
+			ChunkSize:  env.ChunkSize,
+			Indexes:    env.Indexes,
+		},
+		Partition:   partition,
+		FrameSize:   env.FrameSize,
+		EagerDecode: env.EagerReference,
+		Pool:        r.pool,
+		SpillDir:    env.SpillDir,
+		SpillBudget: env.OpMemoryBudget,
+		SpillFanout: env.SpillPartitions,
+		morsels:     r.queues[f.ID],
+	}
+	if env.Profile {
+		ctx.prof = newTaskProf(r.job, f, partition, r.epoch)
+	}
+	return &task{job: r, frag: f, ctx: ctx}
+}
+
+// run drives the task's source through its operator chain into the
+// fragment's sink, records the measurements, and reports a failure to the
+// job.
+func (t *task) run() {
+	r, f, ctx := t.job, t.frag, t.ctx
+	var terminal Writer
+	if f.SinkExchange >= 0 {
+		e := r.job.exchange(f.SinkExchange)
+		link := r.links[e.ID]
+		// Signalled when the task ends, whether it closed normally or was
+		// torn down after a failure, so consumers never wait on it forever.
+		defer link.producerDone()
+		dests := make([]frameDest, e.ConsumerPartitions)
+		for i := range dests {
+			dests[i] = link.dest(i)
+		}
+		terminal = newExchangeWriter(ctx, e, dests)
+	} else {
+		terminal = recycleSink{ctx: ctx, w: &r.collector}
+	}
+	chain := buildTaskChain(ctx, f, terminal)
+	in := sourceInput{recv: func(exchID int, each func(*frame.Frame) error) error {
+		return r.links[exchID].recv(ctx.Partition, each)
+	}}
+	start := time.Now()
+	err := runSource(ctx, f, chain, in)
+	elapsed := time.Since(start)
+	t.time = TaskTime{
+		Fragment: f.ID, Partition: ctx.Partition, Elapsed: elapsed,
+		Morsels: ctx.MorselsScanned, Steals: ctx.MorselsStolen,
+	}
+	if ctx.prof != nil {
+		ctx.prof.finish(ctx, start.Sub(r.epoch).Nanoseconds(), elapsed.Nanoseconds())
+	}
+	// A task torn down after another task's failure may surface errStopped
+	// wrapped with scan context (e.g. a file path); only genuine first
+	// failures are reported.
+	if err != nil && !errors.Is(err, errStopped) {
+		r.fail(err)
+	}
+}
+
+var errStopped = fmt.Errorf("hyracks: execution aborted")
+
+// lockedSink is the job's result collector.
+type lockedSink struct {
+	mu sync.Mutex
+	CollectSink
+}
+
+func (s *lockedSink) Push(fr *frame.Frame) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.CollectSink.Push(fr)
+}
+
+// --- exchange links ----------------------------------------------------------
 
 // frameDest receives the frames routed to one consumer partition.
 type frameDest interface {
 	send(fr *frame.Frame) error
 }
+
+// exchangeLink is the transport of one exchange between its producer and
+// consumer tasks.
+type exchangeLink interface {
+	// dest is the producer-side endpoint of one consumer partition.
+	dest(part int) frameDest
+	// recv hands consumer partition part's frames to each — which takes
+	// ownership of every frame it is given — until the producers are done.
+	recv(part int, each func(*frame.Frame) error) error
+	// producerDone is called once by every producer task as it ends.
+	producerDone()
+	// sweep returns the frames no consumer took to the pool; it runs after a
+	// failed job, once every task has ended.
+	sweep(pool *frame.Pool)
+}
+
+// bufferLink is the staged scheduler's link: an unbounded slice of frames
+// per consumer partition. Every producer has run to completion before the
+// first consumer starts, so nothing ever waits.
+type bufferLink struct {
+	parts [][]*frame.Frame
+}
+
+type bufferDest struct {
+	l    *bufferLink
+	part int
+}
+
+func (d bufferDest) send(fr *frame.Frame) error {
+	d.l.parts[d.part] = append(d.l.parts[d.part], fr)
+	return nil
+}
+
+func (l *bufferLink) dest(part int) frameDest { return bufferDest{l: l, part: part} }
+
+func (l *bufferLink) recv(part int, each func(*frame.Frame) error) error {
+	// Frames are dropped from the buffer as they are delivered, so a large
+	// staged run does not keep every intermediate and the error-path sweep
+	// does not see a frame its consumer already recycled.
+	q := l.parts[part]
+	for i, fr := range q {
+		q[i] = nil
+		if err := each(fr); err != nil {
+			l.parts[part] = q[i+1:]
+			return err
+		}
+	}
+	l.parts[part] = nil
+	return nil
+}
+
+func (l *bufferLink) producerDone() {}
+
+func (l *bufferLink) sweep(pool *frame.Pool) {
+	for _, frames := range l.parts {
+		for _, fr := range frames {
+			pool.Put(fr)
+		}
+	}
+}
+
+// channelDepth is the frame buffer of one channel-link partition: enough
+// for a producer to stay a few frames ahead of its consumer, small enough
+// that the frames in flight per exchange stay a bounded handful.
+const channelDepth = 4
+
+// chanLink is the pipelined scheduler's link: one bounded channel per
+// consumer partition, closed by the last producer to finish.
+type chanLink struct {
+	chans     []chan *frame.Frame
+	producers atomic.Int32 // producer tasks still running
+	stop      <-chan struct{}
+	pool      *frame.Pool
+}
+
+func newChanLink(consumers, producers int, stop <-chan struct{}, pool *frame.Pool) *chanLink {
+	l := &chanLink{chans: make([]chan *frame.Frame, consumers), stop: stop, pool: pool}
+	for i := range l.chans {
+		l.chans[i] = make(chan *frame.Frame, channelDepth)
+	}
+	l.producers.Store(int32(producers))
+	return l
+}
+
+type chanDest struct {
+	l    *chanLink
+	part int
+}
+
+func (d chanDest) send(fr *frame.Frame) error {
+	select {
+	case d.l.chans[d.part] <- fr:
+		return nil
+	case <-d.l.stop:
+		// The frame's ownership arrived with this call; with no receiver left
+		// it goes back to the pool instead of leaking.
+		d.l.pool.Put(fr)
+		return errStopped
+	}
+}
+
+func (l *chanLink) dest(part int) frameDest { return chanDest{l: l, part: part} }
+
+func (l *chanLink) recv(part int, each func(*frame.Frame) error) error {
+	for {
+		select {
+		case fr, open := <-l.chans[part]:
+			if !open {
+				return nil
+			}
+			if err := each(fr); err != nil {
+				return err
+			}
+		case <-l.stop:
+			return errStopped
+		}
+	}
+}
+
+func (l *chanLink) producerDone() {
+	if l.producers.Add(-1) == 0 {
+		for _, c := range l.chans {
+			close(c)
+		}
+	}
+}
+
+func (l *chanLink) sweep(pool *frame.Pool) {
+	for _, c := range l.chans {
+		// Every task has ended, so nothing sends any more and len is exact.
+		for len(c) > 0 {
+			pool.Put(<-c)
+		}
+	}
+}
+
+// --- task plumbing -----------------------------------------------------------
 
 // destWriter adapts a frameDest to the Writer interface. When it belongs to
 // an exchange it counts the re-framed ("rebuilt") output flowing through it.
@@ -380,7 +736,7 @@ func feedSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
 		if err := in.recv(s.Build, j.build); err != nil {
 			return err
 		}
-		if err := j.finishBuild(); err != nil {
+		if err := j.endBuild(&j.root); err != nil {
 			return err
 		}
 		b := newFrameBuilder(ctx, w)
@@ -390,7 +746,7 @@ func feedSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
 			b.discard()
 			return err
 		}
-		if err := j.finishProbe(b); err != nil {
+		if err := j.endProbe(&j.root, b); err != nil {
 			b.discard()
 			return err
 		}
@@ -412,7 +768,7 @@ func feedSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
 // runScan drains the fragment's morsel queue and emits one single-field
 // tuple per projected item. Raw JSON morsels stream through a fixed chunk
 // buffer (charged to the accountant), so scan memory is O(chunk + emitted
-// item), independent of the file size. When no executor-built queue is
+// item), independent of the file size. When no runner-built queue is
 // present (a fragment run outside RunStaged/RunPipelined), an equivalent
 // statically dealt queue is built on the fly.
 func runScan(ctx *TaskCtx, s ScanSource, partitions int, w Writer) error {

@@ -2,6 +2,7 @@ package hyracks
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -591,7 +592,12 @@ func TestADMScanAtEngineLevel(t *testing.T) {
 	raw := testSource()
 	admDocs := map[string][]byte{}
 	for _, name := range []string{"f1.json", "f2.json", "f3.json"} {
-		b, err := raw.ReadFile("/sensors/" + name)
+		rc, err := raw.Open("/sensors/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(rc)
+		rc.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package hyracks
 
 import (
-	"io"
-
 	"vxq/internal/frame"
 	"vxq/internal/item"
 	"vxq/internal/runtime"
@@ -41,18 +39,14 @@ type joiner struct {
 	etable    map[uint64]*ejoinBucket
 	arena     byteArena
 
-	// Out-of-core state (encoded mode only; see spillops.go). When the build
-	// table exceeds budget it flushes to wave-0 partitions and the rest of the
-	// build streams to disk; the probe side then partitions the same way and
-	// each partition pair joins recursively (classic grace hash).
-	budget      int64
-	bspill      *spillParts  // build-side partition writers (non-nil once spilled)
-	pspill      *spillParts  // probe-side partition writers
-	bruns       []*spill.Run // sealed build runs, indexed by partition
-	arenaBytes  int64        // cumulative arena reservations across table resets
-	spilled     int64
-	spillParted int64
-	spillWaves  int64
+	// Out-of-core state (encoded mode only; see spillops.go): root is the
+	// depth-0 wave the exchanges feed. It grows partitions only if the build
+	// table exceeds budget; until then it is the whole in-memory join.
+	budget     int64
+	root       joinWave
+	arenaBytes int64 // cumulative arena reservations across table resets
+	spill      spillCounts
+	out        [][]byte // scratch: one joined tuple (emit copies what it frames)
 
 	// Eager reference mode.
 	eager bool
@@ -105,36 +99,64 @@ func (j *joiner) profExtras(x *opExtras) {
 	x.memPeak = j.memPeak
 	x.hashCollisions = j.collisions
 	x.arenaBytes = j.arenaBytes + j.arena.reserved
-	x.spilledBytes = j.spilled
-	x.spillPartitions = j.spillParted
-	x.spillWaves = j.spillWaves
+	j.spill.profExtras(x)
 }
 
-// build inserts one build-side frame into the hash table. The frame arrives
-// from an exchange and is consumed here (raw bytes are copied into the
-// table), so it is recycled on return.
+// joinWave is one level of the grace-hash join (see wave): the embedded wave
+// is the build side. If the build overflowed, endBuild seals its partitions
+// into bruns and opens probe-side writers that mirror their routing, and the
+// probe input partitions the same way instead of probing.
+type joinWave struct {
+	wave
+	bruns []*spill.Run // sealed build partitions, indexed by partition
+	probe *spillParts
+}
+
+// abort discards whatever a wave cut short by an error still owns.
+func (w *joinWave) abort() {
+	w.wave.abort()
+	if w.probe != nil {
+		w.probe.abort()
+		w.probe = nil
+	}
+	spill.RemoveRuns(w.bruns)
+	w.bruns = nil
+}
+
+// build feeds one build-side frame to the root wave. The frame arrives from
+// an exchange and is consumed here (raw bytes are copied into the table or
+// out to a partition), so it is recycled on return.
 func (j *joiner) build(fr *frame.Frame) error {
 	defer j.ctx.recycle(fr)
 	if j.eager {
 		return j.buildEager(fr)
 	}
 	return forEachTupleView(fr, false, func(lt *frame.LazyTuple) error {
-		kf, h, err := j.buildKeys.resolve(j.ctx, lt)
-		if err != nil {
-			return err
-		}
-		if j.bspill != nil {
-			// Out of core: the table stays flushed, every further build tuple
-			// routes to its partition raw.
-			n, werr := j.bspill.write(h, spillTagRaw, lt.Raw())
-			j.spilled += int64(n)
-			return werr
-		}
-		if err := j.insertRow(h, kf, lt.Raw()); err != nil {
-			return err
-		}
-		return j.maybeSpill()
+		return j.buildStep(&j.root, lt)
 	})
+}
+
+// buildStep adds one build tuple to wave w. While the wave is in memory the
+// row lands in the hash table. Once the table exceeds budget and can still be
+// split, it flushes to the wave's child partitions and every further build
+// tuple routes to its partition raw; a wave at max depth, or a table holding
+// a single hash bucket, stays in memory — correctness never depends on the
+// budget holding.
+func (j *joiner) buildStep(w *joinWave, lt *frame.LazyTuple) error {
+	kf, h, err := j.buildKeys.resolve(j.ctx, lt)
+	if err != nil {
+		return err
+	}
+	if w.child != nil {
+		return w.child.write(h, spillTagRaw, lt.Raw())
+	}
+	if err := j.insertRow(h, kf, lt.Raw()); err != nil {
+		return err
+	}
+	if w.overflows(j.budget, j.memory, len(j.etable)) {
+		return j.flushTable(w.split(j.ctx, &j.spill))
+	}
+	return nil
 }
 
 // insertRow adds one build row (arena-interning its key on first sight) to
@@ -168,18 +190,6 @@ func (j *joiner) insertRow(h uint64, kf, raw [][]byte) error {
 	return nil
 }
 
-// maybeSpill takes the build side out of core once the table exceeds budget.
-// A table holding a single key can never be split by partitioning, so it
-// stays in memory.
-func (j *joiner) maybeSpill() error {
-	if j.budget <= 0 || j.bspill != nil || j.memory <= j.budget || len(j.etable) < 2 {
-		return nil
-	}
-	j.bspill = newSpillParts(j.ctx, 0)
-	j.spillWaves++
-	return j.flushTable(j.bspill)
-}
-
 // flushTable writes every build row back out as a raw record routed by its
 // bucket's key hash, then drops the table. A bucket's rows are written
 // contiguously in arrival order, so rebuilding a partition preserves per-key
@@ -192,10 +202,8 @@ func (j *joiner) flushTable(ps *spillParts) error {
 				return err
 			}
 			for _, row := range b.rows {
-				n, werr := ps.write(h, spillTagRaw, row.raw)
-				j.spilled += int64(n)
-				if werr != nil {
-					return werr
+				if err := ps.write(h, spillTagRaw, row.raw); err != nil {
+					return err
 				}
 			}
 		}
@@ -213,21 +221,19 @@ func (j *joiner) resetTable() {
 	j.memory = 0
 }
 
-// finishBuild runs once the build side is fully consumed. An in-memory build
-// is already the probe-ready table; a spilled build seals its partitions and
-// opens the probe-side writers that mirror their routing.
-func (j *joiner) finishBuild() error {
-	if j.bspill == nil {
+// endBuild runs once a wave's build side is fully consumed. A build that
+// never overflowed is already the probe-ready table; one that did seals its
+// partitions and opens the probe-side writers that mirror their routing.
+func (j *joiner) endBuild(w *joinWave) error {
+	if w.child == nil {
 		return nil
 	}
-	runs, err := j.bspill.finish()
-	j.spillParted += countRuns(runs)
-	j.bspill = nil
+	runs, err := w.seal()
 	if err != nil {
 		return err
 	}
-	j.bruns = runs
-	j.pspill = newSpillParts(j.ctx, 0)
+	w.bruns = runs
+	w.probe = newSpillParts(j.ctx, w.depth, &j.spill)
 	return nil
 }
 
@@ -299,38 +305,34 @@ func (j *joiner) lookup(h uint64, keys []item.Sequence) *joinBucket {
 	return nil
 }
 
-// probe streams one probe-side frame against the table, emitting joined
-// tuples through b. The frame is recycled on return; emit copies the bytes
-// it frames, so one scratch slice carries every joined tuple.
+// probe feeds one probe-side frame to the root wave, emitting joined tuples
+// through b. The frame is recycled on return.
 func (j *joiner) probe(fr *frame.Frame, b *frameBuilder) error {
 	defer j.ctx.recycle(fr)
 	if j.eager {
 		return j.probeEager(fr, b)
 	}
-	var out [][]byte
 	return forEachTupleView(fr, false, func(lt *frame.LazyTuple) error {
-		kf, h, err := j.probeKeys.resolve(j.ctx, lt)
-		if err != nil {
-			return err
-		}
-		if j.pspill != nil {
-			// Spilled build: route the probe tuple to the partition its key's
-			// build rows went to. Partitions with no build data can never
-			// produce output, so their probe tuples are dropped here.
-			p := spillRoute(h, 0, len(j.bruns))
-			if j.bruns[p] == nil {
-				return nil
-			}
-			n, werr := j.pspill.writeTo(p, spillTagRaw, lt.Raw())
-			j.spilled += int64(n)
-			return werr
-		}
-		return j.probeRow(h, kf, lt.Raw(), &out, b)
+		return j.probeStep(&j.root, lt, b)
 	})
 }
 
-// probeRow joins one probe tuple against the in-memory table.
-func (j *joiner) probeRow(h uint64, kf, raw [][]byte, out *[][]byte, b *frameBuilder) error {
+// probeStep takes one probe tuple through wave w: against the table when the
+// build fit in memory, otherwise out to the partition its key's build rows
+// went to. Partitions with no build data can never produce output, so their
+// probe tuples are dropped here.
+func (j *joiner) probeStep(w *joinWave, lt *frame.LazyTuple, b *frameBuilder) error {
+	kf, h, err := j.probeKeys.resolve(j.ctx, lt)
+	if err != nil {
+		return err
+	}
+	if w.probe != nil {
+		p := spillRoute(h, w.depth, len(w.bruns))
+		if w.bruns[p] == nil {
+			return nil
+		}
+		return w.probe.writeTo(p, spillTagRaw, lt.Raw())
+	}
 	bucket, err := j.elookup(h, kf)
 	if err != nil || bucket == nil {
 		return err
@@ -343,220 +345,51 @@ func (j *joiner) probeRow(h uint64, kf, raw [][]byte, out *[][]byte, b *frameBui
 		}
 	}
 	for _, row := range bucket.rows {
-		*out = append((*out)[:0], row.raw...)
-		*out = append(*out, raw...)
-		if err := b.emit(*out); err != nil {
+		j.out = append(j.out[:0], row.raw...)
+		j.out = append(j.out, lt.Raw()...)
+		if err := b.emit(j.out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// finishProbe runs once the probe side is fully consumed: for an in-memory
-// join the output already streamed through probe and there is nothing to do;
-// a spilled join seals the probe partitions and joins each partition pair.
-// Runs are removed as they are consumed, the deferred sweeps remove the rest
-// when an error cuts the drain short.
-func (j *joiner) finishProbe(b *frameBuilder) error {
-	if j.pspill == nil {
+// endProbe runs once a wave's probe side is fully consumed. For a build that
+// fit in memory the output already streamed through probeStep and there is
+// nothing to do; otherwise the probe partitions are sealed and each (build,
+// probe) partition pair joins as a wave one level down, on a depth-rotated
+// hash.
+func (j *joiner) endProbe(w *joinWave, b *frameBuilder) error {
+	if w.probe == nil {
 		return nil
 	}
-	pruns, err := j.pspill.finish()
-	j.spillParted += countRuns(pruns)
-	j.pspill = nil
+	pruns, err := w.probe.finish()
+	w.probe = nil
 	if err != nil {
 		return err
 	}
-	bruns := j.bruns
-	j.bruns = nil
-	defer spill.RemoveRuns(bruns)
-	defer spill.RemoveRuns(pruns)
-	for p := range bruns {
-		br, pr := bruns[p], pruns[p]
-		if br != nil && pr != nil {
-			if err := j.joinPartition(br, pr, 1, b); err != nil {
-				return err
-			}
+	bruns := w.bruns
+	w.bruns = nil
+	return drainRuns(func(p int) error {
+		sub := joinWave{wave: wave{depth: w.depth + 1}}
+		defer sub.abort() // a no-op unless an error cuts the wave short
+		err := replayRun(j.ctx, bruns[p], func(_ byte, lt *frame.LazyTuple) error {
+			return j.buildStep(&sub, lt)
+		})
+		if err == nil {
+			err = j.endBuild(&sub)
 		}
-		if br != nil {
-			br.Remove()
-			bruns[p] = nil
+		if err == nil {
+			err = replayRun(j.ctx, pruns[p], func(_ byte, lt *frame.LazyTuple) error {
+				return j.probeStep(&sub, lt, b)
+			})
 		}
-		if pr != nil {
-			pr.Remove()
-			pruns[p] = nil
+		if err == nil {
+			err = j.endProbe(&sub, b)
 		}
-	}
-	return nil
-}
-
-// joinPartition rebuilds the hash table from one build run and streams the
-// matching probe run through it. If the table overflows again and can still
-// be split, both runs re-partition on a depth-rotated hash and recursion
-// continues; at max depth (or with a single unsplittable key) the partition
-// finishes in memory — correctness never depends on the budget holding.
-func (j *joiner) joinPartition(brun, prun *spill.Run, depth int, b *frameBuilder) error {
-	rd, err := brun.Open()
-	if err != nil {
+		j.resetTable() // the next pair starts from an empty table
 		return err
-	}
-	release := j.ctx.account(int64(j.ctx.spillBlockSize()))
-	var child *spillParts
-	fail := func(err error) error {
-		rd.Close()
-		release()
-		if child != nil {
-			child.abort()
-		}
-		return err
-	}
-	var lt frame.LazyTuple
-	for {
-		_, fields, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fail(err)
-		}
-		lt.Reset(fields)
-		kf, h, err := j.buildKeys.resolve(j.ctx, &lt)
-		if err != nil {
-			return fail(err)
-		}
-		if child != nil {
-			n, werr := child.write(h, spillTagRaw, fields)
-			j.spilled += int64(n)
-			if werr != nil {
-				return fail(werr)
-			}
-			continue
-		}
-		if err := j.insertRow(h, kf, fields); err != nil {
-			return fail(err)
-		}
-		if j.budget > 0 && j.memory > j.budget && depth < maxSpillDepth && len(j.etable) > 1 {
-			child = newSpillParts(j.ctx, depth)
-			j.spillWaves++
-			if err := j.flushTable(child); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	rd.Close()
-	release()
-	if child == nil {
-		err := j.probeRun(prun, b)
-		j.resetTable()
-		return err
-	}
-	bruns, err := child.finish()
-	j.spillParted += countRuns(bruns)
-	child = nil
-	if err != nil {
-		return err
-	}
-	defer spill.RemoveRuns(bruns)
-	pruns, err := j.partitionProbeRun(prun, depth, bruns)
-	j.spillParted += countRuns(pruns)
-	if err != nil {
-		return err
-	}
-	defer spill.RemoveRuns(pruns)
-	for p := range bruns {
-		br, pr := bruns[p], pruns[p]
-		if br != nil && pr != nil {
-			if err := j.joinPartition(br, pr, depth+1, b); err != nil {
-				return err
-			}
-		}
-		if br != nil {
-			br.Remove()
-			bruns[p] = nil
-		}
-		if pr != nil {
-			pr.Remove()
-			pruns[p] = nil
-		}
-	}
-	return nil
-}
-
-// probeRun streams one probe run through the in-memory table.
-func (j *joiner) probeRun(prun *spill.Run, b *frameBuilder) error {
-	rd, err := prun.Open()
-	if err != nil {
-		return err
-	}
-	release := j.ctx.account(int64(j.ctx.spillBlockSize()))
-	defer release()
-	defer rd.Close()
-	var (
-		lt  frame.LazyTuple
-		out [][]byte
-	)
-	for {
-		_, fields, err := rd.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		lt.Reset(fields)
-		kf, h, err := j.probeKeys.resolve(j.ctx, &lt)
-		if err != nil {
-			return err
-		}
-		if err := j.probeRow(h, kf, fields, &out, b); err != nil {
-			return err
-		}
-	}
-}
-
-// partitionProbeRun re-routes one probe run on the depth-rotated hash,
-// mirroring the build side's re-partitioning and dropping tuples whose
-// partition holds no build data.
-func (j *joiner) partitionProbeRun(prun *spill.Run, depth int, bruns []*spill.Run) ([]*spill.Run, error) {
-	rd, err := prun.Open()
-	if err != nil {
-		return nil, err
-	}
-	release := j.ctx.account(int64(j.ctx.spillBlockSize()))
-	ps := newSpillParts(j.ctx, depth)
-	fail := func(err error) ([]*spill.Run, error) {
-		rd.Close()
-		release()
-		ps.abort()
-		return nil, err
-	}
-	var lt frame.LazyTuple
-	for {
-		_, fields, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fail(err)
-		}
-		lt.Reset(fields)
-		_, h, err := j.probeKeys.resolve(j.ctx, &lt)
-		if err != nil {
-			return fail(err)
-		}
-		p := spillRoute(h, depth, len(bruns))
-		if bruns[p] == nil {
-			continue
-		}
-		n, werr := ps.writeTo(p, spillTagRaw, fields)
-		j.spilled += int64(n)
-		if werr != nil {
-			return fail(werr)
-		}
-	}
-	rd.Close()
-	release()
-	return ps.finish()
+	}, bruns, pruns)
 }
 
 func (j *joiner) probeEager(fr *frame.Frame, b *frameBuilder) error {
@@ -594,20 +427,7 @@ func (j *joiner) probeEager(fr *frame.Frame, b *frameBuilder) error {
 // balance returns to zero and no files linger on either the clean or the
 // error path.
 func (j *joiner) release() {
-	if j.ctx.RT != nil && j.ctx.RT.Accountant != nil {
-		j.ctx.RT.Accountant.Release(j.memory)
-	}
-	j.memory = 0
-	j.arena.release()
-	if j.bspill != nil {
-		j.bspill.abort()
-		j.bspill = nil
-	}
-	if j.pspill != nil {
-		j.pspill.abort()
-		j.pspill = nil
-	}
-	spill.RemoveRuns(j.bruns)
-	j.bruns = nil
-	j.ctx.addSpillStats(j.spilled, j.spillParted, j.spillWaves)
+	j.resetTable()
+	j.root.abort()
+	j.ctx.addSpillStats(j.spill)
 }

@@ -49,7 +49,7 @@ func benchCtx(eager bool) *TaskCtx {
 
 // benchProf arms a harness context with a synthetic three-stage task profile
 // (source | op | sink), so a profiled pass carries exactly the per-boundary
-// wrappers the executors install. Used to measure profiling overhead.
+// wrappers the runner installs. Used to measure profiling overhead.
 func benchProf(ctx *TaskCtx, name, kind string) {
 	ctx.prof = &taskProf{epoch: time.Now(), stages: []stageProf{
 		{name: "BENCH-SOURCE", kind: "source"},
@@ -155,7 +155,7 @@ func BenchHashShuffle(keys []runtime.Evaluator, parts int, frames []*frame.Frame
 // BenchHashJoin builds a hash join from the build frames, probes it with the
 // probe frames, and returns the number of joined tuples. eager selects the
 // decoded reference implementation; profiled wraps the join's output path
-// (the boundary the executors instrument on a join fragment).
+// (the boundary the runner instruments on a join fragment).
 func BenchHashJoin(spec *JoinSpec, build, probe []*frame.Frame, eager, profiled bool) (int64, error) {
 	ctx := benchCtx(eager)
 	j := newJoiner(ctx, spec)

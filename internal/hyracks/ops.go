@@ -21,6 +21,48 @@ type OpSpec interface {
 	Build(ctx *TaskCtx, out Writer) Writer
 }
 
+// rowOp is the tail every row-at-a-time operator embeds: the builder its
+// output tuples go through, created at Open and flushed at Close, with both
+// calls cascading downstream.
+type rowOp struct {
+	ctx *TaskCtx
+	out Writer
+	b   *frameBuilder
+}
+
+func (o *rowOp) Open() error {
+	o.b = newFrameBuilder(o.ctx, o.out)
+	return o.out.Open()
+}
+
+func (o *rowOp) Close() error {
+	// Close must cascade even when the flush fails: a downstream blocking
+	// operator releases its held memory in its own Close, so skipping it on
+	// the error path would leave the accountant imbalanced.
+	err := o.b.flush()
+	if cerr := o.out.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// emitAndClose is the Close of every blocking operator: emit the result into
+// a fresh builder, flush it (or discard the pending frame on failure), and
+// cascade the Close downstream either way — see rowOp.Close.
+func emitAndClose(ctx *TaskCtx, out Writer, emit func(b *frameBuilder) error) error {
+	b := newFrameBuilder(ctx, out)
+	err := emit(b)
+	if err == nil {
+		err = b.flush()
+	} else {
+		b.discard()
+	}
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // --- ASSIGN ---------------------------------------------------------------
 
 // AssignSpec evaluates scalar expressions over each input tuple and appends
@@ -38,19 +80,12 @@ func (s *AssignSpec) Name() string { return "ASSIGN " + s.Desc }
 
 // Build implements OpSpec.
 func (s *AssignSpec) Build(ctx *TaskCtx, out Writer) Writer {
-	return &assignOp{ctx: ctx, spec: s, out: out}
+	return &assignOp{rowOp: rowOp{ctx: ctx, out: out}, spec: s}
 }
 
 type assignOp struct {
-	ctx  *TaskCtx
+	rowOp
 	spec *AssignSpec
-	out  Writer
-	b    *frameBuilder
-}
-
-func (o *assignOp) Open() error {
-	o.b = newFrameBuilder(o.ctx, o.out)
-	return o.out.Open()
 }
 
 func (o *assignOp) Push(fr *frame.Frame) error {
@@ -88,17 +123,6 @@ func (o *assignOp) Push(fr *frame.Frame) error {
 	})
 }
 
-func (o *assignOp) Close() error {
-	// Close must cascade even when the flush fails: a downstream blocking
-	// operator releases its held memory in its own Close, so skipping it on
-	// the error path would leave the accountant imbalanced.
-	err := o.b.flush()
-	if cerr := o.out.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // --- SELECT ---------------------------------------------------------------
 
 // SelectSpec filters tuples by the effective boolean value of a condition.
@@ -114,19 +138,12 @@ func (s *SelectSpec) Name() string { return "SELECT " + s.Desc }
 
 // Build implements OpSpec.
 func (s *SelectSpec) Build(ctx *TaskCtx, out Writer) Writer {
-	return &selectOp{ctx: ctx, spec: s, out: out}
+	return &selectOp{rowOp: rowOp{ctx: ctx, out: out}, spec: s}
 }
 
 type selectOp struct {
-	ctx  *TaskCtx
+	rowOp
 	spec *SelectSpec
-	out  Writer
-	b    *frameBuilder
-}
-
-func (o *selectOp) Open() error {
-	o.b = newFrameBuilder(o.ctx, o.out)
-	return o.out.Open()
 }
 
 func (o *selectOp) Push(fr *frame.Frame) error {
@@ -149,15 +166,6 @@ func (o *selectOp) Push(fr *frame.Frame) error {
 	})
 }
 
-func (o *selectOp) Close() error {
-	// Cascade on error: see assignOp.Close.
-	err := o.b.flush()
-	if cerr := o.out.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // --- UNNEST ---------------------------------------------------------------
 
 // UnnestSpec evaluates an unnesting expression per input tuple and emits one
@@ -175,19 +183,12 @@ func (s *UnnestSpec) Name() string { return "UNNEST " + s.Desc }
 
 // Build implements OpSpec.
 func (s *UnnestSpec) Build(ctx *TaskCtx, out Writer) Writer {
-	return &unnestOp{ctx: ctx, spec: s, out: out}
+	return &unnestOp{rowOp: rowOp{ctx: ctx, out: out}, spec: s}
 }
 
 type unnestOp struct {
-	ctx  *TaskCtx
+	rowOp
 	spec *UnnestSpec
-	out  Writer
-	b    *frameBuilder
-}
-
-func (o *unnestOp) Open() error {
-	o.b = newFrameBuilder(o.ctx, o.out)
-	return o.out.Open()
 }
 
 func (o *unnestOp) Push(fr *frame.Frame) error {
@@ -219,15 +220,6 @@ func (o *unnestOp) Push(fr *frame.Frame) error {
 	})
 }
 
-func (o *unnestOp) Close() error {
-	// Cascade on error: see assignOp.Close.
-	err := o.b.flush()
-	if cerr := o.out.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // applyOutColsInto projects raw fields to the given columns, reusing dst's
 // capacity; a nil cols is the identity (raw is returned, dst untouched).
 func applyOutColsInto(dst [][]byte, raw [][]byte, cols []int) ([][]byte, error) {
@@ -256,19 +248,12 @@ func (s *ProjectSpec) Name() string { return fmt.Sprintf("PROJECT %v", s.Cols) }
 
 // Build implements OpSpec.
 func (s *ProjectSpec) Build(ctx *TaskCtx, out Writer) Writer {
-	return &projectOp{ctx: ctx, spec: s, out: out}
+	return &projectOp{rowOp: rowOp{ctx: ctx, out: out}, spec: s}
 }
 
 type projectOp struct {
-	ctx  *TaskCtx
+	rowOp
 	spec *ProjectSpec
-	out  Writer
-	b    *frameBuilder
-}
-
-func (o *projectOp) Open() error {
-	o.b = newFrameBuilder(o.ctx, o.out)
-	return o.out.Open()
 }
 
 func (o *projectOp) Push(fr *frame.Frame) error {
@@ -285,15 +270,6 @@ func (o *projectOp) Push(fr *frame.Frame) error {
 		}
 		return o.b.emit(outFields)
 	})
-}
-
-func (o *projectOp) Close() error {
-	// Cascade on error: see assignOp.Close.
-	err := o.b.flush()
-	if cerr := o.out.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // --- AGGREGATE ------------------------------------------------------------
@@ -410,8 +386,7 @@ func (o *aggregateOp) Push(fr *frame.Frame) error {
 }
 
 func (o *aggregateOp) Close() error {
-	b := newFrameBuilder(o.ctx, o.out)
-	err := func() error {
+	return emitAndClose(o.ctx, o.out, func(b *frameBuilder) error {
 		outFields := make([][]byte, len(o.states))
 		for i, st := range o.states {
 			v, err := st.Finish()
@@ -420,19 +395,8 @@ func (o *aggregateOp) Close() error {
 			}
 			outFields[i] = item.EncodeSeq(nil, v)
 		}
-		if err := b.emit(outFields); err != nil {
-			return err
-		}
-		return b.flush()
-	}()
-	if err != nil {
-		b.discard()
-	}
-	// Cascade on error: see assignOp.Close.
-	if cerr := o.out.Close(); err == nil {
-		err = cerr
-	}
-	return err
+		return b.emit(outFields)
+	})
 }
 
 // --- GROUP-BY -------------------------------------------------------------
@@ -496,17 +460,14 @@ type groupByOp struct {
 	order      []*group // insertion order for deterministic output
 	keyScratch []item.Sequence
 
-	memory   int64
-	tableMem int64 // the part of memory held by the table + arena (freed on spill)
+	memory int64 // bytes the table and arena hold (released when they reset)
 
-	// Out-of-core state (encoded mode only; see spillops.go). Once the held
-	// table exceeds budget, live groups flush to wave-0 partitions as partial
-	// records and the rest of the input streams to disk raw (grace hash).
-	budget      int64       // per-operator byte budget; 0 = never spill
-	spill       *spillParts // non-nil once the operator went out of core
-	spilled     int64
-	spillParted int64
-	spillWaves  int64
+	// Out-of-core state (encoded mode only; see spillops.go): root is the
+	// depth-0 wave Push feeds. It grows partition writers only if the held
+	// table exceeds budget; until then it is the whole in-memory operator.
+	budget int64 // per-operator byte budget; 0 = never spill
+	root   wave
+	spill  spillCounts
 
 	// Profile counters (see profExtras).
 	memPeak    int64
@@ -514,11 +475,10 @@ type groupByOp struct {
 	arenaBytes int64
 }
 
-// hold charges sz bytes of retained state (released once at Close) and
-// tracks the held-memory high-water the profiler reports.
+// hold charges sz bytes of retained state (released when the table resets)
+// and tracks the held-memory high-water the profiler reports.
 func (o *groupByOp) hold(sz int64) {
 	o.memory += sz
-	o.tableMem += sz
 	if o.memory > o.memPeak {
 		o.memPeak = o.memory
 	}
@@ -530,9 +490,7 @@ func (o *groupByOp) profExtras(x *opExtras) {
 	x.memPeak = o.memPeak
 	x.hashCollisions = o.collisions
 	x.arenaBytes = o.arenaBytes
-	x.spilledBytes = o.spilled
-	x.spillPartitions = o.spillParted
-	x.spillWaves = o.spillWaves
+	o.spill.profExtras(x)
 }
 
 func (o *groupByOp) Open() error {
@@ -563,29 +521,82 @@ func (o *groupByOp) Push(fr *frame.Frame) error {
 		return o.pushEager(fr)
 	}
 	return forEachTupleView(fr, false, func(lt *frame.LazyTuple) error {
-		kf, h, err := o.keys.resolve(o.ctx, lt)
-		if err != nil {
-			return err
-		}
-		if o.spill != nil {
-			// Out of core: the table stays flushed, every further tuple
-			// routes to its partition raw (classic grace hash — one wave).
-			n, werr := o.spill.write(h, spillTagRaw, lt.Raw())
-			o.spilled += int64(n)
-			return werr
-		}
-		g, err := o.elookup(h, kf)
-		if err != nil {
-			return err
-		}
-		if g == nil {
-			g = o.newGroup(h, kf)
-		}
-		if err := stepStates(o.ctx, o.spec.Aggs, o.fastCols, g.states, lt, o.hold); err != nil {
-			return err
-		}
-		return o.maybeSpill()
+		return o.step(&o.root, spillTagRaw, lt)
 	})
+}
+
+// step folds one record into wave w: a raw tuple (an input tuple at depth 0,
+// a spilled one below it) or a partial the parent wave flushed. While the
+// wave is in memory the record lands in the table. Once the table exceeds
+// budget and can still be split, the live groups flush to the wave's child
+// partitions and every further record routes to its partition untouched
+// (classic grace hash); a wave at max depth, or one holding a single
+// unsplittable group (whose state is at least output-sized anyway), stays in
+// memory — correctness never depends on the budget holding. The tuple's
+// fields alias a frame or a run reader's block; everything retained (keys,
+// stepped state) is copied by the arena or decoded, never aliased.
+func (o *groupByOp) step(w *wave, tag byte, lt *frame.LazyTuple) error {
+	var (
+		kf  [][]byte
+		h   uint64
+		err error
+	)
+	nk := len(o.spec.Keys)
+	if tag == spillTagPartial {
+		// Key fields, then one aggregate snapshot per aggregate: the key bytes
+		// are the ones the raw tuples resolve to, therefore the same hash.
+		if lt.RawFieldCount() != nk+len(o.spec.Aggs) {
+			return fmt.Errorf("hyracks: malformed spilled partial: %d fields, want %d", lt.RawFieldCount(), nk+len(o.spec.Aggs))
+		}
+		kf = lt.Raw()[:nk]
+		h, err = chainKeyHash(kf)
+	} else {
+		kf, h, err = o.keys.resolve(o.ctx, lt)
+	}
+	if err != nil {
+		return err
+	}
+	if w.child != nil {
+		return w.child.write(h, tag, lt.Raw())
+	}
+	g, err := o.elookup(h, kf)
+	if err != nil {
+		return err
+	}
+	if g == nil {
+		g = o.newGroup(h, kf)
+	}
+	if tag == spillTagPartial {
+		err = o.mergePartial(g, lt.Raw()[nk:])
+	} else {
+		err = stepStates(o.ctx, o.spec.Aggs, o.fastCols, g.states, lt, o.hold)
+	}
+	if err != nil {
+		return err
+	}
+	if w.overflows(o.budget, o.memory, len(o.eorder)) {
+		return o.flushGroups(w.split(o.ctx, &o.spill))
+	}
+	return nil
+}
+
+// mergePartial folds a partial record's aggregate snapshots into the group's
+// states.
+func (o *groupByOp) mergePartial(g *egroup, snaps [][]byte) error {
+	for i, st := range g.states {
+		snap, err := item.DecodeSeq(snaps[i])
+		if err != nil {
+			return err
+		}
+		before := st.Size()
+		if err := st.(runtime.SpillableState).Merge(snap); err != nil {
+			return err
+		}
+		if grew := st.Size() - before; grew > 0 {
+			o.hold(grew)
+		}
+	}
+	return nil
 }
 
 // newGroup interns the key bytes in the arena, charges the hold (the arena
@@ -605,20 +616,8 @@ func (o *groupByOp) newGroup(h uint64, kf [][]byte) *egroup {
 	}
 	o.etable[h] = g
 	o.eorder = append(o.eorder, g)
-	o.hold(sz) // charged until close (or until the table spills)
+	o.hold(sz) // charged until the table resets
 	return g
-}
-
-// maybeSpill takes the operator out of core once the held table exceeds its
-// budget. A single group can never be split by partitioning (and its state
-// is at least output-sized anyway), so it stays in memory.
-func (o *groupByOp) maybeSpill() error {
-	if o.budget <= 0 || o.spill != nil || o.memory <= o.budget || len(o.eorder) < 2 {
-		return nil
-	}
-	o.spill = newSpillParts(o.ctx, 0)
-	o.spillWaves++
-	return o.flushGroups(o.spill)
 }
 
 // flushGroups writes every live group as a partial record — key fields, then
@@ -642,10 +641,8 @@ func (o *groupByOp) flushGroups(ps *spillParts) error {
 		if err != nil {
 			return err
 		}
-		n, werr := ps.write(h, spillTagPartial, fields)
-		o.spilled += int64(n)
-		if werr != nil {
-			return werr
+		if err := ps.write(h, spillTagPartial, fields); err != nil {
+			return err
 		}
 	}
 	o.resetTable()
@@ -658,9 +655,8 @@ func (o *groupByOp) resetTable() {
 	o.arenaBytes += o.arena.release()
 	o.etable = make(map[uint64]*egroup)
 	o.eorder = o.eorder[:0]
-	o.memory -= o.tableMem
-	o.ctx.releaseHold(o.tableMem)
-	o.tableMem = 0
+	o.ctx.releaseHold(o.memory)
+	o.memory = 0
 }
 
 func (o *groupByOp) elookup(h uint64, kf [][]byte) (*egroup, error) {
@@ -749,215 +745,44 @@ func (o *groupByOp) lookup(h uint64, keySeqs []item.Sequence) *group {
 }
 
 func (o *groupByOp) Close() error {
-	o.arenaBytes += o.arena.reserved // live reservation; spilled waves added theirs at reset
 	defer func() {
-		if o.ctx.RT != nil && o.ctx.RT.Accountant != nil {
-			o.ctx.RT.Accountant.Release(o.memory)
-		}
-		o.memory = 0
-		o.tableMem = 0
-		o.arena.release()
-		if o.spill != nil {
-			// A drain cut short by an error leaves the wave-0 writers open;
-			// abort removes their files (no-op after a clean finish).
-			o.spill.abort()
-			o.spill = nil
-		}
-		o.ctx.addSpillStats(o.spilled, o.spillParted, o.spillWaves)
-	}()
-	b := newFrameBuilder(o.ctx, o.out)
-	var err error
-	if o.spill != nil {
-		err = o.drainSpill(b)
-	} else {
-		err = o.emitGroups(b)
-	}
-	if err == nil {
-		err = b.flush()
-	} else {
-		b.discard()
-	}
-	// Cascade on error: see assignOp.Close.
-	if cerr := o.out.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// drainSpill seals the wave-0 partitions and reduces each in turn, emitting
-// its groups as it finishes. Runs are removed as they are consumed; the
-// deferred sweep removes the rest when a downstream error cuts the drain
-// short.
-func (o *groupByOp) drainSpill(b *frameBuilder) error {
-	runs, err := o.spill.finish()
-	o.spillParted += countRuns(runs)
-	o.spill = nil
-	if err != nil {
-		return err
-	}
-	defer spill.RemoveRuns(runs)
-	for i, r := range runs {
-		if r == nil {
-			continue
-		}
-		if err := o.processRun(r, 1, b); err != nil {
-			return err
-		}
-		r.Remove()
-		runs[i] = nil
-	}
-	return nil
-}
-
-// processRun rebuilds a hash table from one partition file. If the table
-// overflows again and can still be split, the live groups flush to child
-// writers on a depth-rotated hash, the rest of the run streams straight
-// through, and recursion continues per child; otherwise (max depth reached,
-// or a single unsplittable group) the partition finishes in memory —
-// correctness never depends on the budget holding.
-func (o *groupByOp) processRun(run *spill.Run, depth int, b *frameBuilder) error {
-	rd, err := run.Open()
-	if err != nil {
-		return err
-	}
-	release := o.ctx.account(int64(o.ctx.spillBlockSize()))
-	var child *spillParts
-	fail := func(err error) error {
-		rd.Close()
-		release()
-		if child != nil {
-			child.abort()
-		}
-		return err
-	}
-	var lt frame.LazyTuple
-	for {
-		tag, fields, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fail(err)
-		}
-		if child != nil {
-			// Already re-partitioning: route the rest of the run straight
-			// through on the rotated hash.
-			h, err := o.spillRecordHash(tag, fields, &lt)
-			if err != nil {
-				return fail(err)
-			}
-			n, werr := child.write(h, tag, fields)
-			o.spilled += int64(n)
-			if werr != nil {
-				return fail(werr)
-			}
-			continue
-		}
-		if err := o.absorb(tag, fields, &lt); err != nil {
-			return fail(err)
-		}
-		if o.budget > 0 && o.memory > o.budget && depth < maxSpillDepth && len(o.eorder) > 1 {
-			child = newSpillParts(o.ctx, depth)
-			o.spillWaves++
-			if err := o.flushGroups(child); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	rd.Close()
-	release()
-	if child == nil {
-		if err := o.emitGroups(b); err != nil {
-			return err
-		}
+		// The table is held until the cascade is through (a spilled run
+		// already dropped it); the abort is a no-op unless an error cut the
+		// run short and left the root wave's partition writers open.
 		o.resetTable()
-		return nil
-	}
-	crs, err := child.finish()
-	o.spillParted += countRuns(crs)
-	child = nil
-	if err != nil {
-		return err
-	}
-	defer spill.RemoveRuns(crs)
-	for i, r := range crs {
-		if r == nil {
-			continue
-		}
-		if err := o.processRun(r, depth+1, b); err != nil {
-			return err
-		}
-		r.Remove()
-		crs[i] = nil
-	}
-	return nil
+		o.root.abort()
+		o.ctx.addSpillStats(o.spill)
+	}()
+	return emitAndClose(o.ctx, o.out, func(b *frameBuilder) error {
+		return o.finish(&o.root, b)
+	})
 }
 
-// spillRecordHash recovers a spilled record's routing hash: raw tuples
-// re-resolve the key expressions exactly like Push, partial records hash
-// their leading key fields (identical bytes, therefore identical hash).
-func (o *groupByOp) spillRecordHash(tag byte, fields [][]byte, lt *frame.LazyTuple) (uint64, error) {
-	if tag == spillTagPartial {
-		if len(fields) < len(o.spec.Keys) {
-			return 0, fmt.Errorf("hyracks: malformed spilled partial: %d fields, want >= %d", len(fields), len(o.spec.Keys))
-		}
-		return chainKeyHash(fields[:len(o.spec.Keys)])
+// finish completes a wave whose input is exhausted. One that never overflowed
+// holds every group of its input in the table and emits them — at depth 0
+// that is the whole in-memory operator. One that grew partitions seals them
+// and reduces each run as a wave one level down, on a depth-rotated hash.
+func (o *groupByOp) finish(w *wave, b *frameBuilder) error {
+	if w.child == nil {
+		return o.emitGroups(b)
 	}
-	lt.Reset(fields)
-	_, h, err := o.keys.resolve(o.ctx, lt)
-	return h, err
-}
-
-// absorb folds one spilled record into the live table: raw records step like
-// Push; partials merge their aggregate snapshots into the key's states.
-// The fields alias the reader's block buffer — everything retained (keys,
-// stepped state) is copied by the arena or decoded, never aliased.
-func (o *groupByOp) absorb(tag byte, fields [][]byte, lt *frame.LazyTuple) error {
-	if tag == spillTagRaw {
-		lt.Reset(fields)
-		kf, h, err := o.keys.resolve(o.ctx, lt)
-		if err != nil {
-			return err
-		}
-		g, err := o.elookup(h, kf)
-		if err != nil {
-			return err
-		}
-		if g == nil {
-			g = o.newGroup(h, kf)
-		}
-		return stepStates(o.ctx, o.spec.Aggs, o.fastCols, g.states, lt, o.hold)
-	}
-	nk := len(o.spec.Keys)
-	if len(fields) != nk+len(o.spec.Aggs) {
-		return fmt.Errorf("hyracks: malformed spilled partial: %d fields, want %d", len(fields), nk+len(o.spec.Aggs))
-	}
-	kf := fields[:nk]
-	h, err := chainKeyHash(kf)
+	runs, err := w.seal()
 	if err != nil {
 		return err
 	}
-	g, err := o.elookup(h, kf)
-	if err != nil {
-		return err
-	}
-	if g == nil {
-		g = o.newGroup(h, kf)
-	}
-	for i, st := range g.states {
-		snap, err := item.DecodeSeq(fields[nk+i])
+	return drainRuns(func(p int) error {
+		sub := wave{depth: w.depth + 1}
+		err := replayRun(o.ctx, runs[p], func(tag byte, lt *frame.LazyTuple) error {
+			return o.step(&sub, tag, lt)
+		})
 		if err != nil {
+			sub.abort()
 			return err
 		}
-		before := st.Size()
-		if err := st.(runtime.SpillableState).Merge(snap); err != nil {
-			return err
-		}
-		if grew := st.Size() - before; grew > 0 {
-			o.hold(grew)
-		}
-	}
-	return nil
+		err = o.finish(&sub, b)
+		o.resetTable() // the next run starts from an empty table
+		return err
+	}, runs)
 }
 
 // emitGroups writes one tuple per group — key fields then finished
@@ -1024,19 +849,12 @@ func (s *SubplanSpec) Name() string { return "SUBPLAN " + s.Desc }
 
 // Build implements OpSpec.
 func (s *SubplanSpec) Build(ctx *TaskCtx, out Writer) Writer {
-	return &subplanOp{ctx: ctx, spec: s, out: out}
+	return &subplanOp{rowOp: rowOp{ctx: ctx, out: out}, spec: s}
 }
 
 type subplanOp struct {
-	ctx  *TaskCtx
+	rowOp
 	spec *SubplanSpec
-	out  Writer
-	b    *frameBuilder
-}
-
-func (o *subplanOp) Open() error {
-	o.b = newFrameBuilder(o.ctx, o.out)
-	return o.out.Open()
 }
 
 func (o *subplanOp) Push(fr *frame.Frame) error {
@@ -1066,15 +884,6 @@ func (o *subplanOp) Push(fr *frame.Frame) error {
 		outFields = append(outFields, frame.EncodeFields(sink.Rows[0])...)
 		return o.b.emit(outFields)
 	})
-}
-
-func (o *subplanOp) Close() error {
-	// Cascade on error: see assignOp.Close.
-	err := o.b.flush()
-	if cerr := o.out.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // BuildChain composes a chain of operator specs into a single Writer whose
@@ -1127,11 +936,9 @@ type sortOp struct {
 
 	// Out-of-core state (see spillops.go): when the held rows exceed budget
 	// they are sorted and written out as one run; Close k-way merges the runs.
-	budget     int64
-	runs       []*spill.Run
-	runCount   int64
-	spilled    int64
-	spillWaves int64
+	budget int64
+	runs   []*spill.Run
+	spill  spillCounts // parts = sorted runs, waves = run flushes
 }
 
 func (o *sortOp) Open() error {
@@ -1154,9 +961,7 @@ func (o *sortOp) hold(sz int64) {
 // profExtras implements opStatser.
 func (o *sortOp) profExtras(x *opExtras) {
 	x.memPeak = o.memPeak
-	x.spilledBytes = o.spilled
-	x.spillPartitions = o.runCount
-	x.spillWaves = o.spillWaves
+	o.spill.profExtras(x)
 }
 
 // compareKeys orders two rows' evaluated key sequences under the sort spec.
@@ -1200,7 +1005,7 @@ func (o *sortOp) spillSortedRun() error {
 		}
 		fields = append(fields, r.raw...)
 		n, werr := w.Write(spillTagRaw, fields)
-		o.spilled += int64(n)
+		o.spill.bytes += int64(n)
 		if werr != nil {
 			w.Abort()
 			release()
@@ -1214,8 +1019,8 @@ func (o *sortOp) spillSortedRun() error {
 	}
 	if run != nil {
 		o.runs = append(o.runs, run)
-		o.runCount++
-		o.spillWaves++
+		o.spill.parts++
+		o.spill.waves++
 	}
 	o.rows = o.rows[:0]
 	o.ctx.releaseHold(o.memory)
@@ -1261,39 +1066,27 @@ func (o *sortOp) Push(fr *frame.Frame) error {
 
 func (o *sortOp) Close() error {
 	defer func() {
-		if o.ctx.RT != nil && o.ctx.RT.Accountant != nil {
-			o.ctx.RT.Accountant.Release(o.memory)
-		}
+		o.ctx.releaseHold(o.memory)
 		o.memory = 0
 		// A merge cut short by an error leaves unconsumed run files behind;
 		// the sweep removes them (consumed runs were already removed).
 		spill.RemoveRuns(o.runs)
 		o.runs = nil
-		o.ctx.addSpillStats(o.spilled, o.runCount, o.spillWaves)
+		o.ctx.addSpillStats(o.spill)
 	}()
-	b := newFrameBuilder(o.ctx, o.out)
-	var err error
-	if len(o.runs) == 0 {
+	return emitAndClose(o.ctx, o.out, func(b *frameBuilder) error {
+		if len(o.runs) > 0 {
+			return o.mergeRuns(b)
+		}
 		o.sortRows()
 		for _, r := range o.rows {
-			if err = b.emit(r.raw); err != nil {
-				break
+			if err := b.emit(r.raw); err != nil {
+				return err
 			}
 		}
 		o.rows = nil
-	} else {
-		err = o.mergeRuns(b)
-	}
-	if err == nil {
-		err = b.flush()
-	} else {
-		b.discard()
-	}
-	// Cascade on error: see assignOp.Close.
-	if cerr := o.out.Close(); err == nil {
-		err = cerr
-	}
-	return err
+		return nil
+	})
 }
 
 // sortCursor is one run's read head during the k-way merge: the decoded key

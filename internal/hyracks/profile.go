@@ -6,14 +6,13 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"vxq/internal/frame"
 )
 
 // This file implements the query profiler: EXPLAIN ANALYZE-style per-operator
-// metrics collected through both executors.
+// metrics collected through both schedulers.
 //
 // Collection works by boundary wrapping. When Env.Profile is set, each task
 // builds its operator chain through buildTaskChain, which inserts a profWriter
@@ -28,14 +27,14 @@ import (
 //
 // so the per-task self times sum to the task's elapsed time exactly (modulo
 // clamping of sub-microsecond timer jitter to zero). Under the staged
-// executor, where tasks run one at a time, the self times over all spans
-// therefore sum to the measured job wall time minus only the executor's own
-// setup; under the pipelined executor a source's self time additionally
+// scheduler, where tasks run one at a time, the self times over all spans
+// therefore sum to the measured job wall time minus only the runner's own
+// setup; under the pipelined scheduler a source's self time additionally
 // includes the time the task spent blocked on its input channels, which is
 // exactly what a flame graph of a pipelined run should show.
 //
 // Each task accumulates into its own taskProf — per-worker state, no sharing —
-// and the executor merges all tasks into one Profile after every task has
+// and the runner merges all tasks into one Profile after every task has
 // finished. Operators that keep interesting internal counters (hash-table
 // collision chains, arena reservations, held-memory high-water, forwarded vs
 // rebuilt exchange frames) expose them through the optional opStatser
@@ -154,7 +153,7 @@ type Profile struct {
 }
 
 // SelfSumNS reports the total exclusive time over all spans. Under the
-// staged executor it accounts for the job wall time minus executor setup
+// staged scheduler it accounts for the job wall time minus runner setup
 // (the acceptance bound: within 10% of WallNS on non-trivial jobs).
 func (p *Profile) SelfSumNS() int64 {
 	var n int64
@@ -367,31 +366,16 @@ func buildTaskChain(ctx *TaskCtx, f *Fragment, terminal Writer) Writer {
 	return w
 }
 
-// jobProf gathers the per-task accumulators. Tasks only append their own
-// finished taskProf (under the mutex in the pipelined executor); nothing is
-// shared while a task runs.
-type jobProf struct {
-	epoch time.Time
-	mu    sync.Mutex
-	tasks []*taskProf
-}
-
-func (jp *jobProf) add(t *taskProf) {
-	jp.mu.Lock()
-	jp.tasks = append(jp.tasks, t)
-	jp.mu.Unlock()
-}
-
 // --- merge -----------------------------------------------------------------
 
 // buildProfile merges the finished task accumulators into spans and the
 // plan-shaped tree.
-func (jp *jobProf) buildProfile(job *Job, wallNS int64) *Profile {
+func buildProfile(job *Job, tasks []*taskProf, wallNS int64) *Profile {
 	p := &Profile{WallNS: wallNS}
 	// Per (fragment, stage) aggregation for the tree.
 	type nodeKey struct{ fragment, stage int }
 	nodes := make(map[nodeKey]*ProfileNode)
-	for _, t := range jp.tasks {
+	for _, t := range tasks {
 		n := len(t.stages)
 		// inclusive(k) per stage; inclusive(n) = 0 (past the sink).
 		incl := func(k int) int64 {

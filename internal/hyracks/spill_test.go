@@ -14,7 +14,7 @@ import (
 // spillBudget is the per-operator budget the out-of-core tests run under —
 // small enough that bigSource exceeds it at least 4x in every blocking
 // operator, which is the acceptance bar for the grace-hash/merge-sort paths.
-const spillBudget = 4 << 10
+const spillBudget int64 = 4 << 10
 
 // bigSource generates 2n sensor records (a TMIN/TMAX pair per index, unique
 // (station, date) per pair, integer values so every aggregate is exact in
@@ -164,26 +164,31 @@ func sameRowsBytes(t *testing.T, name string, want, got *Result) {
 	}
 }
 
-// runSpillDiff is the acceptance harness: the job runs unbudgeted in memory,
-// then under a tiny budget with both executors. The budgeted runs must spill
-// (Stats.SpilledBytes > 0 on an input >= 4x the budget), produce
-// byte-identical rows, return the accountant to zero, and leave the spill
-// directory empty.
-func runSpillDiff(t *testing.T, name string, job *Job, src *runtime.MemSource) {
-	t.Helper()
-	runSpillDiffOpt(t, name, job, src, true)
-}
+// roomyBudget is a per-operator budget no test table ever reaches: the
+// operators run their out-of-core code path with zero waves.
+const roomyBudget = 64 << 20
 
-func runSpillDiffOpt(t *testing.T, name string, job *Job, src *runtime.MemSource, wantSpill bool) {
+// runSpillDiff is the acceptance harness: the job runs unbudgeted in memory,
+// then under budget with both schedulers. The budgeted runs must produce
+// byte-identical rows, return the accountant to zero, and leave the spill
+// directory empty. want is the spill counters of the staged run (which is
+// deterministic) recorded at the commit before the in-memory and spilled
+// operator paths were merged into one wave loop — the algorithm is pinned,
+// not re-derived. The pipelined run deals morsels by stealing, so it is only
+// required to spill when want does. A zero want is a budget that is never
+// reached: nothing may spill and, staged, the high-water equals the
+// unbudgeted run's — the zero-wave path charges no spill buffers.
+func runSpillDiff(t *testing.T, name string, job *Job, src *runtime.MemSource, budget int64, want spillCounts) {
 	t.Helper()
 	plain, err := RunStaged(job, &Env{Source: src})
 	if err != nil {
 		t.Fatalf("%s: in-memory run: %v", name, err)
 	}
 	plain.SortRows()
-	if plain.Stats.BytesRead < 4*spillBudget {
+	roomy := want == spillCounts{}
+	if !roomy && plain.Stats.BytesRead < 4*budget {
 		t.Fatalf("%s: input %d bytes is under 4x the %d budget — test data too small",
-			name, plain.Stats.BytesRead, spillBudget)
+			name, plain.Stats.BytesRead, budget)
 	}
 	for _, mode := range []struct {
 		name string
@@ -192,22 +197,25 @@ func runSpillDiffOpt(t *testing.T, name string, job *Job, src *runtime.MemSource
 		dir := t.TempDir()
 		acct := frame.NewAccountant(0)
 		env := &Env{Source: src, Accountant: acct,
-			OpMemoryBudget: spillBudget, SpillDir: dir, SpillPartitions: 4}
+			OpMemoryBudget: budget, SpillDir: dir, SpillPartitions: 4}
 		res, err := mode.run(job, env)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, mode.name, err)
 		}
 		res.SortRows()
 		sameRowsBytes(t, name+"/"+mode.name, plain, res)
-		if wantSpill {
-			if res.Stats.SpilledBytes <= 0 {
-				t.Errorf("%s/%s: SpilledBytes = %d, want > 0 (budget never hit?)",
-					name, mode.name, res.Stats.SpilledBytes)
+		got := spillCounts{res.Stats.SpilledBytes, res.Stats.SpillPartitions, res.Stats.SpillWaves}
+		switch {
+		case mode.name == "staged" || roomy:
+			if got != want {
+				t.Errorf("%s/%s: spill counters (bytes, partitions, waves) = %+v, want %+v", name, mode.name, got, want)
 			}
-			if res.Stats.SpillPartitions <= 0 || res.Stats.SpillWaves <= 0 {
-				t.Errorf("%s/%s: spill stats partitions=%d waves=%d, want > 0",
-					name, mode.name, res.Stats.SpillPartitions, res.Stats.SpillWaves)
-			}
+		case got.bytes <= 0 || got.parts <= 0 || got.waves <= 0:
+			t.Errorf("%s/%s: spill counters = %+v, want all > 0 (budget never hit?)", name, mode.name, got)
+		}
+		if roomy && mode.name == "staged" && res.PeakMemory != plain.PeakMemory {
+			t.Errorf("%s/staged: PeakMemory = %d under a budget never reached, want the unbudgeted %d",
+				name, res.PeakMemory, plain.PeakMemory)
 		}
 		if cur := acct.Current(); cur != 0 {
 			t.Errorf("%s/%s: accountant balance = %d after clean end, want 0", name, mode.name, cur)
@@ -218,27 +226,31 @@ func runSpillDiffOpt(t *testing.T, name string, job *Job, src *runtime.MemSource
 
 func TestSpillGroupByDifferential(t *testing.T) {
 	src := bigSource(400)
-	runSpillDiff(t, "group-by-1p", scanJob(1, measurementsPath(), bigGroupBy()), src)
-	runSpillDiff(t, "group-by-2p", scanJob(2, measurementsPath(), bigGroupBy()), src)
+	runSpillDiff(t, "group-by-1p", scanJob(1, measurementsPath(), bigGroupBy()), src, spillBudget, spillCounts{275434, 565, 292})
+	runSpillDiff(t, "group-by-2p", scanJob(2, measurementsPath(), bigGroupBy()), src, spillBudget, spillCounts{249137, 668, 355})
+	runSpillDiff(t, "group-by-2p-roomy", scanJob(2, measurementsPath(), bigGroupBy()), src, roomyBudget, spillCounts{})
 }
 
 func TestSpillTwoStepGroupByDifferential(t *testing.T) {
 	// The standard two-step shape groups by date; bigSource gives every pair a
 	// distinct date, so both the local and the global tables exceed budget.
 	src := bigSource(400)
-	runSpillDiff(t, "two-step-gby", twoStepGroupByJob(2, 2), src)
+	runSpillDiff(t, "two-step-gby", twoStepGroupByJob(2, 2), src, spillBudget, spillCounts{324883, 973, 552})
+	runSpillDiff(t, "two-step-gby-roomy", twoStepGroupByJob(2, 2), src, roomyBudget, spillCounts{})
 }
 
 func TestSpillSortDifferential(t *testing.T) {
 	src := bigSource(400)
-	runSpillDiff(t, "sort-1p", scanJob(1, measurementsPath(), bigSortOps()...), src)
-	runSpillDiff(t, "sort-2p", scanJob(2, measurementsPath(), bigSortOps()...), src)
+	runSpillDiff(t, "sort-1p", scanJob(1, measurementsPath(), bigSortOps()...), src, spillBudget, spillCounts{82400, 3, 3})
+	runSpillDiff(t, "sort-2p", scanJob(2, measurementsPath(), bigSortOps()...), src, spillBudget, spillCounts{82400, 4, 4})
+	runSpillDiff(t, "sort-2p-roomy", scanJob(2, measurementsPath(), bigSortOps()...), src, roomyBudget, spillCounts{})
 }
 
 func TestSpillJoinDifferential(t *testing.T) {
 	src := bigSource(400)
-	runSpillDiff(t, "join-1p", bigJoinJob(1), src)
-	runSpillDiff(t, "join-2p", bigJoinJob(2), src)
+	runSpillDiff(t, "join-1p", bigJoinJob(1), src, spillBudget, spillCounts{310210, 1012, 261})
+	runSpillDiff(t, "join-2p", bigJoinJob(2), src, spillBudget, spillCounts{310210, 1012, 262})
+	runSpillDiff(t, "join-2p-roomy", bigJoinJob(2), src, roomyBudget, spillCounts{})
 }
 
 // TestSpillSortStability: external merge sort must be byte-identical to the
@@ -298,10 +310,11 @@ func TestSpillEagerModeNeverSpills(t *testing.T) {
 // TestSpillHygieneAndBalanceOnError injects failures downstream of each
 // spilling operator (an out-of-range project fails the first emitted tuple,
 // after runs already exist on disk) and mid-scan (a corrupt file aborts the
-// input stream). Both executors must surface the error, remove every spill
-// file, and return the accountant to zero — in pipelined mode the failure
-// also cancels sibling tasks mid-flight, which is the executors'
-// cancellation path.
+// input stream, mid-spill: partition writers are open). Both schedulers must
+// surface the error, remove every spill file, and return the accountant to
+// zero — which includes every pooled frame, charged from Get until Put. In
+// pipelined mode the failure also cancels sibling tasks mid-flight, which is
+// the runner's cancellation path.
 func TestSpillHygieneAndBalanceOnError(t *testing.T) {
 	src := bigSource(400)
 	boom := &ProjectSpec{Cols: []int{42}}
@@ -320,6 +333,8 @@ func TestSpillHygieneAndBalanceOnError(t *testing.T) {
 			boom), src},
 		"join-downstream":     {joinFail, src},
 		"group-by-scan-error": {scanJob(2, measurementsPath(), bigGroupBy()), corrupt},
+		// The scan dies while the join's build partition writers are open.
+		"join-scan-error": {bigJoinJob(2), corrupt},
 	}
 	for name, c := range cases {
 		for _, mode := range []struct {
@@ -349,11 +364,11 @@ func TestSpillUnderForcedHashCollisions(t *testing.T) {
 	testHashEncodedField = func([]byte) (uint64, error) { return 42, nil }
 	defer func() { testHashEncodedField = nil }()
 	src := bigSource(120)
-	runSpillDiff(t, "collisions-group-by", scanJob(1, measurementsPath(), bigGroupBy()), src)
-	// The join's single-hash guard (maybeSpill: a one-bucket table cannot be
-	// split) keeps it in memory under total collision — correctness and
+	runSpillDiff(t, "collisions-group-by", scanJob(1, measurementsPath(), bigGroupBy()), src, spillBudget, spillCounts{95826, 6, 6})
+	// The join's single-hash guard (wave.overflows: a one-bucket table cannot
+	// be split) keeps it in memory under total collision — correctness and
 	// hygiene still hold, spilling is just declined.
-	runSpillDiffOpt(t, "collisions-join", bigJoinJob(1), src, false)
+	runSpillDiff(t, "collisions-join", bigJoinJob(1), src, spillBudget, spillCounts{})
 }
 
 // TestSpillAccountantBalancesWithProfile: the profiling wrappers snapshot

@@ -1,16 +1,22 @@
 package hyracks
 
 import (
+	"io"
 	"math/bits"
 
+	"vxq/internal/frame"
 	"vxq/internal/spill"
 )
 
 // This file holds the plumbing the out-of-core operators share: the spill
-// configuration carried on TaskCtx, the depth-rotated partition routing, and
+// configuration carried on TaskCtx, the depth-rotated partition routing,
 // spillParts — a lazily created set of partition writers at one recursion
-// depth. The operators themselves (grace-hash group-by and join, external
-// merge sort) live in ops.go and join.go.
+// depth — and the grace-hash wave loop built on it: a wave consumes records
+// into an operator's table, grows child partitions only if the table
+// overflows, and is finished by replaying each child run as a wave one level
+// down. A wave that never overflows is the in-memory operator. The operators'
+// per-record step and per-wave finish (grace-hash group-by and join) and the
+// external merge sort live in ops.go and join.go.
 
 const (
 	// defaultSpillFanout is the partition fan-out of one grace-hash spill
@@ -64,16 +70,27 @@ func (c *TaskCtx) releaseHold(n int64) {
 	}
 }
 
+// spillCounts are one operator's spill counters: bytes written to spill
+// files, partition files (or sort runs) produced, and grace-hash waves (or
+// sort-run flushes) taken.
+type spillCounts struct{ bytes, parts, waves int64 }
+
+func (s spillCounts) profExtras(x *opExtras) {
+	x.spilledBytes = s.bytes
+	x.spillPartitions = s.parts
+	x.spillWaves = s.waves
+}
+
 // addSpillStats folds an operator's spill counters into the task stats (the
 // operators call it from deferred Close blocks so failed jobs count too).
-func (c *TaskCtx) addSpillStats(bytes, parts, waves int64) {
+func (c *TaskCtx) addSpillStats(s spillCounts) {
 	if c.RT == nil || c.RT.Stats == nil {
 		return
 	}
 	st := c.RT.Stats
-	st.SpilledBytes += bytes
-	st.SpillPartitions += parts
-	st.SpillWaves += waves
+	st.SpilledBytes += s.bytes
+	st.SpillPartitions += s.parts
+	st.SpillWaves += s.waves
 }
 
 // spillRoute maps a key hash to a partition at the given recursion depth.
@@ -90,42 +107,46 @@ func spillRoute(h uint64, depth, fanout int) int {
 // spillParts is one wave of grace-hash partition writers. Writers are created
 // on first use (empty partitions cost nothing), their block buffers are
 // charged to the accountant while open, and finish/abort is idempotent so an
-// operator can always clean up from a deferred block.
+// operator can always clean up from a deferred block. Bytes written and
+// partitions sealed are counted into the owning operator's spillCounts.
 type spillParts struct {
 	ctx     *TaskCtx
 	depth   int
 	bsize   int
 	ws      []*spill.Writer
+	counts  *spillCounts
 	charged int64
 	done    bool
 }
 
-func newSpillParts(ctx *TaskCtx, depth int) *spillParts {
+func newSpillParts(ctx *TaskCtx, depth int, counts *spillCounts) *spillParts {
 	return &spillParts{ctx: ctx, depth: depth, bsize: ctx.spillBlockSize(),
-		ws: make([]*spill.Writer, ctx.spillFanout())}
+		ws: make([]*spill.Writer, ctx.spillFanout()), counts: counts}
 }
 
-// write routes one record by its key hash and reports the bytes appended.
-func (s *spillParts) write(h uint64, tag byte, fields [][]byte) (int, error) {
+// write routes one record by its key hash.
+func (s *spillParts) write(h uint64, tag byte, fields [][]byte) error {
 	return s.writeTo(spillRoute(h, s.depth, len(s.ws)), tag, fields)
 }
 
 // writeTo appends one record to an explicit partition — the join probe side
 // uses it to mirror the build side's routing and to skip partitions with no
 // build data.
-func (s *spillParts) writeTo(p int, tag byte, fields [][]byte) (int, error) {
+func (s *spillParts) writeTo(p int, tag byte, fields [][]byte) error {
 	w := s.ws[p]
 	if w == nil {
 		var err error
 		w, err = spill.NewWriter(s.ctx.SpillDir, s.bsize)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		s.ws[p] = w
 		s.ctx.accountHold(int64(s.bsize))
 		s.charged += int64(s.bsize)
 	}
-	return w.Write(tag, fields)
+	n, err := w.Write(tag, fields)
+	s.counts.bytes += int64(n)
+	return err
 }
 
 // finish seals every active writer, releasing the buffer charges. The
@@ -158,6 +179,11 @@ func (s *spillParts) finish() ([]*spill.Run, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	for _, r := range runs {
+		if r != nil {
+			s.counts.parts++
+		}
+	}
 	return runs, nil
 }
 
@@ -180,15 +206,101 @@ func (s *spillParts) releaseCharge() {
 	s.charged = 0
 }
 
-// countRuns reports how many partitions actually received data.
-func countRuns(runs []*spill.Run) int64 {
-	var n int64
-	for _, r := range runs {
-		if r != nil {
-			n++
+// wave is one level of grace-hash processing: depth 0 consumes the
+// operator's input, depth d >= 1 replays a run written by depth d-1. child
+// is nil while the wave's table fits in memory and is created by split the
+// moment it does not; it routes on the wave's own depth.
+type wave struct {
+	depth int
+	child *spillParts
+}
+
+// overflows reports whether the wave must go out of core now: its table holds
+// more than budget and partitioning can still help — recursion is bounded,
+// and a table of one unit (a single group; one join hash bucket) cannot be
+// split by hash at all.
+func (w *wave) overflows(budget, held int64, units int) bool {
+	return budget > 0 && held > budget && w.depth < maxSpillDepth && units > 1
+}
+
+// split creates the wave's child partitions; the caller flushes its table
+// into them.
+func (w *wave) split(ctx *TaskCtx, counts *spillCounts) *spillParts {
+	counts.waves++
+	w.child = newSpillParts(ctx, w.depth, counts)
+	return w.child
+}
+
+// seal finishes the child partitions and returns their runs, indexed by
+// partition.
+func (w *wave) seal() ([]*spill.Run, error) {
+	runs, err := w.child.finish()
+	w.child = nil
+	return runs, err
+}
+
+// abort discards the child partitions of a wave cut short by an error.
+func (w *wave) abort() {
+	if w.child != nil {
+		w.child.abort()
+		w.child = nil
+	}
+}
+
+// replayRun streams a sealed run's records through each, holding one block
+// buffer on the accountant while the reader is open. The tuple view (and the
+// fields behind it) alias the reader's block and are valid only until each
+// returns.
+func replayRun(ctx *TaskCtx, run *spill.Run, each func(tag byte, lt *frame.LazyTuple) error) error {
+	rd, err := run.Open()
+	if err != nil {
+		return err
+	}
+	defer rd.Close()
+	defer ctx.account(int64(ctx.spillBlockSize()))()
+	var lt frame.LazyTuple
+	for {
+		tag, fields, err := rd.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		lt.Reset(fields)
+		if err := each(tag, &lt); err != nil {
+			return err
 		}
 	}
-	return n
+}
+
+// drainRuns reduces sealed partition sets (indexed alike) one partition at a
+// time. each runs for every partition present in all sets — a join needs both
+// sides, and a partition missing from either produces nothing — and the
+// partition's files are removed as soon as it is done; the deferred sweep
+// removes the rest when an error cuts the drain short.
+func drainRuns(each func(p int) error, sets ...[]*spill.Run) error {
+	defer func() {
+		for _, runs := range sets {
+			spill.RemoveRuns(runs)
+		}
+	}()
+	for p := range sets[0] {
+		present := true
+		for _, runs := range sets {
+			present = present && runs[p] != nil
+		}
+		if present {
+			if err := each(p); err != nil {
+				return err
+			}
+		}
+		for _, runs := range sets {
+			runs[p].Remove()
+			runs[p] = nil
+		}
+	}
+	return nil
 }
 
 // chainKeyHash combines already-encoded key fields exactly like

@@ -5,11 +5,14 @@
 // ("fragments") connected by exchange connectors; each fragment runs in a
 // number of partitions.
 //
-// Two executors are provided. The pipelined executor runs every
-// fragment-partition as a goroutine connected by channels, like Hyracks'
-// pipelined connectors. The staged executor runs partitions sequentially
-// with materialized exchanges and records per-partition wall-clock work;
-// the cluster experiments feed those measurements into the virtual-time
+// One runner (runJob, exec.go) executes a job under either of two
+// schedulers: every fragment-partition task is built and driven by the same
+// code, and only the scan-morsel deal, how a task is started and the exchange
+// link differ. The pipelined scheduler (RunPipelined) starts every task as a
+// goroutine over bounded channel links, like Hyracks' pipelined connectors.
+// The staged scheduler (RunStaged) runs tasks one after another over
+// materialized links and so records clean per-task wall-clock work; the
+// cluster experiments feed those measurements into the virtual-time
 // scheduler (internal/simsched) to model multi-core/multi-node schedules on
 // machines that do not physically have them.
 package hyracks
@@ -40,7 +43,7 @@ type TaskCtx struct {
 	// implementations: every field of every tuple is decoded before the
 	// operator runs, and group-by/exchange/join hash and compare decoded
 	// sequences. It reproduces the pre-lazy pipeline for differential tests
-	// and benchmarks, mirroring jsonparse's SetReferenceSkip.
+	// and benchmarks, mirroring jsonparse's SkipTokens.
 	EagerDecode bool
 	// Pool recycles output frames across operators and tasks (may be nil,
 	// in which case frames are plainly allocated and never returned).
@@ -54,7 +57,7 @@ type TaskCtx struct {
 	SpillBudget int64
 	SpillFanout int
 	// morsels is the scan work queue shared by the fragment's tasks (nil for
-	// non-scan fragments and for fragments run outside an executor).
+	// non-scan fragments and for fragments run outside the runner).
 	morsels *morselQueue
 	// MorselsScanned counts the morsels this task processed.
 	MorselsScanned int
@@ -63,7 +66,7 @@ type TaskCtx struct {
 	MorselsStolen int
 	// prof is this task's profile accumulator (nil unless Env.Profile).
 	// It is owned by the task's goroutine alone — per-worker collection with
-	// no shared-mutable state; the executor merges finished tasks at job end.
+	// no shared-mutable state; the runner merges finished tasks at job end.
 	prof *taskProf
 }
 

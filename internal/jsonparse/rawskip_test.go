@@ -20,10 +20,9 @@ import (
 // all). Chunk 0 selects the in-memory slice lexer instead of a stream lexer.
 var skipChunkSizes = []int{0, 7, 63, 64, 65, 4096}
 
-// skipModes are the three concrete skip implementations the differential
-// compares: the token-level oracle, the byte-class structural scan, and the
-// SWAR structural-index kernel.
-var skipModes = []SkipMode{SkipTokens, SkipRawBytes, SkipIndexed}
+// skipModes are the two skip implementations the differential compares: the
+// token-level oracle and the SWAR structural-index kernel.
+var skipModes = []SkipMode{SkipTokens, SkipIndexed}
 
 // runSkipMode tokenizes the first token of data and skips the first value in
 // the requested mode, returning the absolute end offset of the skipped value.
@@ -72,27 +71,15 @@ func jsonOracleExtent(data []byte) (end int, ok bool) {
 }
 
 // checkSkipAgreement asserts the differential contract on one input:
-//   - the two raw scans (byte-class and structural-index) are exactly
-//     equivalent: same ok-ness, same extent, same error text — on every
-//     input, valid or not;
 //   - token-skip ok  ⇒  raw-skip ok with byte-for-byte the same extent;
 //   - encoding/json ok  ⇒  token-skip ok with the same extent (so on every
 //     input all oracles agree on valid values);
-//   - raw-skip error ⇒ token-skip error (the raw scans are strictly more
+//   - raw-skip error ⇒ token-skip error (the raw scan is strictly more
 //     permissive, never less).
 func checkSkipAgreement(t *testing.T, data []byte, chunk int) {
 	t.Helper()
 	endTok, errTok := runSkipMode(data, chunk, SkipTokens)
-	endRaw, errRaw := runSkipMode(data, chunk, SkipRawBytes)
-	endIdx, errIdx := runSkipMode(data, chunk, SkipIndexed)
-	if (errRaw == nil) != (errIdx == nil) || endRaw != endIdx {
-		t.Fatalf("chunk %d: raw modes diverge on %q: bytes(%d,%v) indexed(%d,%v)",
-			chunk, data, endRaw, errRaw, endIdx, errIdx)
-	}
-	if errRaw != nil && errIdx != nil && errRaw.Error() != errIdx.Error() {
-		t.Fatalf("chunk %d: raw error text diverges on %q: bytes %q, indexed %q",
-			chunk, data, errRaw, errIdx)
-	}
+	endRaw, errRaw := runSkipMode(data, chunk, SkipIndexed)
 	if errTok == nil {
 		if errRaw != nil {
 			t.Fatalf("chunk %d: token-skip ok (end %d) but raw-skip failed on %q: %v",
@@ -184,7 +171,7 @@ func skipCorpus() [][]byte {
 	return out
 }
 
-// TestRawSkipDifferentialCorpus runs the three-way differential (raw-skip vs
+// TestRawSkipDifferentialCorpus runs the differential (raw-skip vs
 // token-skip vs encoding/json) over the hand-written corpus at every chunk
 // size.
 func TestRawSkipDifferentialCorpus(t *testing.T) {
@@ -204,10 +191,8 @@ func TestRawSkipStructuralErrors(t *testing.T) {
 	}
 	for _, src := range bad {
 		for _, chunk := range skipChunkSizes {
-			for _, mode := range []SkipMode{SkipRawBytes, SkipIndexed} {
-				if _, err := runSkipMode([]byte(src), chunk, mode); err == nil {
-					t.Errorf("chunk %d mode %d: raw-skip accepted structurally broken %q", chunk, mode, src)
-				}
+			if _, err := runSkipMode([]byte(src), chunk, SkipIndexed); err == nil {
+				t.Errorf("chunk %d: raw-skip accepted structurally broken %q", chunk, src)
 			}
 		}
 	}
@@ -255,13 +240,11 @@ func TestQuickRawSkipMatchesTokenSkip(t *testing.T) {
 		src := []byte(item.JSON(dp.Doc))
 		for _, chunk := range skipChunkSizes {
 			endTok, errTok := runSkipMode(src, chunk, SkipTokens)
-			for _, mode := range []SkipMode{SkipRawBytes, SkipIndexed} {
-				endRaw, errRaw := runSkipMode(src, chunk, mode)
-				if errTok != nil || errRaw != nil || endTok != endRaw {
-					t.Logf("doc=%s chunk=%d mode=%d: token(%d,%v) raw(%d,%v)",
-						src, chunk, mode, endTok, errTok, endRaw, errRaw)
-					return false
-				}
+			endRaw, errRaw := runSkipMode(src, chunk, SkipIndexed)
+			if errTok != nil || errRaw != nil || endTok != endRaw {
+				t.Logf("doc=%s chunk=%d: token(%d,%v) raw(%d,%v)",
+					src, chunk, endTok, errTok, endRaw, errRaw)
+				return false
 			}
 		}
 		return true
@@ -309,9 +292,9 @@ func TestQuickScanValuesModeEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzRawSkipDifferential fuzzes the three-way skip differential (tokens vs
-// byte-class vs structural-index, cross-checked against encoding/json) over
-// every chunk size. `make fuzz-smoke` runs it briefly in CI; run `go test
+// FuzzRawSkipDifferential fuzzes the skip differential (tokens vs
+// structural-index, cross-checked against encoding/json) over every chunk
+// size. `make fuzz-smoke` runs it briefly in CI; run `go test
 // -fuzz=FuzzRawSkipDifferential ./internal/jsonparse` for a real session.
 func FuzzRawSkipDifferential(f *testing.F) {
 	for _, data := range skipCorpus() {

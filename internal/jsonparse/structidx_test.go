@@ -1,7 +1,7 @@
 package jsonparse
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -346,35 +346,31 @@ func FuzzBoundaryScanner(f *testing.F) {
 	})
 }
 
-// TestIndexedSkipDefaultForLargeChunks pins the SkipAuto policy the bench
-// harness relies on: in-memory lexers and streams with chunks >= 4 KiB use
-// the structural-index kernel; smaller streaming windows fall back to the
-// byte-class scan.
-func TestIndexedSkipDefaultForLargeChunks(t *testing.T) {
-	data := []byte(`{"a":1}`)
-	if l := NewLexer(data); !l.indexedSkip() {
-		t.Error("in-memory lexer must default to the indexed skip")
-	}
-	big := NewStreamLexer(bytes.NewReader(data), 4096)
-	if err := big.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if !big.indexedSkip() {
-		t.Error("4 KiB-chunk stream must default to the indexed skip")
-	}
-	small := NewStreamLexer(bytes.NewReader(data), 64)
-	if err := small.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if small.indexedSkip() {
-		t.Error("64 B-chunk stream must fall back to the byte-class skip")
-	}
-	small.SetSkipMode(SkipIndexed)
-	if !small.indexedSkip() {
-		t.Error("explicit SkipIndexed must override the chunk-size policy")
-	}
-	big.SetSkipMode(SkipRawBytes)
-	if big.indexedSkip() {
-		t.Error("explicit SkipRawBytes must override the chunk-size policy")
+// TestIndexedSkipIsTheOnlyDefault: the default skip mode does not depend on
+// the chunk size. A stream lexer at the 64-byte minimum window, left in its default mode, runs
+// the structural-index kernel and agrees with the token reference byte for
+// byte — extent on the valid record, error text on the structurally broken
+// ones (the errors both modes can see).
+func TestIndexedSkipIsTheOnlyDefault(t *testing.T) {
+	record := `{"id":1,"note":"` + strings.Repeat(`pad \\\" `, 20) + `","nested":{"a":[1,2,{"b":null}]}}`
+	for _, src := range []string{record, record[:len(record)-2], record[:40], "[\"ctl\x01\"]"} {
+		run := func(tokens bool) (int, error) {
+			l := NewStreamLexer(strings.NewReader(src), 64)
+			if tokens {
+				l.SetSkipMode(SkipTokens)
+			} else if l.skipMode != SkipIndexed {
+				t.Fatalf("default skip mode = %d, want SkipIndexed", l.skipMode)
+			}
+			err := l.Next()
+			if err == nil {
+				err = skipCurrent(l)
+			}
+			return l.Offset(), err
+		}
+		endIdx, errIdx := run(false)
+		endTok, errTok := run(true)
+		if endIdx != endTok || fmt.Sprint(errIdx) != fmt.Sprint(errTok) {
+			t.Errorf("%q: indexed (%d, %v) != tokens (%d, %v)", src, endIdx, errIdx, endTok, errTok)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -319,9 +320,14 @@ func TestDirSource(t *testing.T) {
 	if len(files) != 2 || !strings.HasSuffix(files[0], "x.json") {
 		t.Errorf("files = %v", files)
 	}
-	b, err := src.ReadFile(files[0])
+	rc, err := src.Open(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(rc)
+	rc.Close()
 	if err != nil || string(b) != `{"a":1}` {
-		t.Errorf("ReadFile = %q, %v", b, err)
+		t.Errorf("Open + ReadAll = %q, %v", b, err)
 	}
 	if _, err := src.Files("/nope"); err == nil {
 		t.Error("unknown mount must fail")

@@ -277,11 +277,6 @@ func (s *compositeSource) Open(path string) (io.ReadCloser, error) {
 	return s.dirs.Open(path)
 }
 
-// ReadFile is the whole-file compatibility shim over Open.
-func (s *compositeSource) ReadFile(path string) ([]byte, error) {
-	return runtime.ReadAll(s, path)
-}
-
 // OpenRange opens a file at a byte offset, enabling morsel-split scans over
 // both in-memory documents and directory mounts.
 func (s *compositeSource) OpenRange(path string, offset int64) (io.ReadCloser, error) {
