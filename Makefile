@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-query bench-cache bench-spill bench-smoke bench-e2e bench-e2e-test fuzz-smoke profile-smoke spill-smoke loc fmt vet
+.PHONY: all build test race bench bench-smoke bench-e2e bench-e2e-test fuzz-smoke profile-smoke spill-smoke loc fmt vet
 
 all: build test
 
@@ -21,47 +21,20 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# bench runs the scan skew benchmark at the quick scale and writes the
-# BENCH_scan.json artifact, the parse-kernel benchmark writing
-# BENCH_parse.json, then the Go microbenchmarks with allocation reporting.
-# Add VXQ_SCAN_FULL=1 and `go run ./cmd/benchscan -full` for the acceptance
-# scale (1x64 MiB + 31x2 MiB).
+# bench runs the kernel microbenchmarks (scan skew, parse kernel, binary tuple
+# kernel, parallel index builder) with allocation reporting; add
+# VXQ_SCAN_FULL=1 for the scan acceptance scale (1x64 MiB + 31x2 MiB). These
+# are for looking at a kernel: any number a PR claims comes from the
+# end-to-end benchmark — `make bench-e2e W=<workload>`.
 bench:
-	$(GO) run ./cmd/benchscan -out BENCH_scan.json
-	$(GO) run ./cmd/benchscan -parse -out BENCH_parse.json
-	$(GO) run ./cmd/benchscan -query -out BENCH_query.json
-	$(GO) test -run='^$$' -bench='Scan|FramePath|Project|Skip|Lexer|GroupBy|HashShuffle|HashJoin' -benchmem ./internal/bench
-
-# bench-query measures the binary tuple kernel (encoded-key group-by, hash
-# shuffle and hash join against the eager reference), writing
-# BENCH_query.json. TestQueryKernelBounds pins the committed bounds.
-bench-query:
-	$(GO) run ./cmd/benchscan -query -out BENCH_query.json
-
-# bench-cache measures cold vs warm repeated queries across the persistence
-# layers — structural-index sidecars, the compiled-plan cache, the result
-# cache — writing BENCH_cache.json. The run itself enforces the acceptance
-# gates (warm >= 3x cold, zero index rebuilds on sidecar-warm scans, morsel
-# skips on the selective case) and fails if any regresses;
-# TestCacheBenchSmoke runs the same gates in-process at a reduced scale.
-bench-cache:
-	$(GO) run ./cmd/benchscan -cache -out BENCH_cache.json
-
-# bench-spill measures the out-of-core operators — grace-hash group-by and
-# join, external merge sort — against their in-memory runs on an input ~4x
-# over the per-operator budget, writing BENCH_spill.json. The harness enforces
-# the acceptance gates (byte-identical results, real spilling, accountant
-# balance zero, high-water no worse than in-memory, empty spill directory);
-# TestSpillBenchSmoke runs the same gates in-process at a reduced scale.
-bench-spill:
-	$(GO) run ./cmd/benchscan -spill -out BENCH_spill.json
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/bench
+	@echo "end-to-end numbers and per-layer metrics: make bench-e2e W=<workload>"
 
 # spill-smoke is the CI guard for the out-of-core layer: the bigger-than-
 # budget differential tests (group-by/join/sort spilled vs in-memory,
-# byte-identical, temp-file hygiene, accountant balance) plus the in-process
-# benchmark gates.
+# byte-identical, temp-file hygiene, accountant balance).
 spill-smoke:
-	$(GO) test -run 'TestSpill' -v ./internal/hyracks ./internal/bench
+	$(GO) test -run 'TestSpill' -v ./internal/hyracks
 	$(GO) test ./internal/spill
 
 # bench-e2e-test guards the end-to-end benchmark, which is its own Go module

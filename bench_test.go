@@ -1,12 +1,12 @@
 package vxq
 
-// Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation section (regenerating its rows via internal/bench),
-// plus the ablation benchmarks called out in DESIGN.md §6 and
-// micro-benchmarks of the engine's hot paths.
+// Benchmark harness: one sub-benchmark per table and figure of the paper's
+// evaluation section (regenerating its rows via internal/bench), plus the
+// ablation benchmarks called out in DESIGN.md §6 and micro-benchmarks of the
+// engine's hot paths.
 //
 // Run everything:     go test -bench=. -benchmem
-// One figure:         go test -bench=BenchmarkFig14
+// One figure:         go test -bench=Experiments/fig14
 // Full tables:        go run ./cmd/experiments [-run fig14] [-factor 4]
 
 import (
@@ -23,44 +23,26 @@ import (
 	"vxq/internal/runtime"
 )
 
-// benchExperiment runs one registered experiment per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tables, err := e.Run(bench.Settings{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) == 0 {
-			b.Fatal("no tables produced")
-		}
+// BenchmarkExperiments has one sub-benchmark per registered experiment
+// (fig13 ... fig25, tab1 ... tab4), each iteration regenerating that table or
+// figure — so a newly registered experiment is benchmarked without an edit
+// here.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tables, err := e.Run(bench.Settings{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tables) == 0 {
+					b.Fatal("no tables produced")
+				}
+			}
+		})
 	}
 }
-
-// One bench target per paper table/figure.
-func BenchmarkFig13PathRules(b *testing.B)         { benchExperiment(b, "fig13") }
-func BenchmarkFig14PipeliningRules(b *testing.B)   { benchExperiment(b, "fig14") }
-func BenchmarkFig15GroupByRules(b *testing.B)      { benchExperiment(b, "fig15") }
-func BenchmarkFig16DataSizes(b *testing.B)         { benchExperiment(b, "fig16") }
-func BenchmarkFig17SingleNodeSpeedup(b *testing.B) { benchExperiment(b, "fig17") }
-func BenchmarkFig18aDocSizeQueryTime(b *testing.B) { benchExperiment(b, "fig18a") }
-func BenchmarkFig18bSpace(b *testing.B)            { benchExperiment(b, "fig18b") }
-func BenchmarkTable1LoadTimes(b *testing.B)        { benchExperiment(b, "tab1") }
-func BenchmarkFig19SparkVsVXQuery(b *testing.B)    { benchExperiment(b, "fig19") }
-func BenchmarkTable2SparkLoad(b *testing.B)        { benchExperiment(b, "tab2") }
-func BenchmarkTable3Memory(b *testing.B)           { benchExperiment(b, "tab3") }
-func BenchmarkFig20ClusterSpeedup(b *testing.B)    { benchExperiment(b, "fig20") }
-func BenchmarkFig21ClusterScaleup(b *testing.B)    { benchExperiment(b, "fig21") }
-func BenchmarkFig22VsAsterixSpeedup(b *testing.B)  { benchExperiment(b, "fig22") }
-func BenchmarkFig23VsAsterixScaleup(b *testing.B)  { benchExperiment(b, "fig23") }
-func BenchmarkFig24VsMongoSpeedup(b *testing.B)    { benchExperiment(b, "fig24") }
-func BenchmarkFig25VsMongoScaleup(b *testing.B)    { benchExperiment(b, "fig25") }
-func BenchmarkTable4MongoLoad(b *testing.B)        { benchExperiment(b, "tab4") }
 
 // --- ablation benchmarks (DESIGN.md §6) --------------------------------------
 

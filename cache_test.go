@@ -386,6 +386,82 @@ func TestSidecarsWrittenByEngineIndexBuild(t *testing.T) {
 	}
 }
 
+// TestSidecarsWrittenByColdScan: the other writer. A first scan of files
+// bigger than a morsel runs the cold boundary pass and persists what it
+// found; a fresh engine over the same directory then rebuilds nothing, hits
+// its plan cache on the repeat, and — once a date index is persisted —
+// prunes a one-month range query down to a few morsels of one file.
+func TestSidecarsWrittenByColdScan(t *testing.T) {
+	dir := t.TempDir()
+	// Newline-split records so byte-range morsels exist, one year per file so
+	// a year bound skips whole files, dates clustered within each file so a
+	// month bound skips morsels inside the surviving one.
+	cfg := gen.Config{
+		Seed: 1, Files: 4, RecordsPerFile: 96, MeasurementsPerArray: 20, Stations: 50,
+		YearMin: 2000, YearMax: 2003,
+		PartitionByYear: true, SplitRecords: true, ClusterDates: true,
+	}
+	if _, err := cfg.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Engine {
+		eng := New(Options{Partitions: 2, MorselSize: 64 << 10, ColdIndexMinBytes: 1, IndexZoneGrain: 16 << 10})
+		eng.Mount("/sensors", dir)
+		return eng
+	}
+	query := func(eng *Engine, q string) *Result {
+		t.Helper()
+		res, err := eng.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	cold := open()
+	first := query(cold, apiQ1)
+	if first.Stats.ColdIndexBuilds == 0 {
+		t.Fatal("first scan ran no cold boundary pass")
+	}
+	if cs := cold.CacheStats(); cs.SidecarWrites == 0 {
+		t.Fatalf("first scan persisted nothing: %+v", cs)
+	}
+
+	warm := open()
+	for i, wantPlanHit := range []bool{false, true} {
+		res := query(warm, apiQ1)
+		if res.Stats.ColdIndexBuilds != 0 {
+			t.Fatalf("warm scan %d rebuilt %d structural indexes, want 0", i, res.Stats.ColdIndexBuilds)
+		}
+		if res.Cache.PlanHit != wantPlanHit {
+			t.Fatalf("warm scan %d: plan hit = %v, want %v", i, res.Cache.PlanHit, wantPlanHit)
+		}
+		if len(res.Items) != len(first.Items) {
+			t.Fatalf("warm scan %d returned %d items, cold returned %d", i, len(res.Items), len(first.Items))
+		}
+	}
+	if cs := warm.CacheStats(); cs.SidecarLoads == 0 {
+		t.Fatalf("fresh engine loaded no sidecars: %+v", cs)
+	}
+
+	if err := warm.BuildIndex("/sensors", `("root")()("results")()("date")`); err != nil {
+		t.Fatal(err)
+	}
+	reader := open()
+	res := query(reader, `for $d in collection("/sensors")("root")()("results")()("date")
+	      where $d ge "2003-06-01" and $d lt "2003-07-01" return $d`)
+	if len(res.Items) == 0 {
+		t.Fatal("one-month range returned nothing; bad setup")
+	}
+	if res.Stats.FilesSkipped == 0 || res.Stats.MorselsSkipped == 0 {
+		t.Fatalf("range scan skipped %d files and %d morsels, want both > 0",
+			res.Stats.FilesSkipped, res.Stats.MorselsSkipped)
+	}
+	if res.Stats.ColdIndexBuilds != 0 {
+		t.Fatalf("range scan rebuilt %d structural indexes on a sidecar-warm collection", res.Stats.ColdIndexBuilds)
+	}
+}
+
 // TestResultCacheTruncatedMtimeConservativeMiss: a file whose mtime carries
 // no sub-second precision (a filesystem with second-granularity timestamps)
 // cannot witness a same-size rewrite made within the same second, so the

@@ -67,6 +67,10 @@ avg(
 ) div 10`
 )
 
+// DatePathExpr is the measurement-date path in the engine's BuildIndex
+// syntax — the path the date-range pruning workloads index.
+const DatePathExpr = `("root")()("results")()("date")`
+
 // Queries maps the paper's query names to their text, in evaluation order.
 var Queries = []struct{ Name, Text string }{
 	{"Q0", QueryQ0},

@@ -7,7 +7,6 @@ import (
 	"vxq/internal/baselines/mongosim"
 	"vxq/internal/cluster"
 	"vxq/internal/core"
-	"vxq/internal/gen"
 	"vxq/internal/hyracks"
 	"vxq/internal/item"
 	"vxq/internal/runtime"
@@ -336,5 +335,3 @@ func runFig24(s Settings) ([]*Table, error) {
 func runFig25(s Settings) ([]*Table, error) {
 	return vsMongo(s, true, "VXQuery vs MongoDB scale-up (fixed per-node dataset)", "Figure 25")
 }
-
-var _ = gen.Config{} // keep import while experiments evolve

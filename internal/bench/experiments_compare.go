@@ -10,7 +10,6 @@ import (
 	"vxq/internal/baselines/sparksim"
 	"vxq/internal/core"
 	"vxq/internal/gen"
-	"vxq/internal/runtime"
 )
 
 // Comparison-system experiments (§5.3): Fig. 18 and Table 1 sweep the
@@ -329,5 +328,3 @@ func runTab4(s Settings) ([]*Table, error) {
 	}
 	return []*Table{t}, nil
 }
-
-var _ runtime.Source = (*runtime.MemSource)(nil)

@@ -3,8 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	goruntime "runtime"
-	"time"
 
 	"vxq/internal/item"
 	"vxq/internal/jsonparse"
@@ -18,10 +16,6 @@ import (
 //     every byte is skipped — the DATASCAN-with-projection hot path;
 //   - skiprecord: a path that matches nothing, so the whole record is
 //     skipped — the pure skip throughput ceiling.
-
-// ParseBenchRecordTarget is the approximate record size of the parse-kernel
-// workload (the issue's "~1 KiB records").
-const ParseBenchRecordTarget = 1024
 
 // parseBenchRecord renders one synthetic sensor-ish record of roughly 1 KiB:
 // a handful of small leading fields, a long readings array, a padded note
@@ -93,137 +87,4 @@ func ScanParseBench(data []byte, path jsonparse.Path, mode jsonparse.SkipMode) (
 		return nil
 	})
 	return emitted, err
-}
-
-// ParseBenchResult is one measured configuration of the parse-kernel
-// benchmark, serialized into BENCH_parse.json.
-type ParseBenchResult struct {
-	Shape           string  `json:"shape"`
-	Mode            string  `json:"mode"` // "index" or "reference"
-	Records         int64   `json:"records"`
-	Bytes           int64   `json:"bytes"`
-	Seconds         float64 `json:"seconds"`
-	MBPerSec        float64 `json:"mb_per_sec"`
-	RecordsPerSec   float64 `json:"records_per_sec"`
-	AllocsPerRecord float64 `json:"allocs_per_record"`
-	Emitted         int64   `json:"emitted"`
-}
-
-// MeasureParseBench times repeated passes of one shape/mode over data until
-// minDuration has elapsed (at least one pass), reporting the best-pass
-// throughput and the exact allocations per record.
-func MeasureParseBench(shape, mode string, data []byte, records int, minDuration time.Duration) (ParseBenchResult, error) {
-	path, err := ParseBenchPath(shape)
-	if err != nil {
-		return ParseBenchResult{}, err
-	}
-	skip, err := ParseBenchMode(mode)
-	if err != nil {
-		return ParseBenchResult{}, err
-	}
-	// Warm-up pass (page in the buffer, build the intern table's steady state
-	// equivalent — each pass uses a fresh lexer, like a fresh morsel).
-	if _, err := ScanParseBench(data, path, skip); err != nil {
-		return ParseBenchResult{}, err
-	}
-	var (
-		passes   int64
-		emitted  int64
-		best     float64
-		m0, m1   goruntime.MemStats
-		deadline = time.Now().Add(minDuration)
-	)
-	goruntime.ReadMemStats(&m0)
-	for {
-		start := time.Now()
-		e, err := ScanParseBench(data, path, skip)
-		sec := time.Since(start).Seconds()
-		if err != nil {
-			return ParseBenchResult{}, err
-		}
-		passes++
-		emitted += int64(e)
-		if best == 0 || sec < best {
-			best = sec
-		}
-		if !time.Now().Before(deadline) {
-			break
-		}
-	}
-	goruntime.ReadMemStats(&m1)
-	totalRecords := passes * int64(records)
-	return ParseBenchResult{
-		Shape:           shape,
-		Mode:            mode,
-		Records:         int64(records),
-		Bytes:           int64(len(data)),
-		Seconds:         best,
-		MBPerSec:        float64(len(data)) / (1 << 20) / best,
-		RecordsPerSec:   float64(records) / best,
-		AllocsPerRecord: float64(m1.Mallocs-m0.Mallocs) / float64(totalRecords),
-		Emitted:         emitted / passes,
-	}, nil
-}
-
-// BitmapBuilderResult is the standalone phase-1 measurement: IndexBlock run
-// over every 64-byte block of the workload with carried state, no phase-2
-// consumer at all — the raw ceiling of the structural-index pass.
-type BitmapBuilderResult struct {
-	Bytes          int64   `json:"bytes"`
-	Seconds        float64 `json:"seconds"`
-	MBPerSec       float64 `json:"mb_per_sec"`
-	GBPerSec       float64 `json:"gb_per_sec"`
-	AllocsPerChunk float64 `json:"allocs_per_chunk"` // per 4 KiB chunk of input
-}
-
-// MeasureBitmapBuilder times repeated full-buffer passes of the phase-1
-// bitmap builder until minDuration has elapsed, reporting best-pass
-// throughput and allocations per 4 KiB chunk (the streaming refill unit —
-// the kernel itself must not allocate at all).
-func MeasureBitmapBuilder(data []byte, minDuration time.Duration) BitmapBuilderResult {
-	blocks := len(data) / 64
-	data = data[:blocks*64]
-	var sink uint64
-	pass := func() {
-		var st jsonparse.StructState
-		for off := 0; off < len(data); off += 64 {
-			m := jsonparse.IndexBlock(data[off:off+64], &st)
-			sink ^= m.Structural ^ m.InString ^ m.Newline
-		}
-	}
-	pass() // warm-up
-	var (
-		passes   int64
-		best     float64
-		m0, m1   goruntime.MemStats
-		deadline = time.Now().Add(minDuration)
-	)
-	goruntime.ReadMemStats(&m0)
-	for {
-		start := time.Now()
-		pass()
-		sec := time.Since(start).Seconds()
-		passes++
-		if best == 0 || sec < best {
-			best = sec
-		}
-		if !time.Now().Before(deadline) {
-			break
-		}
-	}
-	goruntime.ReadMemStats(&m1)
-	if sink == 0xdeadbeef {
-		fmt.Println(sink) // defeat dead-code elimination; never taken in practice
-	}
-	chunks := passes * int64(len(data)) / 4096
-	res := BitmapBuilderResult{
-		Bytes:   int64(len(data)),
-		Seconds: best,
-	}
-	res.MBPerSec = float64(len(data)) / (1 << 20) / best
-	res.GBPerSec = float64(len(data)) / (1 << 30) / best
-	if chunks > 0 {
-		res.AllocsPerChunk = float64(m1.Mallocs-m0.Mallocs) / float64(chunks)
-	}
-	return res
 }

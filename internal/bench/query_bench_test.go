@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	goruntime "runtime"
 	"testing"
 	"time"
@@ -14,15 +15,27 @@ import (
 // reference on GROUP-BY, hash shuffle, and hash join. Run with -benchmem;
 // allocs per input tuple is reported as a custom metric.
 
-func benchQueryShape(b *testing.B, shape, mode string) {
-	b.Helper()
-	const tuples = 100_000
-	frames := hyracks.BenchFrames(QueryBenchRows(tuples), 0)
+// queryBenchTuples sizes the probe/input side of every query-kernel shape.
+const queryBenchTuples = 100_000
+
+// queryBenchPass prebuilds a shape's input frames (the join build side holds
+// one row per distinct key) and returns a function running one pass of it in
+// the given mode, yielding the pass's output tuple count.
+func queryBenchPass(shape string) func(mode string) (int64, error) {
+	frames := hyracks.BenchFrames(QueryBenchRows(queryBenchTuples), 0)
 	var build []*frame.Frame
 	if shape == "join" {
 		build = hyracks.BenchFrames(QueryBenchRows(QueryBenchKeys), 0)
 	}
-	if _, err := RunQueryBenchPass(shape, mode, frames, build); err != nil {
+	return func(mode string) (int64, error) {
+		return RunQueryBenchPass(shape, mode, frames, build)
+	}
+}
+
+func benchQueryShape(b *testing.B, shape, mode string) {
+	b.Helper()
+	pass := queryBenchPass(shape)
+	if _, err := pass(mode); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -30,14 +43,14 @@ func benchQueryShape(b *testing.B, shape, mode string) {
 	goruntime.ReadMemStats(&m0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunQueryBenchPass(shape, mode, frames, build); err != nil {
+		if _, err := pass(mode); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	goruntime.ReadMemStats(&m1)
-	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(int64(b.N)*tuples), "allocs/tuple")
-	b.ReportMetric(float64(int64(b.N)*tuples)/b.Elapsed().Seconds()/1e6, "mtuples/s")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*queryBenchTuples), "allocs/tuple")
+	b.ReportMetric(float64(b.N*queryBenchTuples)/b.Elapsed().Seconds()/1e6, "mtuples/s")
 }
 
 func BenchmarkGroupByEncoded(b *testing.B)      { benchQueryShape(b, "groupby", "encoded") }
@@ -58,41 +71,51 @@ func TestQueryKernelBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping kernel bounds in -short")
 	}
-	const tuples = 100_000
 	const minDur = 300 * time.Millisecond
-	run := func(shape, mode string) QueryBenchResult {
-		t.Helper()
-		r, err := MeasureQueryBench(shape, mode, tuples, minDur)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", shape, mode, err)
+	for _, shape := range []string{"groupby", "shuffle", "join"} {
+		secs, encoded, out := timeQueryModes(t, shape, minDur, "encoded", "eager")
+		allocsPerTuple := allocsPerPass(t, encoded) / queryBenchTuples
+		t.Logf("%s: encoded %.2f Mtuples/s (%.4f allocs/tuple), eager %.2f Mtuples/s, output %d",
+			shape, queryBenchTuples/secs[0]/1e6, allocsPerTuple, queryBenchTuples/secs[1]/1e6, out)
+		speedup := secs[1] / secs[0]
+		if shape == "join" {
+			t.Logf("join: encoded %.2fx eager — informational only", speedup)
+			continue
 		}
-		t.Logf("%s/%s: %.2f Mtuples/s, %.4f allocs/tuple, output %d",
-			shape, mode, r.MTuplesPerSec, r.AllocsPerTuple, r.Output)
-		return r
-	}
-	for _, shape := range []string{"groupby", "shuffle"} {
-		enc := run(shape, "encoded")
-		eag := run(shape, "eager")
-		if enc.Output != eag.Output {
-			t.Errorf("%s: encoded output %d != eager output %d", shape, enc.Output, eag.Output)
-		}
-		speedup := eag.Seconds / enc.Seconds
 		if speedup < 2 {
 			t.Errorf("%s: encoded speedup %.2fx over eager, want >= 2x (encoded %.4fs, eager %.4fs)",
-				shape, speedup, enc.Seconds, eag.Seconds)
+				shape, speedup, secs[0], secs[1])
 		}
-		if shape == "groupby" && enc.AllocsPerTuple > 0.1 {
-			t.Errorf("groupby encoded allocs/tuple = %.4f, want <= 0.1", enc.AllocsPerTuple)
+		if shape == "groupby" && allocsPerTuple > 0.1 {
+			t.Errorf("groupby encoded allocs/tuple = %.4f, want <= 0.1", allocsPerTuple)
 		}
 	}
-	encJ := run("join", "encoded")
-	eagJ := run("join", "eager")
-	if encJ.Output != eagJ.Output {
-		t.Errorf("join: encoded output %d != eager output %d", encJ.Output, eagJ.Output)
+}
+
+// timeQueryModes times one shape under two modes through bestOf and returns
+// the per-mode best seconds, the first mode's pass function, and the output
+// tuple count, which every pass of both modes must agree on.
+func timeQueryModes(t *testing.T, shape string, minDur time.Duration, modeA, modeB string) (secs []float64, passA func() error, out int64) {
+	t.Helper()
+	pass := queryBenchPass(shape)
+	out, err := pass(modeA)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", shape, modeA, err)
 	}
-	if encJ.Seconds >= eagJ.Seconds {
-		t.Logf("join: encoded not faster (%.4fs vs %.4fs) — informational only", encJ.Seconds, eagJ.Seconds)
+	timed := func(mode string) func() error {
+		return func() error {
+			o, err := pass(mode)
+			if err == nil && o != out {
+				err = fmt.Errorf("output %d, want %d as in the first %s pass", o, out, modeA)
+			}
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", shape, mode, err)
+			}
+			return nil
+		}
 	}
+	passA = timed(modeA)
+	return bestOf(t, minDur, passA, timed(modeB)), passA, out
 }
 
 // TestProfileOverheadBound pins the profiling tax: the kernel with the
@@ -107,57 +130,19 @@ func TestProfileOverheadBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping profile overhead bound in -short")
 	}
-	const tuples = 100_000
-	const minDur = 600 * time.Millisecond
+	const minDur = 300 * time.Millisecond // per mode
 	const bound = 1.03
 	for _, shape := range []string{"groupby", "shuffle", "join"} {
-		frames := hyracks.BenchFrames(QueryBenchRows(tuples), 0)
-		var build []*frame.Frame
-		if shape == "join" {
-			build = hyracks.BenchFrames(QueryBenchRows(QueryBenchKeys), 0)
-		}
-		// Warm-up both modes; outputs must agree.
-		baseOut, err := RunQueryBenchPass(shape, "encoded", frames, build)
-		if err != nil {
-			t.Fatalf("%s/encoded: %v", shape, err)
-		}
-		profOut, err := RunQueryBenchPass(shape, "profiled", frames, build)
-		if err != nil {
-			t.Fatalf("%s/profiled: %v", shape, err)
-		}
-		if baseOut != profOut {
-			t.Fatalf("%s: profiled output %d != unprofiled output %d", shape, profOut, baseOut)
-		}
 		measure := func(dur time.Duration) float64 {
-			best := map[string]float64{}
-			passes := 0
-			for deadline := time.Now().Add(dur); time.Now().Before(deadline); passes++ {
-				modes := []string{"encoded", "profiled"}
-				if passes%2 == 1 {
-					modes[0], modes[1] = modes[1], modes[0]
-				}
-				for _, mode := range modes {
-					start := time.Now()
-					if _, err := RunQueryBenchPass(shape, mode, frames, build); err != nil {
-						t.Fatalf("%s/%s: %v", shape, mode, err)
-					}
-					sec := time.Since(start).Seconds()
-					if best[mode] == 0 || sec < best[mode] {
-						best[mode] = sec
-					}
-				}
-			}
-			ratio := best["profiled"] / best["encoded"]
-			t.Logf("%s: profiled/unprofiled = %.4f (%.4fs vs %.4fs over %d interleaved passes)",
-				shape, ratio, best["profiled"], best["encoded"], passes)
+			secs, _, _ := timeQueryModes(t, shape, dur, "encoded", "profiled")
+			ratio := secs[1] / secs[0]
+			t.Logf("%s: profiled/unprofiled = %.4f (%.4fs vs %.4fs)", shape, ratio, secs[1], secs[0])
 			return ratio
 		}
 		ratio := measure(minDur)
-		for attempt := 0; ratio > bound && attempt < 2; attempt++ {
+		for window := 2 * minDur; ratio > bound && window <= 4*minDur; window *= 2 {
 			t.Logf("%s: over the bound, re-measuring with a longer window", shape)
-			if r := measure(2 * minDur); r < ratio {
-				ratio = r
-			}
+			ratio = min(ratio, measure(window))
 		}
 		if ratio > bound {
 			t.Errorf("%s: profiling overhead %.1f%% exceeds the %.0f%% bound",

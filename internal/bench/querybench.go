@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	goruntime "runtime"
-	"time"
 
 	"vxq/internal/frame"
 	"vxq/internal/hyracks"
@@ -62,19 +60,6 @@ func queryBenchJoin() *hyracks.JoinSpec {
 	}
 }
 
-// QueryBenchResult is one measured configuration of the query-kernel
-// benchmark, serialized into BENCH_query.json.
-type QueryBenchResult struct {
-	Shape          string  `json:"shape"`
-	Mode           string  `json:"mode"` // "encoded" or "eager"
-	Tuples         int64   `json:"tuples"`
-	Keys           int64   `json:"keys"`
-	Seconds        float64 `json:"seconds"`
-	MTuplesPerSec  float64 `json:"mtuples_per_sec"`
-	AllocsPerTuple float64 `json:"allocs_per_tuple"`
-	Output         int64   `json:"output"`
-}
-
 // RunQueryBenchPass runs one pass of a shape over prebuilt frames and
 // returns the number of output tuples (groups, routed tuples, or joined
 // tuples depending on the shape). Modes: "encoded" (the binary tuple
@@ -93,58 +78,4 @@ func RunQueryBenchPass(shape, mode string, frames, build []*frame.Frame) (int64,
 	default:
 		return 0, fmt.Errorf("unknown query bench shape %q", shape)
 	}
-}
-
-// MeasureQueryBench times repeated passes of one shape/mode until
-// minDuration has elapsed (at least one pass), reporting the best-pass
-// throughput and the exact allocations per input tuple across all passes.
-// tuples sizes the probe/input side; the join build side always holds one
-// row per distinct key.
-func MeasureQueryBench(shape, mode string, tuples int, minDuration time.Duration) (QueryBenchResult, error) {
-	frames := hyracks.BenchFrames(QueryBenchRows(tuples), 0)
-	var build []*frame.Frame
-	if shape == "join" {
-		build = hyracks.BenchFrames(QueryBenchRows(QueryBenchKeys), 0)
-	}
-	// Warm-up pass.
-	out, err := RunQueryBenchPass(shape, mode, frames, build)
-	if err != nil {
-		return QueryBenchResult{}, err
-	}
-	var (
-		passes   int64
-		best     float64
-		m0, m1   goruntime.MemStats
-		deadline = time.Now().Add(minDuration)
-	)
-	goruntime.ReadMemStats(&m0)
-	for {
-		start := time.Now()
-		o, err := RunQueryBenchPass(shape, mode, frames, build)
-		sec := time.Since(start).Seconds()
-		if err != nil {
-			return QueryBenchResult{}, err
-		}
-		if o != out {
-			return QueryBenchResult{}, fmt.Errorf("%s/%s: output changed between passes: %d then %d", shape, mode, out, o)
-		}
-		passes++
-		if best == 0 || sec < best {
-			best = sec
-		}
-		if !time.Now().Before(deadline) {
-			break
-		}
-	}
-	goruntime.ReadMemStats(&m1)
-	return QueryBenchResult{
-		Shape:          shape,
-		Mode:           mode,
-		Tuples:         int64(tuples),
-		Keys:           QueryBenchKeys,
-		Seconds:        best,
-		MTuplesPerSec:  float64(tuples) / best / 1e6,
-		AllocsPerTuple: float64(m1.Mallocs-m0.Mallocs) / float64(passes*int64(tuples)),
-		Output:         out,
-	}, nil
 }

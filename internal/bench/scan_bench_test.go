@@ -27,7 +27,7 @@ func benchScan(b *testing.B, src runtime.Source, total int64, scale ScanScale) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, err := RunScanCount(src, 8, scale.MorselSize)
+		res, err := RunScanCount(src, 8, scale.MorselSize)
 		if err != nil {
 			b.Fatal(err)
 		}

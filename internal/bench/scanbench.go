@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"vxq/internal/frame"
 	"vxq/internal/gen"
@@ -128,30 +127,12 @@ func ScanCountJob(partitions int) *hyracks.Job {
 }
 
 // RunScanCount executes the scan-count job with the pipelined (work-stealing)
-// executor and returns the result and wall-clock time.
-func RunScanCount(src runtime.Source, partitions int, morselSize int64) (*hyracks.Result, time.Duration, error) {
+// executor.
+func RunScanCount(src runtime.Source, partitions int, morselSize int64) (*hyracks.Result, error) {
 	env := &hyracks.Env{
 		Source:     src,
 		Accountant: frame.NewAccountant(0),
 		MorselSize: morselSize,
 	}
-	start := time.Now()
-	res, err := hyracks.RunPipelined(ScanCountJob(partitions), env)
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, elapsed, nil
-}
-
-// MorselsByPartition extracts the per-partition morsel counts of the scan
-// fragment (fragment 0) from a result.
-func MorselsByPartition(res *hyracks.Result) map[int]int {
-	out := map[int]int{}
-	for _, tt := range res.Tasks {
-		if tt.Fragment == 0 {
-			out[tt.Partition] += tt.Morsels
-		}
-	}
-	return out
+	return hyracks.RunPipelined(ScanCountJob(partitions), env)
 }

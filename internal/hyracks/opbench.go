@@ -10,9 +10,10 @@ import (
 )
 
 // This file exports thin harnesses that drive individual operators over
-// prebuilt frames, so the query-kernel benchmarks (internal/bench, `benchscan
-// -query`) can measure the encoded-key paths against the eager reference
-// without a scan or an executor in the loop.
+// prebuilt frames, so the query-kernel benchmarks (internal/bench) and the
+// end-to-end benchmark's operator-only layer metrics can measure the
+// encoded-key paths against the eager reference without a scan or an
+// executor in the loop.
 //
 // The harness contexts carry no frame pool: recycle is a no-op, so the
 // caller's input frames survive a pass and can be pushed again on the next

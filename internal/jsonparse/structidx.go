@@ -19,7 +19,7 @@
 //
 // Everything here is pure SWAR over uint64 words — no assembly, no unsafe —
 // so it runs on every GOARCH at a large multiple of the byte-loop's
-// throughput (see BENCH_parse.json, bitmap_builder).
+// throughput (see internal/bench, BenchmarkBitmapBuilder).
 package jsonparse
 
 import (

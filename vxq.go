@@ -73,15 +73,6 @@ type Options struct {
 	DisableGroupByRules bool
 	// FrameSize is the dataflow frame capacity in bytes (default 32 KiB).
 	FrameSize int
-	// ScanChunkSize is the refill-buffer size, in bytes, of streaming
-	// collection scans (default 64 KiB). Raw JSON files are never
-	// materialized whole: the scan reads each file through a buffer of
-	// this size, so per-scan peak memory is O(chunk), not O(file).
-	ScanChunkSize int
-	// MemoryLimit bounds the engine's accounted memory in bytes
-	// (0 = unlimited). Exceeding it does not abort execution; it is
-	// reported through Result.PeakMemory versus the limit.
-	MemoryLimit int64
 	// MorselSize is the byte-range granularity of morsel-driven scans
 	// (default 4 MiB). Raw JSON files larger than this are split into
 	// independently schedulable byte ranges, so a handful of oversized files
@@ -94,10 +85,6 @@ type Options struct {
 	// negative disables the pass). The computed index is recorded in the
 	// engine's registry, so only the first scan of a file pays.
 	ColdIndexMinBytes int64
-	// IndexWorkers is the worker count of parallel index passes — the
-	// cold-scan boundary pass and large-file zone-map builds (default
-	// GOMAXPROCS).
-	IndexWorkers int
 	// IndexZoneGrain is the byte width of the per-zone min/max stats a
 	// BuildIndex/BuildIndexes pass records alongside its per-file ranges
 	// (index.DefaultZoneGrain when 0; negative disables zone stats). Zones
@@ -238,7 +225,7 @@ func (e *Engine) BuildIndexes(collection string, paths ...string) error {
 		pp[i] = p
 	}
 	zms, err := index.BuildWith(e.source(), collection, pp,
-		index.BuildOptions{Workers: e.opts.IndexWorkers, ZoneGrain: e.opts.IndexZoneGrain})
+		index.BuildOptions{ZoneGrain: e.opts.IndexZoneGrain})
 	if err != nil {
 		return err
 	}
@@ -362,12 +349,10 @@ func (e *Engine) Query(query string) (*Result, error) {
 	env := &hyracks.Env{
 		Source:            e.source(),
 		FrameSize:         e.opts.FrameSize,
-		ChunkSize:         e.opts.ScanChunkSize,
-		Accountant:        frame.NewAccountant(e.opts.MemoryLimit),
+		Accountant:        frame.NewAccountant(0),
 		Indexes:           e.indexes,
 		MorselSize:        e.opts.MorselSize,
 		ColdIndexMinBytes: e.opts.ColdIndexMinBytes,
-		ColdIndexWorkers:  e.opts.IndexWorkers,
 		Profile:           e.opts.Profile,
 		OpMemoryBudget:    e.opts.OpMemoryBudget,
 		SpillDir:          e.opts.SpillDir,
