@@ -31,8 +31,9 @@ bench:
 	@echo "end-to-end numbers and per-layer metrics: make bench-e2e W=<workload>"
 
 # spill-smoke is the CI guard for the out-of-core layer: the bigger-than-
-# budget differential tests (group-by/join/sort spilled vs in-memory,
-# byte-identical, temp-file hygiene, accountant balance).
+# budget differential tests (group-by/join/sort spilled vs unbudgeted, the
+# one operator implementation either way: byte-identical rows, temp-file
+# hygiene, accountant balance).
 spill-smoke:
 	$(GO) test -run 'TestSpill' -v ./internal/hyracks
 	$(GO) test ./internal/spill
@@ -79,8 +80,9 @@ profile-smoke:
 	test -s /tmp/vxq-profile-smoke/trace.json
 
 # fuzz-smoke runs the structural-kernel fuzzers briefly: the skip differential
-# (structural-index skip vs the token-level reference, cross-checked against
-# encoding/json), the record-boundary scanner against
+# (the lexer's structural-index skip vs the token-level skipValue oracle in the
+# jsonparse tests, cross-checked against encoding/json), the record-boundary
+# scanner against
 # its scalar reference over the chunk-size sweep, and the speculative parallel
 # indexer against the sequential builder across worker/chunk/grain sweeps.
 # Seeds under testdata/fuzz are always replayed.

@@ -9,19 +9,15 @@ import (
 )
 
 // The parse-kernel microbenchmarks: tokens flowing through the projector on
-// the project-1-of-N-fields and skip-whole-record shapes, across the two
-// skip implementations (structural index, token-level reference). Run with
-// -benchmem: the bytes/s column is the headline, and
-// the per-record allocation count is reported as a custom metric.
+// the project-1-of-N-fields and skip-whole-record shapes, and the plain
+// tokenizer pass they are gated against. Run with -benchmem: the bytes/s
+// column is the headline, and the per-record allocation count is reported as
+// a custom metric.
 
-func benchParseShape(b *testing.B, shape, mode string) {
+func benchParseShape(b *testing.B, shape string) {
 	b.Helper()
 	data, records := ParseBenchStream(4 << 20)
 	path, err := ParseBenchPath(shape)
-	if err != nil {
-		b.Fatal(err)
-	}
-	skip, err := ParseBenchMode(mode)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -31,7 +27,7 @@ func benchParseShape(b *testing.B, shape, mode string) {
 	goruntime.ReadMemStats(&m0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ScanParseBench(data, path, skip); err != nil {
+		if _, err := ScanParseBench(data, path); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,20 +37,13 @@ func benchParseShape(b *testing.B, shape, mode string) {
 }
 
 // BenchmarkProjectOneField: project 1 small field from ~1 KiB records with
-// the structural-index kernel — the acceptance-criteria shape.
-func BenchmarkProjectOneField(b *testing.B) { benchParseShape(b, "project1", "index") }
-
-// BenchmarkProjectOneFieldReference is the same shape through the
-// token-level reference skip (the pre-kernel behaviour).
-func BenchmarkProjectOneFieldReference(b *testing.B) { benchParseShape(b, "project1", "reference") }
+// the structural-index kernel — the DATASCAN-with-projection shape.
+func BenchmarkProjectOneField(b *testing.B) { benchParseShape(b, "project1") }
 
 // BenchmarkSkipWholeRecord: a projection that matches nothing, so every
 // record is skipped whole — the pure skip throughput ceiling, through the
 // structural-index kernel.
-func BenchmarkSkipWholeRecord(b *testing.B) { benchParseShape(b, "skiprecord", "index") }
-
-// BenchmarkSkipWholeRecordReference is the token-level counterpart.
-func BenchmarkSkipWholeRecordReference(b *testing.B) { benchParseShape(b, "skiprecord", "reference") }
+func BenchmarkSkipWholeRecord(b *testing.B) { benchParseShape(b, "skiprecord") }
 
 // bitmapBuilderPass runs phase 1 alone: IndexBlock over every whole 64-byte
 // block of data with carried state, no phase-2 consumer — the raw ceiling of
@@ -85,68 +74,74 @@ func BenchmarkBitmapBuilder(b *testing.B) {
 	goruntime.KeepAlive(sink)
 }
 
-// BenchmarkLexerTokens streams every token of the workload through Next —
-// the tokenizer floor without any skip at all (full parse minus tree
-// building).
+// lexerTokensPass streams every token of data through Next — the tokenizer
+// floor without any skip at all (full parse minus tree building).
+func lexerTokensPass(data []byte) error {
+	l := jsonparse.NewLexer(data)
+	for {
+		if err := l.Next(); err != nil {
+			return err
+		}
+		if l.Kind == jsonparse.TokEOF {
+			return nil
+		}
+	}
+}
+
+// BenchmarkLexerTokens is the tokenizer pass over the workload.
 func BenchmarkLexerTokens(b *testing.B) {
 	data, _ := ParseBenchStream(4 << 20)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l := jsonparse.NewLexer(data)
-		for {
-			if err := l.Next(); err != nil {
-				b.Fatal(err)
-			}
-			if l.Kind == jsonparse.TokEOF {
-				break
-			}
+		if err := lexerTokensPass(data); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
 // TestParseKernelBounds pins the structural-index kernel's committed claims
-// in machine-independent form (ratios against in-process baselines, not
-// absolute MB/s, so CI noise and slow runners cannot flip it):
+// in machine-independent form (ratios against an in-process baseline, not
+// absolute MB/s, so CI noise and slow runners cannot flip it). The baseline
+// is the tokenizer pass over the same bytes (lexerTokensPass), which does
+// less work than a token-level projection would:
 //
-//   - skiprecord: the index kernel beats the token-level reference by >= 2x;
-//   - project1: the index kernel beats the reference by >= 1.5x;
+//   - skiprecord: the index kernel beats the tokenizer pass by >= 2x;
+//   - project1: the index kernel beats the tokenizer pass by >= 1.5x;
 //   - project1 allocations: <= 0.05 allocs/record (the interned-item scan);
-//   - all modes emit identical item counts;
 //   - the phase-1 bitmap builder allocates nothing.
+//
+// That the projected scan emits what a full parse would is checked by
+// jsonparse's TestQuickScanValuesModeEquivalence, not here.
 func TestParseKernelBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping kernel bounds in -short")
 	}
 	const minDur = 300 * time.Millisecond
 	data, records := ParseBenchStream(4 << 20)
+	tokens := func() error { return lexerTokensPass(data) }
 	for _, shape := range []string{"project1", "skiprecord"} {
 		path, err := ParseBenchPath(shape)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var emitted [2]int // index, reference
-		pass := func(k int, mode jsonparse.SkipMode) func() error {
-			return func() (err error) {
-				emitted[k], err = ScanParseBench(data, path, mode)
-				return err
-			}
+		var emitted int
+		index := func() (err error) {
+			emitted, err = ScanParseBench(data, path)
+			return err
 		}
-		secs := bestOf(t, minDur, pass(0, jsonparse.SkipIndexed), pass(1, jsonparse.SkipTokens))
+		secs := bestOf(t, minDur, index, tokens)
 		mb := float64(len(data)) / (1 << 20)
-		allocsPerRecord := allocsPerPass(t, pass(0, jsonparse.SkipIndexed)) / float64(records)
-		t.Logf("%s: index %.0f MB/s (%.4f allocs/record), reference %.0f MB/s, emitted %d",
-			shape, mb/secs[0], allocsPerRecord, mb/secs[1], emitted[0])
-		if emitted[0] != emitted[1] {
-			t.Errorf("%s: emitted diverges: index %d, reference %d", shape, emitted[0], emitted[1])
-		}
+		allocsPerRecord := allocsPerPass(t, index) / float64(records)
+		t.Logf("%s: index %.0f MB/s (%.4f allocs/record), tokenizer %.0f MB/s, emitted %d",
+			shape, mb/secs[0], allocsPerRecord, mb/secs[1], emitted)
 		want := 1.5
 		if shape == "skiprecord" {
 			want = 2
 		}
 		if speedup := secs[1] / secs[0]; speedup < want {
-			t.Errorf("%s: index speedup over reference = %.2fx, want >= %.1fx (index %.4fs, reference %.4fs)",
+			t.Errorf("%s: index speedup over the tokenizer pass = %.2fx, want >= %.1fx (index %.4fs, tokenizer %.4fs)",
 				shape, speedup, want, secs[0], secs[1])
 		}
 		if shape == "project1" && allocsPerRecord > 0.05 {

@@ -9,8 +9,8 @@ import (
 )
 
 // The parse-kernel benchmarks measure the on-demand scan kernel (structural
-// raw-skip, zero-alloc token views, lazy numbers) against the token-level
-// reference skip on the two shapes the issue's acceptance criteria name:
+// raw-skip, zero-alloc token views, lazy numbers) against a plain tokenizer
+// pass over the same bytes, on two shapes:
 //
 //   - project1: project one small field out of ~1 KiB records, so nearly
 //     every byte is skipped — the DATASCAN-with-projection hot path;
@@ -62,25 +62,10 @@ func ParseBenchPath(shape string) (jsonparse.Path, error) {
 	}
 }
 
-// ParseBenchMode resolves a benchmark mode name to the lexer's skip mode:
-// "index" is the SWAR structural-index kernel (the production default),
-// "reference" the token-level oracle.
-func ParseBenchMode(mode string) (jsonparse.SkipMode, error) {
-	switch mode {
-	case "index":
-		return jsonparse.SkipIndexed, nil
-	case "reference":
-		return jsonparse.SkipTokens, nil
-	default:
-		return 0, fmt.Errorf("unknown parse bench mode %q", mode)
-	}
-}
-
-// ScanParseBench runs one pass of the shape's projected scan over data in the
-// given skip mode, returning the number of emitted items.
-func ScanParseBench(data []byte, path jsonparse.Path, mode jsonparse.SkipMode) (int, error) {
+// ScanParseBench runs one pass of the shape's projected scan over data,
+// returning the number of emitted items.
+func ScanParseBench(data []byte, path jsonparse.Path) (int, error) {
 	l := jsonparse.NewLexer(data)
-	l.SetSkipMode(mode)
 	emitted := 0
 	_, err := jsonparse.ScanValues(l, path, -1, func(item.Item) error {
 		emitted++

@@ -11,10 +11,11 @@ import (
 
 // The query-kernel benchmarks measure the binary tuple kernel — encoded-key
 // hashing and lazy field decode through GROUP-BY, the hash exchange, and the
-// hash join — against the eager reference mode (every field decoded, keys
-// hashed as sequences), on the workload the paper's aggregation queries
-// imply: tuples of a date-string grouping key (~365 distinct values, one
-// year of days) and a numeric measurement value.
+// hash join — against the decoded reference operators of
+// internal/hyracks/opbench.go (every field decoded, keys hashed as
+// sequences), on the workload the paper's aggregation queries imply: tuples
+// of a date-string grouping key (~365 distinct values, one year of days) and
+// a numeric measurement value.
 
 // QueryBenchKeys is the number of distinct grouping keys of the query-kernel
 // workload (one year of dates).

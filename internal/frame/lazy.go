@@ -82,14 +82,3 @@ func (t *LazyTuple) Field(i int) (item.Sequence, error) {
 
 // Append adds a computed field after the base fields.
 func (t *LazyTuple) Append(s item.Sequence) { t.extra = append(t.extra, s) }
-
-// DecodeAll eagerly decodes every base field — the reference mode that
-// reproduces the pre-lazy pipeline's decode-everything behaviour.
-func (t *LazyTuple) DecodeAll() error {
-	for i := range t.raw {
-		if _, err := t.Field(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -38,13 +38,10 @@ func TestLazyTupleDecodeOnDemand(t *testing.T) {
 	if _, err := lt.Field(4); err == nil {
 		t.Error("Field(4): want out-of-range error")
 	}
-	if err := lt.DecodeAll(); err != nil {
-		t.Fatal(err)
-	}
 	for i, want := range seqs {
-		got, _ := lt.Field(i)
-		if !item.EqualSeq(got, want) {
-			t.Errorf("field %d after DecodeAll = %v", i, got)
+		got, err := lt.Field(i)
+		if err != nil || !item.EqualSeq(got, want) {
+			t.Errorf("field %d = %v, %v", i, got, err)
 		}
 	}
 	// Reset drops memo and extras.

@@ -7,22 +7,52 @@ import (
 
 	"vxq/internal/frame"
 	"vxq/internal/item"
+	"vxq/internal/jsonparse"
 	"vxq/internal/runtime"
 )
 
-// runModes runs the job once in eager reference mode (staged, in memory — the
-// oracle) and then in the default lazy encoded mode under both schedulers
-// (see below for the one exception), each with spilling off, with a budget every blocking operator overruns, and
-// with a budget that is never reached (same partitioning throughout). Every
-// variant's sorted result must be byte-identical to the oracle's under the
-// canonical encoding.
+// withReferenceGroupBy returns a copy of job in which every GROUP-BY (nested
+// ones included) is the decoded-sequence reference of opbench.go; job itself
+// is left untouched.
+func withReferenceGroupBy(job *Job) *Job {
+	out := &Job{Exchanges: job.Exchanges}
+	for _, f := range job.Fragments {
+		nf := *f
+		nf.Ops = referenceOps(f.Ops)
+		out.Fragments = append(out.Fragments, &nf)
+	}
+	return out
+}
+
+func referenceOps(ops []OpSpec) []OpSpec {
+	out := make([]OpSpec, len(ops))
+	for i, op := range ops {
+		switch op := op.(type) {
+		case *GroupBySpec:
+			out[i] = refGroupBySpec{op}
+		case *SubplanSpec:
+			out[i] = &SubplanSpec{Nested: referenceOps(op.Nested), Desc: op.Desc}
+		default:
+			out[i] = op
+		}
+	}
+	return out
+}
+
+// runModes runs the job once as the oracle — staged, in memory, every
+// GROUP-BY swapped for the decoded reference (withReferenceGroupBy) — and
+// then unchanged under both schedulers (see below for the one exception),
+// each with spilling off, with a budget every blocking operator overruns,
+// and with a budget that is never reached (same partitioning throughout).
+// Every variant's sorted result must be byte-identical to the oracle's under
+// the canonical encoding.
 func runModes(t *testing.T, name string, job *Job) {
 	t.Helper()
-	eager, err := RunStaged(job, &Env{Source: testSource(), EagerReference: true})
+	ref, err := RunStaged(withReferenceGroupBy(job), &Env{Source: testSource()})
 	if err != nil {
-		t.Fatalf("%s: eager: %v", name, err)
+		t.Fatalf("%s: reference: %v", name, err)
 	}
-	eager.SortRows()
+	ref.SortRows()
 	// Partition-local operators (a per-partition aggregate, a local group-by)
 	// make a plan's rows depend on which task scanned which morsel, and only
 	// the staged deal is deterministic: plans with a multi-partition scan skip
@@ -46,13 +76,13 @@ func runModes(t *testing.T, name string, job *Job) {
 				t.Fatalf("%s: %v", vname, err)
 			}
 			lazy.SortRows()
-			sameRowsBytes(t, vname, eager, lazy)
+			sameRowsBytes(t, vname, ref, lazy)
 			// The shuffle statistics must agree too: every variant moves the
 			// same tuples.
-			if eager.Stats.TuplesShuffled != lazy.Stats.TuplesShuffled ||
-				eager.Stats.BytesShuffled != lazy.Stats.BytesShuffled {
-				t.Errorf("%s: shuffle stats diverge: eager %d tuples/%d bytes, lazy %d tuples/%d bytes",
-					vname, eager.Stats.TuplesShuffled, eager.Stats.BytesShuffled,
+			if ref.Stats.TuplesShuffled != lazy.Stats.TuplesShuffled ||
+				ref.Stats.BytesShuffled != lazy.Stats.BytesShuffled {
+				t.Errorf("%s: shuffle stats diverge: reference %d tuples/%d bytes, lazy %d tuples/%d bytes",
+					vname, ref.Stats.TuplesShuffled, ref.Stats.BytesShuffled,
 					lazy.Stats.TuplesShuffled, lazy.Stats.BytesShuffled)
 			}
 		}
@@ -106,10 +136,10 @@ func TestDifferentialLazyVsEagerFixedPlans(t *testing.T) {
 }
 
 // TestDifferentialLazyVsEagerRandomPlans runs a deterministic corpus of
-// randomly composed plans through both modes. Plans draw selects, assigns,
+// randomly composed plans through runModes. Plans draw selects, assigns,
 // group-bys, sorts and aggregates over the sensor fields with random
-// partition counts, so lazy/eager equivalence is checked well beyond the
-// hand-written shapes.
+// partition counts, so encoded/reference equivalence is checked well beyond
+// the hand-written shapes.
 func TestDifferentialLazyVsEagerRandomPlans(t *testing.T) {
 	r := rand.New(rand.NewSource(20180326)) // EDBT 2018 paper day, for luck
 	for i := 0; i < 24; i++ {
@@ -246,10 +276,10 @@ func TestExchangeForwardsWholeFrames(t *testing.T) {
 }
 
 // TestAccountantBalancesToZeroBothModes extends the accountant invariant to
-// both decode modes over the blocking operators (group-by holds an arena and
-// interned keys in lazy mode, decoded key sequences in eager mode), with and
-// without profile collection — the profiling wrappers and counter snapshots
-// must not perturb a single charge/release pair.
+// the blocking operators (group-by and the join hold an arena and interned
+// keys, sort its rows), with and without profile collection — the profiling
+// wrappers and counter snapshots must not perturb a single charge/release
+// pair.
 func TestAccountantBalancesToZeroBothModes(t *testing.T) {
 	sortSpec := &SortSpec{Keys: []SortDef{{Key: col(1)}}}
 	jobs := map[string]*Job{
@@ -260,35 +290,153 @@ func TestAccountantBalancesToZeroBothModes(t *testing.T) {
 		}}, sortSpec),
 	}
 	for name, job := range jobs {
-		for _, eager := range []bool{false, true} {
-			for _, profile := range []bool{false, true} {
-				acct := frame.NewAccountant(0)
-				env := &Env{Source: testSource(), Accountant: acct, EagerReference: eager, Profile: profile}
-				res, err := RunStaged(job, env)
-				if err != nil {
-					t.Fatalf("%s (eager=%v profile=%v): %v", name, eager, profile, err)
+		for _, profile := range []bool{false, true} {
+			acct := frame.NewAccountant(0)
+			res, err := RunStaged(job, &Env{Source: testSource(), Accountant: acct, Profile: profile})
+			if err != nil {
+				t.Fatalf("%s (profile=%v): %v", name, profile, err)
+			}
+			if cur := acct.Current(); cur != 0 {
+				t.Errorf("%s (profile=%v): accountant balance = %d after clean end, want 0", name, profile, cur)
+			}
+			if acct.Peak() <= 0 {
+				t.Errorf("%s (profile=%v): peak = %d, want > 0", name, profile, acct.Peak())
+			}
+			if profile {
+				// The profile's held-memory high-water must be visible in
+				// at least one keyed operator's span.
+				var peak int64
+				for _, sp := range res.Profile.Spans {
+					peak = max(peak, sp.MemPeak)
 				}
-				if cur := acct.Current(); cur != 0 {
-					t.Errorf("%s (eager=%v profile=%v): accountant balance = %d after clean end, want 0",
-						name, eager, profile, cur)
-				}
-				if acct.Peak() <= 0 {
-					t.Errorf("%s (eager=%v profile=%v): peak = %d, want > 0", name, eager, profile, acct.Peak())
-				}
-				if profile {
-					// The profile's held-memory high-water must be visible in
-					// at least one keyed operator's span.
-					var peak int64
-					for _, sp := range res.Profile.Spans {
-						if sp.MemPeak > peak {
-							peak = sp.MemPeak
-						}
-					}
-					if peak <= 0 {
-						t.Errorf("%s (eager=%v): no span reports a memory high-water", name, eager)
-					}
+				if peak <= 0 {
+					t.Errorf("%s: no span reports a memory high-water", name)
 				}
 			}
 		}
 	}
 }
+
+// referenceFrames returns the six measurement records of testSource() plus
+// two records without a station (whose station key is the empty sequence) as
+// one-field tuples, in frames small enough that operators see several.
+func referenceFrames(t *testing.T) []*frame.Frame {
+	t.Helper()
+	res, err := RunStaged(scanJob(1, measurementsPath()), &Env{Source: testSource()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.Rows
+	for _, doc := range []string{`{"date":"2013-12-25T00:00","dataType":"TMIN","value":1}`, `{"date":"2013-12-26T00:00","dataType":"TMAX","value":2}`} {
+		it, err := jsonparse.Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, []item.Sequence{item.Single(it)})
+	}
+	return BenchFrames(rows, 256)
+}
+
+// TestJoinMatchesReference checks joiner against the decoded reference
+// (refJoin) at operator level: the same joined tuples in the same order, on
+// column and computed keys, with hash collisions forced onto the encoded
+// bucket chains, and with empty keys, which never join.
+func TestJoinMatchesReference(t *testing.T) {
+	frames := referenceFrames(t)
+	field := func(name string) runtime.Evaluator { return call("value", col(0), constStr(name)) }
+	specs := map[string][]runtime.Evaluator{
+		"column":       {col(0)},
+		"station":      {field("station")},
+		"date+station": {field("date"), field("station")},
+		"dataType":     {field("dataType")},
+	}
+	run := func(j joinSides, ctx *TaskCtx) *Result {
+		sink := &CollectSink{}
+		b := newFrameBuilder(ctx, sink)
+		for _, fr := range frames {
+			if err := j.build(fr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, fr := range frames {
+			if err := j.probe(fr, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.flush(); err != nil {
+			t.Fatal(err)
+		}
+		return &Result{Rows: sink.Rows}
+	}
+	defer func() { testHashEncodedField = nil }()
+	for _, collide := range []bool{false, true} {
+		if collide {
+			testHashEncodedField = func([]byte) (uint64, error) { return 42, nil }
+		}
+		for name, keys := range specs {
+			spec := &JoinSpec{BuildKeys: keys, ProbeKeys: keys}
+			ctx := benchCtx()
+			ref := run(&refJoin{ctx: ctx, spec: spec, table: refTable{}}, ctx)
+			j := newJoiner(ctx, spec)
+			got := run(j, ctx)
+			j.release()
+			if len(ref.Rows) == 0 {
+				t.Fatalf("%s: the reference joined nothing", name)
+			}
+			sameRowsBytes(t, fmt.Sprintf("%s (collisions=%v)", name, collide), ref, got)
+		}
+	}
+}
+
+// TestHashRouteMatchesReference: the encoded hash route folds HashEncoded with
+// the FNV chain the decoded reference (refRouter) folds HashSeq with, so both
+// deliver the same tuples in the same order to every destination.
+func TestHashRouteMatchesReference(t *testing.T) {
+	frames := referenceFrames(t)
+	const parts = 3
+	for name, keys := range map[string][]runtime.Evaluator{
+		"column":   {col(0)},
+		"computed": {call("value", col(0), constStr("station")), call("value", col(0), constStr("date"))},
+	} {
+		route := func(reference bool) [parts][]string {
+			ctx := benchCtx()
+			var got [parts][]string
+			dests := make([]frameDest, parts)
+			for p := range dests {
+				dests[p] = collectDest(func(fr *frame.Frame) error {
+					return forEachTuple(fr, func(fields []item.Sequence, _ [][]byte) error {
+						got[p] = append(got[p], item.JSONSeq(fields[0]))
+						return nil
+					})
+				})
+			}
+			ew := newExchangeWriter(ctx, &Exchange{Kind: ExchangeHash, Keys: keys, ConsumerPartitions: parts}, dests)
+			var w Writer = ew
+			if reference {
+				w = refRouter{ew}
+			}
+			if err := pushAll(w, frames); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		ref, got := route(true), route(false)
+		used := 0
+		for p := range ref {
+			if fmt.Sprint(ref[p]) != fmt.Sprint(got[p]) {
+				t.Errorf("%s: destination %d got %v, reference %v", name, p, got[p], ref[p])
+			}
+			if len(ref[p]) > 0 {
+				used++
+			}
+		}
+		if used < 2 {
+			t.Errorf("%s: the reference used %d of %d destinations, want a spread", name, used, parts)
+		}
+	}
+}
+
+// collectDest is a frameDest that hands every routed frame to a function.
+type collectDest func(fr *frame.Frame) error
+
+func (d collectDest) send(fr *frame.Frame) error { return d(fr) }

@@ -17,12 +17,11 @@ import (
 
 // Env configures a job execution.
 type Env struct {
-	Source     runtime.Source
+	Source runtime.Source
+	// FrameSize is the capacity of the pooled tuple frames
+	// (frame.DefaultFrameSize when <= 0).
 	FrameSize  int
 	Accountant *frame.Accountant
-	// ChunkSize is the refill-buffer size of streaming scans
-	// (jsonparse.DefaultChunkSize when <= 0).
-	ChunkSize int
 	// Indexes provides zone-map lookups for DATASCAN file pruning (may be
 	// nil).
 	Indexes runtime.IndexLookup
@@ -42,11 +41,6 @@ type Env struct {
 	// Pool recycles tuple frames across operators and tasks; one is created
 	// on demand when nil.
 	Pool *frame.Pool
-	// EagerReference runs the job with TaskCtx.EagerDecode set: operators use
-	// their decoded-sequence reference implementations instead of the lazy
-	// encoded-domain paths. Differential tests compare both modes; benchmarks
-	// use it as the baseline.
-	EagerReference bool
 	// Profile collects per-operator metrics (Result.Profile): every stage
 	// boundary is wrapped with timing and flow counters, gathered per task
 	// and merged once at job end. Off by default — an unprofiled run builds
@@ -55,8 +49,7 @@ type Env struct {
 	// OpMemoryBudget bounds the bytes any one blocking operator instance
 	// (group-by, join build, sort) may hold before it goes out of core:
 	// group-by and join grace-hash-partition to disk, sort switches to
-	// external merge. 0 (the default) never spills. Eager reference mode
-	// never spills either — it stays the pure in-memory baseline.
+	// external merge. 0 (the default) never spills.
 	OpMemoryBudget int64
 	// SpillDir is where spill files are created (the OS temp dir when empty).
 	// All spill files are removed when the operator finishes — success,
@@ -75,11 +68,7 @@ func (e *Env) accountant() *frame.Accountant {
 
 func (e *Env) pool() *frame.Pool {
 	if e.Pool == nil {
-		fs := e.FrameSize
-		if fs <= 0 {
-			fs = frame.DefaultFrameSize
-		}
-		e.Pool = frame.NewPool(fs, e.accountant())
+		e.Pool = frame.NewPool(e.FrameSize, e.accountant())
 	}
 	return e.Pool
 }
@@ -316,13 +305,9 @@ func (r *jobRun) newTask(f *Fragment, partition int) *task {
 			Source:     env.Source,
 			Accountant: env.Accountant,
 			Stats:      &runtime.Stats{},
-			FrameSize:  env.FrameSize,
-			ChunkSize:  env.ChunkSize,
 			Indexes:    env.Indexes,
 		},
 		Partition:   partition,
-		FrameSize:   env.FrameSize,
-		EagerDecode: env.EagerReference,
 		Pool:        r.pool,
 		SpillDir:    env.SpillDir,
 		SpillBudget: env.OpMemoryBudget,
@@ -555,10 +540,10 @@ func (w destWriter) Close() error { return nil }
 
 // exchangeWriter is the sink side of an exchange: it routes tuples to
 // consumer partitions according to the exchange kind. Hash exchanges route
-// per tuple, hashing the encoded key bytes directly (no field decode) unless
-// EagerDecode asks for the decoded reference path. Merge and 1:1 exchanges
-// route the entire input frame to a single destination, so they forward the
-// frame itself — ownership passes to the receiver and no tuple is re-framed.
+// per tuple, hashing the encoded key bytes directly (no field decode). Merge
+// and 1:1 exchanges route the entire input frame to a single destination, so
+// they forward the frame itself — ownership passes to the receiver and no
+// tuple is re-framed.
 type exchangeWriter struct {
 	ctx      *TaskCtx
 	exch     *Exchange
@@ -585,9 +570,7 @@ func (w *exchangeWriter) Open() error {
 		for i, d := range w.dests {
 			w.builders[i] = newFrameBuilder(w.ctx, destWriter{d: d, ew: w})
 		}
-		if !w.ctx.EagerDecode {
-			w.keys = newKeyEncoder(w.exch.Keys)
-		}
+		w.keys = newKeyEncoder(w.exch.Keys)
 	}
 	return nil
 }
@@ -600,7 +583,7 @@ func (w *exchangeWriter) Push(fr *frame.Frame) error {
 			w.ctx.recycle(fr)
 			return nil
 		}
-		p, err := w.route(nil)
+		p, err := w.route()
 		if err != nil {
 			w.ctx.recycle(fr)
 			return err
@@ -620,17 +603,8 @@ func (w *exchangeWriter) Push(fr *frame.Frame) error {
 		return w.dests[p].send(fr)
 	}
 	defer w.ctx.recycle(fr)
-	if w.ctx.EagerDecode {
-		return forEachTuple(fr, func(fields []item.Sequence, raw [][]byte) error {
-			p, err := w.route(fields)
-			if err != nil {
-				return err
-			}
-			return w.ship(p, raw)
-		})
-	}
 	n := uint64(len(w.dests))
-	return forEachTupleView(fr, false, func(lt *frame.LazyTuple) error {
+	return forEachTupleView(fr, func(lt *frame.LazyTuple) error {
 		_, h, err := w.keys.resolve(w.ctx, lt)
 		if err != nil {
 			return err
@@ -647,26 +621,16 @@ func (w *exchangeWriter) ship(p int, raw [][]byte) error {
 	return w.builders[p].emit(raw)
 }
 
-func (w *exchangeWriter) route(fields []item.Sequence) (int, error) {
-	n := len(w.dests)
+// route picks the one destination of a whole-frame (merge or 1:1) exchange.
+func (w *exchangeWriter) route() (int, error) {
 	switch w.exch.Kind {
 	case ExchangeMerge:
 		return 0, nil
 	case ExchangeOneToOne:
-		if w.ctx.Partition >= n {
+		if w.ctx.Partition >= len(w.dests) {
 			return 0, fmt.Errorf("hyracks: 1:1 exchange with mismatched partition counts")
 		}
 		return w.ctx.Partition, nil
-	case ExchangeHash:
-		var h uint64 = 1469598103934665603
-		for _, k := range w.exch.Keys {
-			v, err := k.Eval(w.ctx.RT, runtime.SeqTuple(fields))
-			if err != nil {
-				return 0, err
-			}
-			h = h*1099511628211 ^ item.HashSeq(v)
-		}
-		return int(h % uint64(n)), nil
 	default:
 		return 0, fmt.Errorf("hyracks: unknown exchange kind %v", w.exch.Kind)
 	}
@@ -875,7 +839,7 @@ func scanMorsel(ctx *TaskCtx, sc *scanState, s ScanSource, m morsel) error {
 	if st != nil && m.countsFile {
 		st.FilesRead++
 	}
-	chunk := ctx.RT.ScanChunkSize()
+	chunk := jsonparse.DefaultChunkSize
 	cr := &runtime.CountingReader{R: rc}
 	if sc.lx == nil {
 		sc.lx = jsonparse.NewStreamLexerAt(cr, chunk, base)
@@ -927,7 +891,7 @@ func scanADM(ctx *TaskCtx, sc *scanState, s ScanSource, m morsel) error {
 	if st := ctx.RT.Stats; st != nil {
 		st.FilesRead++
 	}
-	chunk := ctx.RT.ScanChunkSize()
+	chunk := jsonparse.DefaultChunkSize
 	// Small pre-converted documents are common (record-granular ADM); cap the
 	// decode buffer at the file size plus the trailing-bytes probe so a tiny
 	// file does not pay (or account) a full chunk.

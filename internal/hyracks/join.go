@@ -20,10 +20,9 @@ type JoinSpec struct {
 
 // joiner is the runtime state of a hash join within one partition.
 //
-// By default both sides work in the encoded domain: keys are resolved to raw
-// encoded bytes (keyEncoder), hashed with item.HashEncoded, matched byte-wise
-// with the structural EqualEncoded fallback, and build keys are interned in an
-// arena. TaskCtx.EagerDecode selects the decoded reference implementation.
+// Both sides work in the encoded domain: keys are resolved to raw encoded
+// bytes (keyEncoder), hashed with item.HashEncoded, matched byte-wise with the
+// structural EqualEncoded fallback, and build keys are interned in an arena.
 type joiner struct {
 	ctx    *TaskCtx
 	spec   *JoinSpec
@@ -33,36 +32,25 @@ type joiner struct {
 	memPeak    int64
 	collisions int64
 
-	// Encoded mode.
 	buildKeys *keyEncoder
 	probeKeys *keyEncoder
-	etable    map[uint64]*ejoinBucket
+	table     map[uint64]*joinBucket
 	arena     byteArena
 
-	// Out-of-core state (encoded mode only; see spillops.go): root is the
-	// depth-0 wave the exchanges feed. It grows partitions only if the build
-	// table exceeds budget; until then it is the whole in-memory join.
+	// Out-of-core state (see spillops.go): root is the depth-0 wave the
+	// exchanges feed. It grows partitions only if the build table exceeds
+	// budget; until then it is the whole in-memory join.
 	budget     int64
 	root       joinWave
 	arenaBytes int64 // cumulative arena reservations across table resets
 	spill      spillCounts
 	out        [][]byte // scratch: one joined tuple (emit copies what it frames)
-
-	// Eager reference mode.
-	eager bool
-	table map[uint64]*joinBucket
-}
-
-type ejoinBucket struct {
-	key  [][]byte // arena-interned encoded key fields
-	rows []joinRow
-	next *ejoinBucket
 }
 
 type joinBucket struct {
+	key  [][]byte // arena-interned encoded key fields
 	rows []joinRow
 	next *joinBucket
-	key  []item.Sequence
 }
 
 type joinRow struct {
@@ -70,16 +58,14 @@ type joinRow struct {
 }
 
 func newJoiner(ctx *TaskCtx, spec *JoinSpec) *joiner {
-	j := &joiner{ctx: ctx, spec: spec, eager: ctx.EagerDecode}
-	if j.eager {
-		j.table = make(map[uint64]*joinBucket)
-	} else {
-		j.etable = make(map[uint64]*ejoinBucket)
-		j.buildKeys = newKeyEncoder(spec.BuildKeys)
-		j.probeKeys = newKeyEncoder(spec.ProbeKeys)
-		j.budget = ctx.SpillBudget
+	return &joiner{
+		ctx:       ctx,
+		spec:      spec,
+		table:     make(map[uint64]*joinBucket),
+		buildKeys: newKeyEncoder(spec.BuildKeys),
+		probeKeys: newKeyEncoder(spec.ProbeKeys),
+		budget:    ctx.SpillBudget,
 	}
-	return j
 }
 
 // hold charges sz bytes of retained build-table state (released once by
@@ -128,10 +114,7 @@ func (w *joinWave) abort() {
 // out to a partition), so it is recycled on return.
 func (j *joiner) build(fr *frame.Frame) error {
 	defer j.ctx.recycle(fr)
-	if j.eager {
-		return j.buildEager(fr)
-	}
-	return forEachTupleView(fr, false, func(lt *frame.LazyTuple) error {
+	return forEachTupleView(fr, func(lt *frame.LazyTuple) error {
 		return j.buildStep(&j.root, lt)
 	})
 }
@@ -153,7 +136,7 @@ func (j *joiner) buildStep(w *joinWave, lt *frame.LazyTuple) error {
 	if err := j.insertRow(h, kf, lt.Raw()); err != nil {
 		return err
 	}
-	if w.overflows(j.budget, j.memory, len(j.etable)) {
+	if w.overflows(j.budget, j.memory, len(j.table)) {
 		return j.flushTable(w.split(j.ctx, &j.spill))
 	}
 	return nil
@@ -163,7 +146,7 @@ func (j *joiner) buildStep(w *joinWave, lt *frame.LazyTuple) error {
 // the table. kf and raw may alias transient buffers — everything retained is
 // copied.
 func (j *joiner) insertRow(h uint64, kf, raw [][]byte) error {
-	b, err := j.elookup(h, kf)
+	b, err := j.lookup(h, kf)
 	if err != nil {
 		return err
 	}
@@ -176,8 +159,8 @@ func (j *joiner) insertRow(h uint64, kf, raw [][]byte) error {
 				j.hold(grew)
 			}
 		}
-		b = &ejoinBucket{key: stored, next: j.etable[h]}
-		j.etable[h] = b
+		b = &joinBucket{key: stored, next: j.table[h]}
+		j.table[h] = b
 	}
 	stored := make([][]byte, len(raw))
 	var sz int64 = 48
@@ -195,7 +178,7 @@ func (j *joiner) insertRow(h uint64, kf, raw [][]byte) error {
 // contiguously in arrival order, so rebuilding a partition preserves per-key
 // row order — the only order the join output depends on.
 func (j *joiner) flushTable(ps *spillParts) error {
-	for _, b := range j.etable {
+	for _, b := range j.table {
 		for ; b != nil; b = b.next {
 			h, err := chainKeyHash(b.key)
 			if err != nil {
@@ -216,7 +199,7 @@ func (j *joiner) flushTable(ps *spillParts) error {
 // included — it was charged through hold) to the accountant.
 func (j *joiner) resetTable() {
 	j.arenaBytes += j.arena.release()
-	j.etable = make(map[uint64]*ejoinBucket)
+	j.table = make(map[uint64]*joinBucket)
 	j.ctx.releaseHold(j.memory)
 	j.memory = 0
 }
@@ -237,45 +220,8 @@ func (j *joiner) endBuild(w *joinWave) error {
 	return nil
 }
 
-func (j *joiner) buildEager(fr *frame.Frame) error {
-	return forEachTuple(fr, func(fields []item.Sequence, raw [][]byte) error {
-		keys, h, err := j.evalKeys(j.spec.BuildKeys, fields)
-		if err != nil {
-			return err
-		}
-		b := j.lookup(h, keys)
-		if b == nil {
-			b = &joinBucket{key: keys, next: j.table[h]}
-			j.table[h] = b
-		}
-		stored := make([][]byte, len(raw))
-		var sz int64 = 48
-		for i, f := range raw {
-			stored[i] = append([]byte(nil), f...)
-			sz += int64(len(f))
-		}
-		b.rows = append(b.rows, joinRow{raw: stored})
-		j.hold(sz)
-		return nil
-	})
-}
-
-func (j *joiner) evalKeys(keys []runtime.Evaluator, fields []item.Sequence) ([]item.Sequence, uint64, error) {
-	out := make([]item.Sequence, len(keys))
-	var h uint64 = 1469598103934665603
-	for i, k := range keys {
-		v, err := k.Eval(j.ctx.RT, runtime.SeqTuple(fields))
-		if err != nil {
-			return nil, 0, err
-		}
-		out[i] = v
-		h = h*1099511628211 ^ item.HashSeq(v)
-	}
-	return out, h, nil
-}
-
-func (j *joiner) elookup(h uint64, kf [][]byte) (*ejoinBucket, error) {
-	for b := j.etable[h]; b != nil; b = b.next {
+func (j *joiner) lookup(h uint64, kf [][]byte) (*joinBucket, error) {
+	for b := j.table[h]; b != nil; b = b.next {
 		ok, err := matchEncodedKey(b.key, kf)
 		if err != nil {
 			return nil, err
@@ -288,31 +234,11 @@ func (j *joiner) elookup(h uint64, kf [][]byte) (*ejoinBucket, error) {
 	return nil, nil
 }
 
-func (j *joiner) lookup(h uint64, keys []item.Sequence) *joinBucket {
-	for b := j.table[h]; b != nil; b = b.next {
-		match := true
-		for i := range keys {
-			if !item.EqualSeq(b.key[i], keys[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return b
-		}
-		j.collisions++
-	}
-	return nil
-}
-
 // probe feeds one probe-side frame to the root wave, emitting joined tuples
 // through b. The frame is recycled on return.
 func (j *joiner) probe(fr *frame.Frame, b *frameBuilder) error {
 	defer j.ctx.recycle(fr)
-	if j.eager {
-		return j.probeEager(fr, b)
-	}
-	return forEachTupleView(fr, false, func(lt *frame.LazyTuple) error {
+	return forEachTupleView(fr, func(lt *frame.LazyTuple) error {
 		return j.probeStep(&j.root, lt, b)
 	})
 }
@@ -333,7 +259,7 @@ func (j *joiner) probeStep(w *joinWave, lt *frame.LazyTuple, b *frameBuilder) er
 		}
 		return w.probe.writeTo(p, spillTagRaw, lt.Raw())
 	}
-	bucket, err := j.elookup(h, kf)
+	bucket, err := j.lookup(h, kf)
 	if err != nil || bucket == nil {
 		return err
 	}
@@ -390,35 +316,6 @@ func (j *joiner) endProbe(w *joinWave, b *frameBuilder) error {
 		j.resetTable() // the next pair starts from an empty table
 		return err
 	}, bruns, pruns)
-}
-
-func (j *joiner) probeEager(fr *frame.Frame, b *frameBuilder) error {
-	var out [][]byte
-	return forEachTuple(fr, func(fields []item.Sequence, raw [][]byte) error {
-		keys, h, err := j.evalKeys(j.spec.ProbeKeys, fields)
-		if err != nil {
-			return err
-		}
-		bucket := j.lookup(h, keys)
-		if bucket == nil {
-			return nil
-		}
-		// An empty join key (empty sequence) never matches anything, per
-		// comparison semantics: eq with an empty operand is empty/false.
-		for _, k := range keys {
-			if len(k) == 0 {
-				return nil
-			}
-		}
-		for _, row := range bucket.rows {
-			out = append(out[:0], row.raw...)
-			out = append(out, raw...)
-			if err := b.emit(out); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // release frees the accounted build-table memory (arena reservations were

@@ -53,9 +53,10 @@ func newKeyEncoder(evals []runtime.Evaluator) *keyEncoder {
 }
 
 // resolve computes the encoded key fields and combined hash of one tuple.
-// The hash combine matches the decoded path exactly: h starts at
-// 1469598103934665603 and folds each key's sequence hash with h*prime ^ hk,
-// where HashEncoded == HashSeq by the item package's consistency guarantee.
+// The hash combine matches the decoded reference's (refKeyHash) exactly: h
+// starts at 1469598103934665603 and folds each key's sequence hash with
+// h*prime ^ hk, where HashEncoded == HashSeq by the item package's
+// consistency guarantee.
 func (ke *keyEncoder) resolve(ctx *TaskCtx, lt *frame.LazyTuple) ([][]byte, uint64, error) {
 	if ke.cols != nil {
 		nraw := lt.RawFieldCount()

@@ -98,7 +98,7 @@ func (o *assignOp) Push(fr *frame.Frame) error {
 		proj [][]byte
 		enc  []byte
 	)
-	return forEachTupleView(fr, o.ctx.EagerDecode, func(lt *frame.LazyTuple) error {
+	return forEachTupleView(fr, func(lt *frame.LazyTuple) error {
 		out = append(out[:0], lt.Raw()...)
 		enc = enc[:0]
 		for _, ev := range o.spec.Evals {
@@ -149,7 +149,7 @@ type selectOp struct {
 func (o *selectOp) Push(fr *frame.Frame) error {
 	defer o.ctx.recycle(fr)
 	var proj [][]byte
-	return forEachTupleView(fr, o.ctx.EagerDecode, func(lt *frame.LazyTuple) error {
+	return forEachTupleView(fr, func(lt *frame.LazyTuple) error {
 		v, err := o.spec.Cond.Eval(o.ctx.RT, lt)
 		if err != nil {
 			return err
@@ -198,7 +198,7 @@ func (o *unnestOp) Push(fr *frame.Frame) error {
 		proj [][]byte
 		enc  []byte
 	)
-	return forEachTupleView(fr, o.ctx.EagerDecode, func(lt *frame.LazyTuple) error {
+	return forEachTupleView(fr, func(lt *frame.LazyTuple) error {
 		v, err := o.spec.Expr.Eval(o.ctx.RT, lt)
 		if err != nil {
 			return err
@@ -337,6 +337,15 @@ func stepStates(ctx *TaskCtx, aggs []AggDef, fastCols []int, states []runtime.Ag
 	return nil
 }
 
+// newAggStates returns a fresh state for every aggregate.
+func newAggStates(aggs []AggDef) []runtime.AggState {
+	states := make([]runtime.AggState, len(aggs))
+	for i, a := range aggs {
+		states[i] = a.Fn.New()
+	}
+	return states
+}
+
 func colOf(cols []int, i int) int {
 	if cols == nil {
 		return -1
@@ -368,19 +377,14 @@ type aggregateOp struct {
 }
 
 func (o *aggregateOp) Open() error {
-	o.states = make([]runtime.AggState, len(o.spec.Aggs))
-	for i, a := range o.spec.Aggs {
-		o.states[i] = a.Fn.New()
-	}
-	if !o.ctx.EagerDecode {
-		o.fastCols = countFastCols(o.spec.Aggs)
-	}
+	o.states = newAggStates(o.spec.Aggs)
+	o.fastCols = countFastCols(o.spec.Aggs)
 	return o.out.Open()
 }
 
 func (o *aggregateOp) Push(fr *frame.Frame) error {
 	defer o.ctx.recycle(fr)
-	return forEachTupleView(fr, o.ctx.EagerDecode, func(lt *frame.LazyTuple) error {
+	return forEachTupleView(fr, func(lt *frame.LazyTuple) error {
 		return stepStates(o.ctx, o.spec.Aggs, o.fastCols, o.states, lt, nil)
 	})
 }
@@ -406,13 +410,12 @@ func (o *aggregateOp) Close() error {
 // tuple per group is emitted carrying the key fields then the aggregate
 // fields.
 //
-// The default implementation works entirely in the encoded domain: key
-// fields are resolved to raw encoded bytes (sliced from the tuple for
-// column keys), hashed with item.HashEncoded, matched byte-wise against the
-// bucket chain (item.EqualEncoded on byte mismatch), and interned into a
-// per-operator arena when a group is created. Tuples whose keys hit an
-// existing group touch no decoded items at all. TaskCtx.EagerDecode selects
-// the decoded-sequence reference implementation instead.
+// The operator works entirely in the encoded domain: key fields are resolved
+// to raw encoded bytes (sliced from the tuple for column keys), hashed with
+// item.HashEncoded, matched byte-wise against the bucket chain
+// (item.EqualEncoded on byte mismatch), and interned into a per-operator
+// arena when a group is created. Tuples whose keys hit an existing group
+// touch no decoded items at all.
 type GroupBySpec struct {
 	Keys []runtime.Evaluator
 	Aggs []AggDef
@@ -427,17 +430,9 @@ func (s *GroupBySpec) Build(ctx *TaskCtx, out Writer) Writer {
 	return &groupByOp{ctx: ctx, spec: s, out: out}
 }
 
-// egroup is one group of the encoded-mode table.
-type egroup struct {
-	keyFields [][]byte // arena-interned encoded key fields
-	states    []runtime.AggState
-	next      *egroup // hash-chain for collision handling
-}
-
-// group is one group of the eager reference table.
+// group is one group of the table.
 type group struct {
-	keyFields [][]byte
-	keySeqs   []item.Sequence
+	keyFields [][]byte // encoded key fields (arena-interned by groupByOp)
 	states    []runtime.AggState
 	next      *group // hash-chain for collision handling
 }
@@ -447,24 +442,17 @@ type groupByOp struct {
 	spec *GroupBySpec
 	out  Writer
 
-	// Encoded mode.
 	keys     *keyEncoder
 	fastCols []int
-	etable   map[uint64]*egroup
-	eorder   []*egroup // insertion order for deterministic output
+	table    map[uint64]*group
+	order    []*group // insertion order for deterministic output
 	arena    byteArena
-
-	// Eager reference mode.
-	eager      bool
-	table      map[uint64]*group
-	order      []*group // insertion order for deterministic output
-	keyScratch []item.Sequence
 
 	memory int64 // bytes the table and arena hold (released when they reset)
 
-	// Out-of-core state (encoded mode only; see spillops.go): root is the
-	// depth-0 wave Push feeds. It grows partition writers only if the held
-	// table exceeds budget; until then it is the whole in-memory operator.
+	// Out-of-core state (see spillops.go): root is the depth-0 wave Push
+	// feeds. It grows partition writers only if the held table exceeds
+	// budget; until then it is the whole in-memory operator.
 	budget int64 // per-operator byte budget; 0 = never spill
 	root   wave
 	spill  spillCounts
@@ -494,22 +482,16 @@ func (o *groupByOp) profExtras(x *opExtras) {
 }
 
 func (o *groupByOp) Open() error {
-	o.eager = o.ctx.EagerDecode
-	if o.eager {
-		o.table = make(map[uint64]*group)
-	} else {
-		o.etable = make(map[uint64]*egroup)
-		o.keys = newKeyEncoder(o.spec.Keys)
-		o.fastCols = countFastCols(o.spec.Aggs)
-		o.keyScratch = nil
-		o.budget = o.ctx.SpillBudget
-		// Spilling snapshots and re-merges every aggregate state; an
-		// aggregate that cannot pins the operator to the in-memory path.
-		for _, a := range o.spec.Aggs {
-			if _, ok := a.Fn.New().(runtime.SpillableState); !ok {
-				o.budget = 0
-				break
-			}
+	o.table = make(map[uint64]*group)
+	o.keys = newKeyEncoder(o.spec.Keys)
+	o.fastCols = countFastCols(o.spec.Aggs)
+	o.budget = o.ctx.SpillBudget
+	// Spilling snapshots and re-merges every aggregate state; an aggregate
+	// that cannot pins the operator to the in-memory path.
+	for _, a := range o.spec.Aggs {
+		if _, ok := a.Fn.New().(runtime.SpillableState); !ok {
+			o.budget = 0
+			break
 		}
 	}
 	return o.out.Open()
@@ -517,10 +499,7 @@ func (o *groupByOp) Open() error {
 
 func (o *groupByOp) Push(fr *frame.Frame) error {
 	defer o.ctx.recycle(fr)
-	if o.eager {
-		return o.pushEager(fr)
-	}
-	return forEachTupleView(fr, false, func(lt *frame.LazyTuple) error {
+	return forEachTupleView(fr, func(lt *frame.LazyTuple) error {
 		return o.step(&o.root, spillTagRaw, lt)
 	})
 }
@@ -559,7 +538,7 @@ func (o *groupByOp) step(w *wave, tag byte, lt *frame.LazyTuple) error {
 	if w.child != nil {
 		return w.child.write(h, tag, lt.Raw())
 	}
-	g, err := o.elookup(h, kf)
+	g, err := o.lookup(h, kf)
 	if err != nil {
 		return err
 	}
@@ -574,7 +553,7 @@ func (o *groupByOp) step(w *wave, tag byte, lt *frame.LazyTuple) error {
 	if err != nil {
 		return err
 	}
-	if w.overflows(o.budget, o.memory, len(o.eorder)) {
+	if w.overflows(o.budget, o.memory, len(o.order)) {
 		return o.flushGroups(w.split(o.ctx, &o.spill))
 	}
 	return nil
@@ -582,7 +561,7 @@ func (o *groupByOp) step(w *wave, tag byte, lt *frame.LazyTuple) error {
 
 // mergePartial folds a partial record's aggregate snapshots into the group's
 // states.
-func (o *groupByOp) mergePartial(g *egroup, snaps [][]byte) error {
+func (o *groupByOp) mergePartial(g *group, snaps [][]byte) error {
 	for i, st := range g.states {
 		snap, err := item.DecodeSeq(snaps[i])
 		if err != nil {
@@ -602,7 +581,7 @@ func (o *groupByOp) mergePartial(g *egroup, snaps [][]byte) error {
 // newGroup interns the key bytes in the arena, charges the hold (the arena
 // reports whole-chunk reservations as they happen, so interned keys are
 // charged like the other holds), and chains the fresh group into the table.
-func (o *groupByOp) newGroup(h uint64, kf [][]byte) *egroup {
+func (o *groupByOp) newGroup(h uint64, kf [][]byte) *group {
 	stored := make([][]byte, len(kf))
 	var sz int64 = 64
 	for i, f := range kf {
@@ -610,12 +589,9 @@ func (o *groupByOp) newGroup(h uint64, kf [][]byte) *egroup {
 		stored[i] = cp
 		sz += grew
 	}
-	g := &egroup{keyFields: stored, states: make([]runtime.AggState, len(o.spec.Aggs)), next: o.etable[h]}
-	for i, a := range o.spec.Aggs {
-		g.states[i] = a.Fn.New()
-	}
-	o.etable[h] = g
-	o.eorder = append(o.eorder, g)
+	g := &group{keyFields: stored, states: newAggStates(o.spec.Aggs), next: o.table[h]}
+	o.table[h] = g
+	o.order = append(o.order, g)
 	o.hold(sz) // charged until the table resets
 	return g
 }
@@ -628,7 +604,7 @@ func (o *groupByOp) newGroup(h uint64, kf [][]byte) *egroup {
 // arrival order (float sums stay bit-identical to the in-memory path).
 func (o *groupByOp) flushGroups(ps *spillParts) error {
 	var fields [][]byte
-	for _, g := range o.eorder {
+	for _, g := range o.order {
 		fields = append(fields[:0], g.keyFields...)
 		for _, st := range g.states {
 			snap, err := st.(runtime.SpillableState).Snapshot()
@@ -653,14 +629,14 @@ func (o *groupByOp) flushGroups(ps *spillParts) error {
 // growth included — it was charged through hold) to the accountant.
 func (o *groupByOp) resetTable() {
 	o.arenaBytes += o.arena.release()
-	o.etable = make(map[uint64]*egroup)
-	o.eorder = o.eorder[:0]
+	o.table = make(map[uint64]*group)
+	o.order = o.order[:0]
 	o.ctx.releaseHold(o.memory)
 	o.memory = 0
 }
 
-func (o *groupByOp) elookup(h uint64, kf [][]byte) (*egroup, error) {
-	for g := o.etable[h]; g != nil; g = g.next {
+func (o *groupByOp) lookup(h uint64, kf [][]byte) (*group, error) {
+	for g := o.table[h]; g != nil; g = g.next {
 		ok, err := matchEncodedKey(g.keyFields, kf)
 		if err != nil {
 			return nil, err
@@ -671,77 +647,6 @@ func (o *groupByOp) elookup(h uint64, kf [][]byte) (*egroup, error) {
 		o.collisions++ // a chain entry with this hash but a different key
 	}
 	return nil, nil
-}
-
-// pushEager is the decoded-sequence reference implementation: every field is
-// decoded, keys are evaluated into sequences, hashed with item.HashSeq and
-// chain-matched with item.EqualSeq — the pre-lazy pipeline, kept for
-// differential testing and as the benchmark baseline.
-func (o *groupByOp) pushEager(fr *frame.Frame) error {
-	if cap(o.keyScratch) < len(o.spec.Keys) {
-		o.keyScratch = make([]item.Sequence, len(o.spec.Keys))
-	}
-	keyScratch := o.keyScratch[:len(o.spec.Keys)]
-	return forEachTuple(fr, func(fields []item.Sequence, _ [][]byte) error {
-		tup := runtime.SeqTuple(fields)
-		var h uint64 = 1469598103934665603
-		for i, k := range o.spec.Keys {
-			v, err := k.Eval(o.ctx.RT, tup)
-			if err != nil {
-				return err
-			}
-			keyScratch[i] = v
-			h = h*1099511628211 ^ item.HashSeq(v)
-		}
-		g := o.lookup(h, keyScratch)
-		if g == nil {
-			keySeqs := append([]item.Sequence(nil), keyScratch...)
-			g = &group{keySeqs: keySeqs, states: make([]runtime.AggState, len(o.spec.Aggs))}
-			g.keyFields = frame.EncodeFields(keySeqs)
-			for i, a := range o.spec.Aggs {
-				g.states[i] = a.Fn.New()
-			}
-			g.next = o.table[h]
-			o.table[h] = g
-			o.order = append(o.order, g)
-			var sz int64 = 64
-			for _, kf := range g.keyFields {
-				sz += int64(len(kf))
-			}
-			o.hold(sz) // charged until close; released in Close
-		}
-		for i, a := range o.spec.Aggs {
-			v, err := a.Arg.Eval(o.ctx.RT, tup)
-			if err != nil {
-				return err
-			}
-			before := g.states[i].Size()
-			if err := g.states[i].Step(v); err != nil {
-				return err
-			}
-			if grew := g.states[i].Size() - before; grew > 0 {
-				o.hold(grew)
-			}
-		}
-		return nil
-	})
-}
-
-func (o *groupByOp) lookup(h uint64, keySeqs []item.Sequence) *group {
-	for g := o.table[h]; g != nil; g = g.next {
-		match := true
-		for i := range keySeqs {
-			if !item.EqualSeq(g.keySeqs[i], keySeqs[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return g
-		}
-		o.collisions++
-	}
-	return nil
 }
 
 func (o *groupByOp) Close() error {
@@ -764,7 +669,7 @@ func (o *groupByOp) Close() error {
 // and reduces each run as a wave one level down, on a depth-rotated hash.
 func (o *groupByOp) finish(w *wave, b *frameBuilder) error {
 	if w.child == nil {
-		return o.emitGroups(b)
+		return emitGroups(b, o.order)
 	}
 	runs, err := w.seal()
 	if err != nil {
@@ -786,34 +691,23 @@ func (o *groupByOp) finish(w *wave, b *frameBuilder) error {
 }
 
 // emitGroups writes one tuple per group — key fields then finished
-// aggregates — in insertion order, which is identical between the encoded
-// and eager modes (it does not depend on the hash function). The emitted key
-// bytes are identical too: column keys pass through the canonical encoding
-// unchanged, and computed keys are encoded exactly as the eager
-// frame.EncodeFields would.
-func (o *groupByOp) emitGroups(b *frameBuilder) error {
+// aggregates — in the given (insertion) order, which does not depend on the
+// hash function; the decoded reference in opbench.go emits through it too.
+// The key bytes are canonical: column keys pass through the canonical
+// encoding unchanged, and computed keys are encoded exactly as
+// frame.EncodeFields encodes the decoded key sequences.
+func emitGroups(b *frameBuilder, groups []*group) error {
 	var out [][]byte
-	emit := func(keyFields [][]byte, states []runtime.AggState) error {
-		out = append(out[:0], keyFields...)
-		for _, st := range states {
+	for _, g := range groups {
+		out = append(out[:0], g.keyFields...)
+		for _, st := range g.states {
 			v, err := st.Finish()
 			if err != nil {
 				return err
 			}
 			out = append(out, item.EncodeSeq(nil, v))
 		}
-		return b.emit(out)
-	}
-	if o.eager {
-		for _, g := range o.order {
-			if err := emit(g.keyFields, g.states); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, g := range o.eorder {
-		if err := emit(g.keyFields, g.states); err != nil {
+		if err := b.emit(out); err != nil {
 			return err
 		}
 	}
@@ -942,9 +836,7 @@ type sortOp struct {
 }
 
 func (o *sortOp) Open() error {
-	if !o.ctx.EagerDecode {
-		o.budget = o.ctx.SpillBudget
-	}
+	o.budget = o.ctx.SpillBudget
 	return o.out.Open()
 }
 
@@ -1030,7 +922,7 @@ func (o *sortOp) spillSortedRun() error {
 
 func (o *sortOp) Push(fr *frame.Frame) error {
 	defer o.ctx.recycle(fr)
-	err := forEachTupleView(fr, o.ctx.EagerDecode, func(lt *frame.LazyTuple) error {
+	err := forEachTupleView(fr, func(lt *frame.LazyTuple) error {
 		keys := make([]item.Sequence, len(o.spec.Keys))
 		for i, k := range o.spec.Keys {
 			v, err := k.Key.Eval(o.ctx.RT, lt)

@@ -73,19 +73,3 @@ func TestScanErrorNamesFileAndOffset(t *testing.T) {
 		}
 	}
 }
-
-// TestScanHonoursEnvChunkSize: the chunk size plumbed through Env must reach
-// the accountant charge (a larger configured chunk raises the floor).
-func TestScanHonoursEnvChunkSize(t *testing.T) {
-	big := 256 << 10
-	src := &runtime.MemSource{Collections: map[string]map[string][]byte{
-		"/sensors": {"f.json": bigSensorFile(1 << 10)},
-	}}
-	res, err := RunStaged(scanJob(1, measurementsPath()), &Env{Source: src, ChunkSize: big})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PeakMemory < int64(big) {
-		t.Errorf("PeakMemory = %d, want >= configured chunk %d", res.PeakMemory, big)
-	}
-}

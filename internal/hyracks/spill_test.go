@@ -288,25 +288,6 @@ func TestSpillSortStability(t *testing.T) {
 	checkNoSpillFiles(t, "sort-stability", dir)
 }
 
-// TestSpillEagerModeNeverSpills: the eager reference mode keeps decoded
-// items, which cannot round-trip through raw-byte spill files; budgets must
-// be ignored there rather than corrupt results.
-func TestSpillEagerModeNeverSpills(t *testing.T) {
-	src := bigSource(100)
-	res, err := RunStaged(scanJob(1, measurementsPath(), bigGroupBy()),
-		&Env{Source: src, EagerReference: true,
-			OpMemoryBudget: spillBudget, SpillDir: t.TempDir(), SpillPartitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.SpilledBytes != 0 {
-		t.Errorf("eager mode spilled %d bytes, want 0", res.Stats.SpilledBytes)
-	}
-	if len(res.Rows) != 100 {
-		t.Errorf("groups = %d, want 100", len(res.Rows))
-	}
-}
-
 // TestSpillHygieneAndBalanceOnError injects failures downstream of each
 // spilling operator (an out-of-range project fails the first emitted tuple,
 // after runs already exist on disk) and mid-scan (a corrupt file aborts the

@@ -38,21 +38,13 @@ type Writer interface {
 type TaskCtx struct {
 	RT        *runtime.Ctx
 	Partition int
-	FrameSize int
-	// EagerDecode switches the operators to their eager reference
-	// implementations: every field of every tuple is decoded before the
-	// operator runs, and group-by/exchange/join hash and compare decoded
-	// sequences. It reproduces the pre-lazy pipeline for differential tests
-	// and benchmarks, mirroring jsonparse's SkipTokens.
-	EagerDecode bool
 	// Pool recycles output frames across operators and tasks (may be nil,
-	// in which case frames are plainly allocated and never returned).
+	// in which case default-size frames are plainly allocated and never
+	// returned).
 	Pool *frame.Pool
 	// SpillDir, SpillBudget and SpillFanout configure the out-of-core layer
 	// (copied from Env.SpillDir / Env.OpMemoryBudget / Env.SpillPartitions).
-	// With SpillBudget 0 the blocking operators never spill. Eager reference
-	// mode never spills either — it stays the pure in-memory baseline the
-	// differential tests compare against.
+	// With SpillBudget 0 the blocking operators never spill.
 	SpillDir    string
 	SpillBudget int64
 	SpillFanout int
@@ -70,16 +62,6 @@ type TaskCtx struct {
 	prof *taskProf
 }
 
-func (c *TaskCtx) frameSize() int {
-	if c.FrameSize > 0 {
-		return c.FrameSize
-	}
-	if c.RT != nil && c.RT.FrameSize > 0 {
-		return c.RT.FrameSize
-	}
-	return frame.DefaultFrameSize
-}
-
 // newFrame obtains an empty output frame, recycled when a pool is present.
 // Ownership rule (see DESIGN.md): ownership transfers with Push, and the
 // receiver — the operator or sink that consumed the frame's tuples — returns
@@ -88,7 +70,7 @@ func (c *TaskCtx) newFrame() *frame.Frame {
 	if c.Pool != nil {
 		return c.Pool.Get()
 	}
-	return frame.New(c.frameSize())
+	return frame.New(frame.DefaultFrameSize)
 }
 
 // recycle returns a consumed frame to the pool (a no-op without one).
@@ -211,13 +193,11 @@ func forEachTuple(fr *frame.Frame, f func(fields []item.Sequence, raw [][]byte) 
 
 // forEachTupleView iterates a frame through a lazy tuple view: fields are
 // decoded only when the callback asks for them (and memoized per tuple).
-// With eager set, every field is decoded up front — the reference mode that
-// reproduces the pre-lazy forEachTuple behaviour. The view is rebound from
-// tuple to tuple; a callback must not retain it across calls (sequences
-// obtained from Field are stable and may be retained). The view lives on
-// this call's stack, so nested iteration (a subplan pushing an inner frame
-// mid-callback) is safe.
-func forEachTupleView(fr *frame.Frame, eager bool, f func(lt *frame.LazyTuple) error) error {
+// The view is rebound from tuple to tuple; a callback must not retain it
+// across calls (sequences obtained from Field are stable and may be
+// retained). The view lives on this call's stack, so nested iteration (a
+// subplan pushing an inner frame mid-callback) is safe.
+func forEachTupleView(fr *frame.Frame, f func(lt *frame.LazyTuple) error) error {
 	var (
 		raw [][]byte
 		lt  frame.LazyTuple
@@ -229,11 +209,6 @@ func forEachTupleView(fr *frame.Frame, eager bool, f func(lt *frame.LazyTuple) e
 			return err
 		}
 		lt.Reset(raw)
-		if eager {
-			if err := lt.DecodeAll(); err != nil {
-				return err
-			}
-		}
 		if err := f(&lt); err != nil {
 			return err
 		}

@@ -133,10 +133,6 @@ type Lexer struct {
 	// from the per-record path (see internStringItem).
 	strItems map[string]item.Item
 
-	// skipMode selects how discarded subtrees are consumed: the structural
-	// index kernel (the default) or the token-level reference. See SkipMode.
-	skipMode SkipMode
-
 	// Current token state, valid after Next.
 	Kind TokenKind
 	// str is the decoded string value when Kind==TokString: a view into the
@@ -198,24 +194,6 @@ func (l *Lexer) ResetStream(r io.Reader, base int64) {
 	l.eof = false
 	l.Kind, l.str, l.numRaw = TokEOF, nil, nil
 }
-
-// SkipMode selects the implementation used to consume subtrees a projection
-// discards. Production code leaves the default; the token mode exists as the
-// differential oracle and the before/after benchmark baseline.
-type SkipMode uint8
-
-const (
-	// SkipIndexed (the default) navigates the SWAR structural index
-	// (structidx.go), jumping from one state-changing byte to the next a
-	// word at a time, at every chunk size.
-	SkipIndexed SkipMode = iota
-	// SkipTokens drives the tokenizer through every token of the skipped
-	// value: the slow differential oracle.
-	SkipTokens
-)
-
-// SetSkipMode selects the skip implementation (see SkipMode).
-func (l *Lexer) SetSkipMode(m SkipMode) { l.skipMode = m }
 
 // StrBytes returns the decoded string value of the current TokString token
 // as a byte-slice view. The view is only valid until the lexer next
@@ -758,15 +736,8 @@ func (l *Lexer) scanString() ([]byte, error) {
 // straight to the structural skip. On return the lexer's token state is the
 // value's closing token where that is cheap to report (containers, strings)
 // and unspecified otherwise; callers always advance with Next before reading
-// tokens again. In SkipTokens mode it runs the tokenizer over the whole
-// value, making it the same differential surface as SkipValueRaw.
+// tokens again.
 func (l *Lexer) SkipNextValue() error {
-	if l.skipMode == SkipTokens {
-		if err := l.Next(); err != nil {
-			return err
-		}
-		return skipValue(l)
-	}
 	if err := l.skipSpace(); err != nil {
 		return err
 	}
@@ -835,8 +806,8 @@ func (l *Lexer) SkipNextValue() error {
 			}
 		}
 		// Literals keep full tokenization: the checks are cheap relative to
-		// the dispatch, and reusing Next keeps the token-mode extents (and
-		// errors) exactly aligned.
+		// the dispatch, and reusing Next keeps the extents (and errors)
+		// exactly aligned with the tokenizer's.
 		if err := l.Next(); err != nil {
 			return err
 		}
@@ -903,9 +874,6 @@ func (l *Lexer) skipStringRaw() error {
 // edge, and every malformed shape fall back to the tokenizer, which owns the
 // error reporting. The view is valid until the lexer next advances.
 func (l *Lexer) objectMember(first bool) (key []byte, closed bool, err error) {
-	if l.skipMode == SkipTokens {
-		return l.objectMemberTokens(first)
-	}
 	if err := l.skipSpace(); err != nil {
 		return nil, false, err
 	}
@@ -994,45 +962,6 @@ func (l *Lexer) objectMember(first bool) (key []byte, closed bool, err error) {
 	}
 	// The colon advance below may refill and compact the chunk buffer, so
 	// the key must be copied out of it first (l.str is a zero-copy view).
-	l.keyScratch = append(l.keyScratch[:0], l.str...)
-	if err := l.Next(); err != nil {
-		return nil, false, err
-	}
-	if l.Kind != TokColon {
-		return nil, false, fmt.Errorf("json: offset %d: expected ':', got %s", l.Offset(), l.Kind)
-	}
-	return l.keyScratch, false, nil
-}
-
-// objectMemberTokens is the token-mode twin of objectMember: every member
-// boundary, key and colon is consumed through Next, so reference-mode runs
-// pay full tokenization and the differential suite exercises a pure
-// token-level surface.
-func (l *Lexer) objectMemberTokens(first bool) (key []byte, closed bool, err error) {
-	if !first {
-		if err := l.Next(); err != nil {
-			return nil, false, err
-		}
-		switch l.Kind {
-		case TokComma:
-		case TokRBrace:
-			return nil, true, nil
-		default:
-			return nil, false, fmt.Errorf("json: offset %d: expected ',' or '}', got %s", l.Offset(), l.Kind)
-		}
-	}
-	if err := l.Next(); err != nil {
-		return nil, false, err
-	}
-	if l.Kind == TokRBrace {
-		if !first {
-			return nil, false, fmt.Errorf("json: offset %d: expected object key, got %s", l.Offset(), l.Kind)
-		}
-		return nil, true, nil
-	}
-	if l.Kind != TokString {
-		return nil, false, fmt.Errorf("json: offset %d: expected object key, got %s", l.Offset(), l.Kind)
-	}
 	l.keyScratch = append(l.keyScratch[:0], l.str...)
 	if err := l.Next(); err != nil {
 		return nil, false, err

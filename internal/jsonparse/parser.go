@@ -163,61 +163,3 @@ func (l *Lexer) internStringItem() item.Item {
 	}
 	return it
 }
-
-// skipCurrent consumes the value whose first token is the current token
-// without materializing anything; on return the current token is the
-// value's last token. It normally runs the structural raw scan
-// (Lexer.SkipValueRaw); a lexer put in token-reference mode (SkipTokens)
-// uses the token-level skipValue instead, which differential tests and the
-// before/after benchmarks compare against.
-func skipCurrent(l *Lexer) error {
-	if l.skipMode == SkipTokens {
-		return skipValue(l)
-	}
-	return l.SkipValueRaw()
-}
-
-// skipValue is the token-level reference skip: it drives the lexer through
-// every token of the skipped value. It costs full tokenization (escape
-// decoding, number shape checks) and exists as the differential-testing
-// oracle for SkipValueRaw.
-func skipValue(l *Lexer) error {
-	switch l.Kind {
-	case TokNull, TokTrue, TokFalse, TokNumber, TokString:
-		return nil
-	case TokLBracket:
-		depth := 1
-		for depth > 0 {
-			if err := l.Next(); err != nil {
-				return err
-			}
-			switch l.Kind {
-			case TokLBracket, TokLBrace:
-				depth++
-			case TokRBracket, TokRBrace:
-				depth--
-			case TokEOF:
-				return fmt.Errorf("json: unexpected end of input in array")
-			}
-		}
-		return nil
-	case TokLBrace:
-		depth := 1
-		for depth > 0 {
-			if err := l.Next(); err != nil {
-				return err
-			}
-			switch l.Kind {
-			case TokLBracket, TokLBrace:
-				depth++
-			case TokRBracket, TokRBrace:
-				depth--
-			case TokEOF:
-				return fmt.Errorf("json: unexpected end of input in object")
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("json: offset %d: unexpected token %s", l.Offset(), l.Kind)
-	}
-}

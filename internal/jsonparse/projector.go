@@ -303,7 +303,7 @@ func projectValue(l *Lexer, path Path, emit func(item.Item) error) error {
 		case StepMembers:
 			return projectObjectKeys(l, rest, emit)
 		default: // StepIndex on an object yields nothing.
-			return skipCurrent(l)
+			return l.SkipValueRaw()
 		}
 	case TokLBracket:
 		switch step.Kind {
@@ -312,11 +312,11 @@ func projectValue(l *Lexer, path Path, emit func(item.Item) error) error {
 		case StepIndex:
 			return projectArrayIndex(l, step.Index, rest, emit)
 		default: // StepKey on an array yields nothing.
-			return skipCurrent(l)
+			return l.SkipValueRaw()
 		}
 	default:
 		// A scalar with remaining path steps yields nothing.
-		return skipCurrent(l)
+		return l.SkipValueRaw()
 	}
 }
 
@@ -427,7 +427,7 @@ func projectArrayIndex(l *Lexer, index int, rest Path, emit func(item.Item) erro
 			if err := projectValue(l, rest, emit); err != nil {
 				return err
 			}
-		} else if err := skipCurrent(l); err != nil {
+		} else if err := l.SkipValueRaw(); err != nil {
 			return err
 		}
 		if err := l.Next(); err != nil {

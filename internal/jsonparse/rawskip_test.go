@@ -20,20 +20,16 @@ import (
 // all). Chunk 0 selects the in-memory slice lexer instead of a stream lexer.
 var skipChunkSizes = []int{0, 7, 63, 64, 65, 4096}
 
-// skipModes are the two skip implementations the differential compares: the
-// token-level oracle and the SWAR structural-index kernel.
-var skipModes = []SkipMode{SkipTokens, SkipIndexed}
-
-// runSkipMode tokenizes the first token of data and skips the first value in
-// the requested mode, returning the absolute end offset of the skipped value.
-func runSkipMode(data []byte, chunk int, mode SkipMode) (int, error) {
+// runSkip tokenizes the first token of data and skips the first value —
+// through the token-level oracle when tokens is set, else SkipValueRaw —
+// returning the absolute end offset of the skipped value.
+func runSkip(data []byte, chunk int, tokens bool) (int, error) {
 	var l *Lexer
 	if chunk == 0 {
 		l = NewLexer(data)
 	} else {
 		l = NewStreamLexer(bytes.NewReader(data), chunk)
 	}
-	l.SetSkipMode(mode)
 	if err := l.Next(); err != nil {
 		return l.Offset(), err
 	}
@@ -41,12 +37,57 @@ func runSkipMode(data []byte, chunk int, mode SkipMode) (int, error) {
 		return l.Offset(), fmt.Errorf("empty input")
 	}
 	var err error
-	if mode == SkipTokens {
+	if tokens {
 		err = skipValue(l)
 	} else {
 		err = l.SkipValueRaw()
 	}
 	return l.Offset(), err
+}
+
+// skipValue is the token-level reference skip, the differential oracle for
+// SkipValueRaw: it drives the lexer through every token of the skipped value
+// (escape decoding, number shape checks). On return the current token is the
+// value's last token.
+func skipValue(l *Lexer) error {
+	switch l.Kind {
+	case TokNull, TokTrue, TokFalse, TokNumber, TokString:
+		return nil
+	case TokLBracket:
+		depth := 1
+		for depth > 0 {
+			if err := l.Next(); err != nil {
+				return err
+			}
+			switch l.Kind {
+			case TokLBracket, TokLBrace:
+				depth++
+			case TokRBracket, TokRBrace:
+				depth--
+			case TokEOF:
+				return fmt.Errorf("json: unexpected end of input in array")
+			}
+		}
+		return nil
+	case TokLBrace:
+		depth := 1
+		for depth > 0 {
+			if err := l.Next(); err != nil {
+				return err
+			}
+			switch l.Kind {
+			case TokLBracket, TokLBrace:
+				depth++
+			case TokRBracket, TokRBrace:
+				depth--
+			case TokEOF:
+				return fmt.Errorf("json: unexpected end of input in object")
+			}
+		}
+		return nil
+	default:
+		return fmt.Errorf("json: offset %d: unexpected token %s", l.Offset(), l.Kind)
+	}
 }
 
 // jsonOracleExtent decodes the first value of data with encoding/json,
@@ -78,8 +119,8 @@ func jsonOracleExtent(data []byte) (end int, ok bool) {
 //     permissive, never less).
 func checkSkipAgreement(t *testing.T, data []byte, chunk int) {
 	t.Helper()
-	endTok, errTok := runSkipMode(data, chunk, SkipTokens)
-	endRaw, errRaw := runSkipMode(data, chunk, SkipIndexed)
+	endTok, errTok := runSkip(data, chunk, true)
+	endRaw, errRaw := runSkip(data, chunk, false)
 	if errTok == nil {
 		if errRaw != nil {
 			t.Fatalf("chunk %d: token-skip ok (end %d) but raw-skip failed on %q: %v",
@@ -182,6 +223,22 @@ func TestRawSkipDifferentialCorpus(t *testing.T) {
 	}
 }
 
+// TestRawSkipErrorTextAtMinimumWindow is the skip differential's error-text
+// case: a stream lexer at the 64-byte minimum window runs the raw skip and
+// agrees with the token-level oracle byte for byte — extent on the valid
+// record, error text on the structurally broken ones (the errors both skips
+// can see).
+func TestRawSkipErrorTextAtMinimumWindow(t *testing.T) {
+	record := `{"id":1,"note":"` + strings.Repeat(`pad \\\" `, 20) + `","nested":{"a":[1,2,{"b":null}]}}`
+	for _, src := range []string{record, record[:len(record)-2], record[:40], "[\"ctl\x01\"]"} {
+		endRaw, errRaw := runSkip([]byte(src), 64, false)
+		endTok, errTok := runSkip([]byte(src), 64, true)
+		if endRaw != endTok || fmt.Sprint(errRaw) != fmt.Sprint(errTok) {
+			t.Errorf("%q: raw (%d, %v) != tokens (%d, %v)", src, endRaw, errRaw, endTok, errTok)
+		}
+	}
+}
+
 // TestRawSkipStructuralErrors pins the malformed inputs the raw scan must
 // still detect: truncation, unterminated strings, control characters.
 func TestRawSkipStructuralErrors(t *testing.T) {
@@ -191,7 +248,7 @@ func TestRawSkipStructuralErrors(t *testing.T) {
 	}
 	for _, src := range bad {
 		for _, chunk := range skipChunkSizes {
-			if _, err := runSkipMode([]byte(src), chunk, SkipIndexed); err == nil {
+			if _, err := runSkip([]byte(src), chunk, false); err == nil {
 				t.Errorf("chunk %d: raw-skip accepted structurally broken %q", chunk, src)
 			}
 		}
@@ -239,8 +296,8 @@ func TestQuickRawSkipMatchesTokenSkip(t *testing.T) {
 	f := func(dp docAndPath) bool {
 		src := []byte(item.JSON(dp.Doc))
 		for _, chunk := range skipChunkSizes {
-			endTok, errTok := runSkipMode(src, chunk, SkipTokens)
-			endRaw, errRaw := runSkipMode(src, chunk, SkipIndexed)
+			endTok, errTok := runSkip(src, chunk, true)
+			endRaw, errRaw := runSkip(src, chunk, false)
 			if errTok != nil || errRaw != nil || endTok != endRaw {
 				t.Logf("doc=%s chunk=%d: token(%d,%v) raw(%d,%v)",
 					src, chunk, endTok, errTok, endRaw, errRaw)
@@ -255,8 +312,9 @@ func TestQuickRawSkipMatchesTokenSkip(t *testing.T) {
 }
 
 // TestQuickScanValuesModeEquivalence: a projected NDJSON scan (the morsel
-// hot path) emits the same sequence whether subtrees are skipped by the raw
-// scan or the token-level reference.
+// hot path, which skips whatever the path discards) counts every record and
+// emits exactly what full tokenization yields — Parse of each record, nothing
+// skipped, followed by ApplyPath — at every chunk size.
 func TestQuickScanValuesModeEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 200; iter++ {
@@ -267,26 +325,26 @@ func TestQuickScanValuesModeEquivalence(t *testing.T) {
 		}
 		stream := ndjsonStream(vals)
 		path := randomPath(r)
-		for _, chunk := range skipChunkSizes[1:] {
-			got := make([]item.Sequence, len(skipModes))
-			count := make([]int, len(skipModes))
-			for mi, mode := range skipModes {
-				l := NewStreamLexer(bytes.NewReader(stream), chunk)
-				l.SetSkipMode(mode)
-				c, err := ScanValues(l, path, -1, func(it item.Item) error {
-					got[mi] = append(got[mi], it)
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("mode %d chunk %d: ScanValues(%s, %s): %v", mode, chunk, stream, path, err)
-				}
-				count[mi] = c
+		var want item.Sequence
+		for _, rec := range bytes.SplitAfter(stream, []byte("\n"))[:n] {
+			doc, err := Parse(rec)
+			if err != nil {
+				t.Fatalf("Parse(%s): %v", rec, err)
 			}
-			for mi := 1; mi < len(skipModes); mi++ {
-				if count[mi] != count[0] || !item.EqualSeq(got[mi], got[0]) {
-					t.Fatalf("chunk %d: mode divergence on %s path %s: mode %d (%d)=%s tokens(%d)=%s",
-						chunk, stream, path, skipModes[mi], count[mi], item.JSONSeq(got[mi]), count[0], item.JSONSeq(got[0]))
-				}
+			want = append(want, ApplyPath(doc, path)...)
+		}
+		for _, chunk := range skipChunkSizes[1:] {
+			var got item.Sequence
+			count, err := ScanValues(NewStreamLexer(bytes.NewReader(stream), chunk), path, -1, func(it item.Item) error {
+				got = append(got, it)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("chunk %d: ScanValues(%s, %s): %v", chunk, stream, path, err)
+			}
+			if count != n || !item.EqualSeq(got, want) {
+				t.Fatalf("chunk %d: on %s path %s: scan (%d records) = %s, parse (%d records) = %s",
+					chunk, stream, path, count, item.JSONSeq(got), n, item.JSONSeq(want))
 			}
 		}
 	}

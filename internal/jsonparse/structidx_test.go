@@ -1,7 +1,6 @@
 package jsonparse
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -344,33 +343,4 @@ func FuzzBoundaryScanner(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestIndexedSkipIsTheOnlyDefault: the default skip mode does not depend on
-// the chunk size. A stream lexer at the 64-byte minimum window, left in its default mode, runs
-// the structural-index kernel and agrees with the token reference byte for
-// byte — extent on the valid record, error text on the structurally broken
-// ones (the errors both modes can see).
-func TestIndexedSkipIsTheOnlyDefault(t *testing.T) {
-	record := `{"id":1,"note":"` + strings.Repeat(`pad \\\" `, 20) + `","nested":{"a":[1,2,{"b":null}]}}`
-	for _, src := range []string{record, record[:len(record)-2], record[:40], "[\"ctl\x01\"]"} {
-		run := func(tokens bool) (int, error) {
-			l := NewStreamLexer(strings.NewReader(src), 64)
-			if tokens {
-				l.SetSkipMode(SkipTokens)
-			} else if l.skipMode != SkipIndexed {
-				t.Fatalf("default skip mode = %d, want SkipIndexed", l.skipMode)
-			}
-			err := l.Next()
-			if err == nil {
-				err = skipCurrent(l)
-			}
-			return l.Offset(), err
-		}
-		endIdx, errIdx := run(false)
-		endTok, errTok := run(true)
-		if endIdx != endTok || fmt.Sprint(errIdx) != fmt.Sprint(errTok) {
-			t.Errorf("%q: indexed (%d, %v) != tokens (%d, %v)", src, endIdx, errIdx, endTok, errTok)
-		}
-	}
 }

@@ -306,11 +306,6 @@ type Ctx struct {
 	Source     Source
 	Accountant *frame.Accountant
 	Stats      *Stats
-	FrameSize  int
-	// ChunkSize is the refill-buffer size of streaming scans
-	// (jsonparse.DefaultChunkSize when <= 0). It is the unit charged to
-	// the accountant while a file is being scanned.
-	ChunkSize int
 	// Indexes provides zone-map lookups for DATASCAN file pruning (may be
 	// nil).
 	Indexes IndexLookup
@@ -347,20 +342,11 @@ func (c *Ctx) returnArgs(s []item.Sequence) {
 	c.argScratch = append(c.argScratch, s)
 }
 
-// ScanChunkSize resolves the effective streaming chunk size.
-func (c *Ctx) ScanChunkSize() int {
-	if c != nil && c.ChunkSize > 0 {
-		return c.ChunkSize
-	}
-	return jsonparse.DefaultChunkSize
-}
-
 // NewCtx builds a context with sane defaults.
 func NewCtx(src Source) *Ctx {
 	return &Ctx{
 		Source:     src,
 		Accountant: frame.NewAccountant(0),
 		Stats:      &Stats{},
-		FrameSize:  frame.DefaultFrameSize,
 	}
 }

@@ -383,7 +383,7 @@ func readDoc(ctx *Ctx, path string) (item.Item, error) {
 		return nil, err
 	}
 	cr := &CountingReader{R: rc}
-	doc, err := jsonparse.ParseReader(cr, ctx.ScanChunkSize())
+	doc, err := jsonparse.ParseReader(cr, jsonparse.DefaultChunkSize)
 	if cerr := rc.Close(); err == nil {
 		err = cerr
 	}

@@ -71,8 +71,6 @@ type Options struct {
 	DisablePipeliningRules bool
 	// DisableGroupByRules turns off the group-by rules (§4.3).
 	DisableGroupByRules bool
-	// FrameSize is the dataflow frame capacity in bytes (default 32 KiB).
-	FrameSize int
 	// MorselSize is the byte-range granularity of morsel-driven scans
 	// (default 4 MiB). Raw JSON files larger than this are split into
 	// independently schedulable byte ranges, so a handful of oversized files
@@ -348,7 +346,6 @@ func (e *Engine) Query(query string) (*Result, error) {
 	gen := e.mountGen.Load()
 	env := &hyracks.Env{
 		Source:            e.source(),
-		FrameSize:         e.opts.FrameSize,
 		Accountant:        frame.NewAccountant(0),
 		Indexes:           e.indexes,
 		MorselSize:        e.opts.MorselSize,
