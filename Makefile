@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/hyracks ./internal/frame ./internal/cluster ./internal/jsonparse ./internal/index
+	$(GO) test -race ./internal/hyracks ./internal/frame ./internal/jsonparse ./internal/index
 
 fmt:
 	gofmt -l .

@@ -1,7 +1,7 @@
 package vxq
 
-// Benchmark harness: one sub-benchmark per table and figure of the paper's
-// evaluation section (regenerating its rows via internal/bench), plus the
+// Benchmark harness: one sub-benchmark per reproduced table and figure of the
+// paper's evaluation section (regenerating its rows via internal/bench), plus the
 // ablation benchmarks called out in DESIGN.md §6 and micro-benchmarks of the
 // engine's hot paths.
 //
@@ -24,7 +24,7 @@ import (
 )
 
 // BenchmarkExperiments has one sub-benchmark per registered experiment
-// (fig13 ... fig25, tab1 ... tab4), each iteration regenerating that table or
+// (fig13 ... fig18a, tab3), each iteration regenerating that table or
 // figure — so a newly registered experiment is benchmarked without an edit
 // here.
 func BenchmarkExperiments(b *testing.B) {

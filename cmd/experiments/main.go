@@ -1,7 +1,8 @@
-// Command experiments regenerates the tables and figures of the paper's
-// evaluation section (§5). Each experiment runs the real engine (and the
-// comparison-system simulators) on scaled workloads and prints the same
-// rows/series the paper reports; EXPERIMENTS.md records paper-vs-measured.
+// Command experiments regenerates the single-node tables and figures of the
+// paper's evaluation section (§5.3). Each experiment times the real engine on
+// scaled workloads and prints the same rows/series the paper reports;
+// EXPERIMENTS.md records paper-vs-measured and why the other figures are not
+// reproduced.
 //
 // Usage:
 //

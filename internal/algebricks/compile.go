@@ -19,9 +19,6 @@ type CompileOptions struct {
 	// TwoStepAggregation enables Algebricks' local/global aggregation
 	// scheme (§4.3) for group-bys and aggregates over partitioned input.
 	TwoStepAggregation bool
-	// ScanFormat selects how DATASCAN decodes collection files (raw JSON
-	// by default; binary ADM for the AsterixDB-load simulator).
-	ScanFormat hyracks.ScanFormat
 }
 
 // Compile lowers an optimized logical plan to a Hyracks job.
@@ -223,7 +220,7 @@ func (c *compiler) compile(op Op) (*stream, error) {
 			return nil, fmt.Errorf("algebricks: DATASCAN input must be EMPTY-TUPLE-SOURCE, got %T", o.In)
 		}
 		return &stream{
-			src:        hyracks.ScanSource{Collection: o.Collection, Project: o.Project, Format: c.opts.ScanFormat, Filter: o.Filter},
+			src:        hyracks.ScanSource{Collection: o.Collection, Project: o.Project, Filter: o.Filter},
 			partitions: c.opts.Partitions,
 			schema:     []Var{o.V},
 		}, nil

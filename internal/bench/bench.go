@@ -1,18 +1,19 @@
-// Package bench implements the experiment harness that regenerates every
-// table and figure of the paper's evaluation section (§5). Each experiment
-// builds its workload with the dataset generator, runs the engine (and the
-// comparison systems) at a laptop scale that preserves the paper's
-// proportions, and prints the same rows/series the paper reports.
+// Package bench implements the experiment harness that regenerates the
+// paper's single-node evaluation (§5.3) on the real engine: each experiment
+// builds its workload with the dataset generator, times the engine at a
+// laptop scale that preserves the paper's proportions, and prints the same
+// rows/series the paper reports. Figures that need another system or a
+// multi-node cluster are not reproduced (EXPERIMENTS.md says why for each).
 //
-// Scaling: the paper's datasets range from 100 MB to 803 GB on a 9-node
-// cluster. The default Settings shrink sizes so the full suite runs in
-// seconds; Settings.Factor scales them back up. EXPERIMENTS.md records the
-// paper-reported values next to measured ones. Shape fidelity (who wins,
-// rough factors, crossovers) is the goal — absolute times are hardware-
-// dependent (see DESIGN.md §4).
+// Scaling: the paper's single-node datasets are 100 MB to 1 GB. The default
+// Settings shrink sizes so the full suite runs in seconds; Settings.Factor
+// scales them back up. EXPERIMENTS.md records the paper-reported values next
+// to measured ones. Shape fidelity (rough factors, where a curve flattens) is
+// the goal — absolute times are hardware-dependent (see DESIGN.md §4).
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,6 +23,7 @@ import (
 	"vxq/internal/frame"
 	"vxq/internal/gen"
 	"vxq/internal/hyracks"
+	"vxq/internal/item"
 	"vxq/internal/runtime"
 )
 
@@ -147,8 +149,7 @@ func (t *Table) String() string {
 
 // Experiment regenerates one table or figure of the paper.
 type Experiment struct {
-	// ID is the short name used by -run and by the bench targets
-	// (fig13 ... fig25, tab1 ... tab4).
+	// ID is the short name used by -run (fig13 ... fig18a, tab3).
 	ID string
 	// Paper identifies the table/figure in the paper.
 	Paper string
@@ -166,7 +167,7 @@ func register(e Experiment) {
 	registry = append(registry, e)
 }
 
-// All returns every experiment in declaration order.
+// All returns every experiment, sorted by ID.
 func All() []Experiment {
 	out := append([]Experiment(nil), registry...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -218,12 +219,15 @@ func ablationDataset(s Settings) gen.Config {
 	return cfg
 }
 
-// measured runs a compiled job with the staged executor and returns the
-// result plus the wall-clock time of the run.
-func measured(job *hyracks.Job, src runtime.Source) (*hyracks.Result, time.Duration, error) {
+// runner executes a job: hyracks.RunStaged or hyracks.RunPipelined.
+type runner func(*hyracks.Job, *hyracks.Env) (*hyracks.Result, error)
+
+// measured runs a compiled job with run and returns the result plus the
+// wall-clock time of the run.
+func measured(run runner, job *hyracks.Job, src runtime.Source) (*hyracks.Result, time.Duration, error) {
 	env := &hyracks.Env{Source: src, Accountant: frame.NewAccountant(0)}
 	start := time.Now()
-	res, err := hyracks.RunStaged(job, env)
+	res, err := run(job, env)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, 0, err
@@ -231,13 +235,61 @@ func measured(job *hyracks.Job, src runtime.Source) (*hyracks.Result, time.Durat
 	return res, elapsed, nil
 }
 
-// runQuery compiles and times one query execution.
+// runQuery compiles and times one query execution with the staged executor.
 func runQuery(query string, rules core.RuleConfig, partitions int, src runtime.Source) (*hyracks.Result, time.Duration, error) {
 	c, err := core.CompileQuery(query, core.Options{Rules: rules, Partitions: partitions})
 	if err != nil {
 		return nil, 0, err
 	}
-	return measured(c.Job, src)
+	return measured(hyracks.RunStaged, c.Job, src)
+}
+
+// timedQuery compiles query once, runs it `runs` times with run and returns
+// the fastest wall clock (less noise at small scales) and the answer of the
+// first run.
+func timedQuery(run runner, runs int, query string, opts core.Options, src runtime.Source) (time.Duration, []byte, error) {
+	c, err := core.CompileQuery(query, opts)
+	if err != nil {
+		return 0, nil, err
+	}
+	var best time.Duration
+	var ans []byte
+	for i := 0; i < runs; i++ {
+		res, d, err := measured(run, c.Job, src)
+		if err != nil {
+			return 0, nil, err
+		}
+		if i == 0 {
+			ans = answer(res)
+		}
+		if i == 0 || d < best {
+			best = d
+		}
+	}
+	return best, ans, nil
+}
+
+// answer is a result's rows in SortRows order, each field EncodeSeq-encoded:
+// two executions answer alike exactly when their answers are equal bytes.
+func answer(res *hyracks.Result) []byte {
+	res.SortRows()
+	var b []byte
+	for _, row := range res.Rows {
+		for _, f := range row {
+			b = item.EncodeSeq(b, f)
+		}
+	}
+	return b
+}
+
+// sameAnswer fails unless got equals want, the answer of the first
+// configuration an experiment timed for the same query and data: two
+// configurations that answer differently are a bug, not a speed-up.
+func sameAnswer(want, got []byte) error {
+	if !bytes.Equal(want, got) {
+		return fmt.Errorf("answer differs from the first configuration's (%d vs %d encoded bytes)", len(got), len(want))
+	}
+	return nil
 }
 
 // ms formats a duration in milliseconds with 2 decimals.

@@ -1,11 +1,12 @@
 package bench
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
-	"vxq/internal/baselines/mongosim"
-	"vxq/internal/baselines/sparksim"
 	"vxq/internal/core"
 	"vxq/internal/item"
 )
@@ -14,8 +15,8 @@ import (
 // scale and sanity-checks the produced tables.
 func TestAllExperimentsRun(t *testing.T) {
 	exps := All()
-	if len(exps) != 18 {
-		t.Fatalf("registered experiments = %d, want 18 (one per table/figure)", len(exps))
+	if len(exps) != 7 {
+		t.Fatalf("registered experiments = %d, want 7 (one per reproduced table/figure)", len(exps))
 	}
 	for _, e := range exps {
 		e := e
@@ -54,44 +55,62 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-// TestCrossSystemAgreement verifies that all systems compute the same
-// answers on the same dataset — the baselines are fair comparisons, not
-// strawmen.
+// TestCrossSystemAgreement checks the engine's Q0b, Q1 and Q2 answers at two
+// partitions against a plain encoding/json walk over the same collection,
+// which shares no code with the engine.
 func TestCrossSystemAgreement(t *testing.T) {
-	src, _, err := sensorSource(defaultDataset(Settings{}))
+	cfg := defaultDataset(Settings{})
+	src, _, err := sensorSource(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	docs, _, err := cfg.InMemory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type measurement struct {
+		Date, DataType, Station string
+		Value                   float64
+	}
+	var ms []measurement
+	for name, b := range docs {
+		var doc struct {
+			Root []struct{ Results []measurement }
+		}
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, r := range doc.Root {
+			ms = append(ms, r.Results...)
+		}
+	}
 
-	// Q0b selection count: VXQuery vs MongoDB vs Spark.
+	// Q0b: dates on Dec 25 of 2003 or later.
+	wantDates := 0
+	for _, m := range ms {
+		d, err := time.Parse("2006-01-02T15:04", m.Date)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Year() >= 2003 && d.Month() == time.December && d.Day() == 25 {
+			wantDates++
+		}
+	}
 	res, _, err := runQuery(QueryQ0b, core.AllRules(), 2, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vxqCount := len(res.Rows)
-
-	st, err := mongosim.Load(src, "/sensors")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mongoDates, err := st.SelectDates(dec25Pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mongoDates) != vxqCount {
-		t.Errorf("Q0b: vxq=%d mongo=%d", vxqCount, len(mongoDates))
+	if len(res.Rows) != wantDates || wantDates == 0 {
+		t.Errorf("Q0b: vxq=%d rows, walk=%d", len(res.Rows), wantDates)
 	}
 
-	table, err := sparksim.Load(src, "/sensors", sparksim.Config{})
-	if err != nil {
-		t.Fatal(err)
+	// Q1: TMIN measurements counted per date.
+	groups := map[string]int{}
+	for _, m := range ms {
+		if m.DataType == "TMIN" {
+			groups[m.Date]++
+		}
 	}
-	sparkDates := table.SelectDates(dec25Pred)
-	if len(sparkDates) != vxqCount {
-		t.Errorf("Q0b: vxq=%d spark=%d", vxqCount, len(sparkDates))
-	}
-
-	// Q1 group counts: VXQuery vs MongoDB vs Spark.
 	res, _, err = runQuery(QueryQ1, core.AllRules(), 2, src)
 	if err != nil {
 		t.Fatal(err)
@@ -104,29 +123,39 @@ func TestCrossSystemAgreement(t *testing.T) {
 		}
 		vxqTotal += float64(n.(item.Number))
 	}
-	mongoCounts, err := st.CountStationsByDate("TMIN")
-	if err != nil {
-		t.Fatal(err)
+	wantTotal := 0
+	for _, n := range groups {
+		wantTotal += n
 	}
-	var mongoTotal float64
-	for _, c := range mongoCounts {
-		mongoTotal += float64(c)
-	}
-	if len(mongoCounts) != len(res.Rows) || mongoTotal != vxqTotal {
-		t.Errorf("Q1: vxq groups=%d total=%v; mongo groups=%d total=%v",
-			len(res.Rows), vxqTotal, len(mongoCounts), mongoTotal)
-	}
-	sparkCounts := table.CountStationsByDate("TMIN")
-	var sparkTotal float64
-	for _, c := range sparkCounts {
-		sparkTotal += float64(c)
-	}
-	if len(sparkCounts) != len(res.Rows) || sparkTotal != vxqTotal {
-		t.Errorf("Q1: vxq groups=%d total=%v; spark groups=%d total=%v",
-			len(res.Rows), vxqTotal, len(sparkCounts), sparkTotal)
+	if len(res.Rows) != len(groups) || vxqTotal != float64(wantTotal) || wantTotal == 0 {
+		t.Errorf("Q1: vxq groups=%d total=%v; walk groups=%d total=%d",
+			len(res.Rows), vxqTotal, len(groups), wantTotal)
 	}
 
-	// Q2 average: VXQuery vs MongoDB (unwind+project strategy).
+	// Q2: average TMAX-TMIN difference over every (station, date) match.
+	type key struct{ station, date string }
+	mins := map[key][]float64{}
+	for _, m := range ms {
+		if m.DataType == "TMIN" {
+			k := key{m.Station, m.Date}
+			mins[k] = append(mins[k], m.Value)
+		}
+	}
+	var sum float64
+	pairs := 0
+	for _, m := range ms {
+		if m.DataType != "TMAX" {
+			continue
+		}
+		for _, lo := range mins[key{m.Station, m.Date}] {
+			sum += m.Value - lo
+			pairs++
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("walk: Q2 found no TMIN/TMAX pairs")
+	}
+	wantAvg := sum / float64(pairs) / 10
 	res, _, err = runQuery(QueryQ2, core.AllRules(), 2, src)
 	if err != nil {
 		t.Fatal(err)
@@ -138,13 +167,8 @@ func TestCrossSystemAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vxqAvg := float64(q2it.(item.Number))
-	mongoAvg, err := st.UnwindProjectJoin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := vxqAvg - mongoAvg; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("Q2: vxq=%v mongo=%v", vxqAvg, mongoAvg)
+	if got := float64(q2it.(item.Number)); math.Abs(got-wantAvg) > 1e-9 {
+		t.Errorf("Q2: vxq=%v walk=%v", got, wantAvg)
 	}
 }
 
@@ -170,32 +194,5 @@ func TestPipeliningShapeHolds(t *testing.T) {
 	}
 	if float64(before) < 3*float64(after) {
 		t.Errorf("pipelining speedup too small: before=%v after=%v", before, after)
-	}
-}
-
-// TestMongoCompressionShape asserts the Fig. 18b shape: stored bytes grow
-// as documents shrink.
-func TestMongoCompressionShape(t *testing.T) {
-	big, _, err := sensorSource(sweepConfig(Settings{}, 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, _, err := sensorSource(sweepConfig(Settings{}, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stBig, err := mongosim.Load(big, "/sensors")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stSmall, err := mongosim.Load(small, "/sensors")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigRatio := float64(stBig.StoredBytes) / float64(stBig.RawBytes)
-	smallRatio := float64(stSmall.StoredBytes) / float64(stSmall.RawBytes)
-	if smallRatio <= bigRatio {
-		t.Errorf("compression ratio should degrade for small docs: 30/array=%.3f 1/array=%.3f",
-			bigRatio, smallRatio)
 	}
 }

@@ -77,8 +77,6 @@ func Optimize(p *algebricks.Plan, cfg RuleConfig) error {
 type Options struct {
 	Rules      RuleConfig
 	Partitions int
-	// ScanFormat selects the collection file format (JSON by default).
-	ScanFormat hyracks.ScanFormat
 	// SingleStepAggregation disables the two-step (local/global)
 	// aggregation scheme even when the group-by rules are on (ablation
 	// only).
@@ -116,7 +114,6 @@ func CompileQuery(query string, opts Options) (*Compiled, error) {
 	job, err := algebricks.Compile(plan, algebricks.CompileOptions{
 		Partitions:         opts.Partitions,
 		TwoStepAggregation: opts.Rules.GroupByRules && !opts.SingleStepAggregation,
-		ScanFormat:         opts.ScanFormat,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: compile: %w\nplan:\n%s", err, plan)

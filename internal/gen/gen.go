@@ -203,7 +203,7 @@ func (c Config) WriteDir(dir string) (int64, error) {
 }
 
 // InMemory generates the collection as an in-memory document map, keyed by
-// file name, for tests and in-process baselines.
+// file name, for tests and the experiment harness.
 func (c Config) InMemory() (map[string][]byte, int64, error) {
 	if err := c.Validate(); err != nil {
 		return nil, 0, err

@@ -109,8 +109,9 @@ func buildScanQueues(job *Job, env *Env, shared bool) (map[int]*morselQueue, que
 }
 
 // TaskTime records the measured wall-clock work of one fragment-partition
-// task. The staged scheduler produces clean single-threaded measurements that
-// the virtual-time scheduler consumes.
+// task. Under the staged scheduler it is clean single-threaded work, which is
+// what a profile attributes; under the pipelined scheduler it includes time
+// blocked on exchanges.
 type TaskTime struct {
 	Fragment  int
 	Partition int
@@ -165,15 +166,16 @@ func sortRows(rows [][]item.Sequence) {
 
 // RunStaged executes a job sequentially, one fragment-partition task at a
 // time in fragment order, materializing every exchange. Results are identical
-// to RunPipelined; in addition each task's single-threaded wall-clock work is
-// measured cleanly (no scheduler interference), which is what the
-// virtual-time cluster scheduler consumes.
+// to RunPipelined; in addition each task's single-threaded wall-clock work
+// and each operator's self time are measured cleanly (no scheduler
+// interference), which is what vxq -profile and the benchmark's traced ladder
+// run report.
 func RunStaged(job *Job, env *Env) (*Result, error) { return runJob(job, env, false) }
 
 // RunPipelined executes a job with one goroutine per fragment-partition
 // task; exchanges are bounded channels, so producers and consumers overlap
-// like Hyracks' pipelined connectors. Task timings include blocking time
-// and are therefore not used for virtual-time scheduling (use RunStaged's).
+// like Hyracks' pipelined connectors. Task timings include blocking time, so
+// per-task and per-operator attribution uses RunStaged's.
 func RunPipelined(job *Job, env *Env) (*Result, error) { return runJob(job, env, true) }
 
 // jobRun is the state the tasks of one job execution share.
@@ -214,8 +216,8 @@ func runJob(job *Job, env *Env, pipelined bool) (*Result, error) {
 	// partitions steal work from each other and a skewed file set leaves no
 	// stragglers. Staged tasks run one after another — a shared cursor would
 	// hand every morsel to whichever task runs first — so their queues are
-	// dealt round-robin, which also keeps the per-task times the virtual-time
-	// scheduler consumes deterministic.
+	// dealt round-robin, which also keeps each task's share, and so its
+	// profiled time, deterministic.
 	queues, qstats, err := buildScanQueues(job, env, pipelined)
 	if err != nil {
 		return nil, err
@@ -805,9 +807,6 @@ func (sc *scanState) emit(it item.Item) error {
 // scanMorsel streams one morsel's records into the frame builder. Errors are
 // wrapped with the morsel's location by the caller.
 func scanMorsel(ctx *TaskCtx, sc *scanState, s ScanSource, m morsel) error {
-	if s.Format == FormatADM {
-		return scanADM(ctx, sc, s, m)
-	}
 	src := ctx.RT.Source
 	st := ctx.RT.Stats
 	var (
@@ -874,54 +873,4 @@ func scanMorselRecords(sc *scanState, s ScanSource, m morsel) error {
 	}
 	_, err := jsonparse.ScanValues(sc.lx, s.Project, limit, sc.emit)
 	return err
-}
-
-// scanADM streams one binary pre-converted document through a chunked
-// decoder: the raw encoding is never materialized whole, only the decoded
-// item tree is (whole-document materialization is inherent to the format —
-// the AsterixDB behaviour the paper attributes the performance gap to — but
-// the former whole-file read buffer is gone). ADM files are never split, so
-// the morsel always covers the whole file.
-func scanADM(ctx *TaskCtx, sc *scanState, s ScanSource, m morsel) error {
-	rc, err := ctx.RT.Source.Open(m.file)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	if st := ctx.RT.Stats; st != nil {
-		st.FilesRead++
-	}
-	chunk := jsonparse.DefaultChunkSize
-	// Small pre-converted documents are common (record-granular ADM); cap the
-	// decode buffer at the file size plus the trailing-bytes probe so a tiny
-	// file does not pay (or account) a full chunk.
-	if szr, ok := ctx.RT.Source.(runtime.Sizer); ok {
-		if sz, serr := szr.Size(m.file); serr == nil && sz+1 < int64(chunk) {
-			chunk = int(sz) + 1
-		}
-	}
-	cr := &runtime.CountingReader{R: rc}
-	release := ctx.account(int64(chunk))
-	dec, doc, err := item.DecodeReader(cr, chunk)
-	if err == nil {
-		var trailing bool
-		if trailing, err = dec.TrailingByte(); err == nil && trailing {
-			err = fmt.Errorf("trailing bytes after ADM document (offset %d)", dec.Consumed())
-		}
-	}
-	release()
-	if st := ctx.RT.Stats; st != nil {
-		st.BytesRead += cr.N
-	}
-	if err != nil {
-		return err
-	}
-	releaseDoc := ctx.account(item.SizeBytes(doc))
-	defer releaseDoc()
-	for _, it := range jsonparse.ApplyPath(doc, s.Project) {
-		if err := sc.emit(it); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package hyracks
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -538,7 +537,7 @@ func TestSourceAndOpNames(t *testing.T) {
 	names := []string{
 		ETSSource{}.sourceName(),
 		ScanSource{Collection: "/c"}.sourceName(),
-		ScanSource{Collection: "/c", Format: FormatADM, Filter: &ScanFilter{Lo: item.Number(1)}}.sourceName(),
+		ScanSource{Collection: "/c", Filter: &ScanFilter{Lo: item.Number(1)}}.sourceName(),
 		ExchangeSource{Exchange: 3}.sourceName(),
 		JoinSource{Build: 0, Probe: 1, Spec: &JoinSpec{}}.sourceName(),
 		(&AssignSpec{}).Name(),
@@ -548,9 +547,7 @@ func TestSourceAndOpNames(t *testing.T) {
 		(&GroupBySpec{}).Name(),
 		(&SubplanSpec{}).Name(),
 		ExchangeOneToOne.String(),
-		FormatADM.String(),
 		ExchangeKind(99).String(),
-		ScanFormat(99).String(),
 	}
 	for i, n := range names {
 		if n == "" {
@@ -584,55 +581,6 @@ func TestOneToOneExchange(t *testing.T) {
 	res := runBoth(t, job, envFactory(testSource()))
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(res.Rows))
-	}
-}
-
-func TestADMScanAtEngineLevel(t *testing.T) {
-	// Encode documents as binary ADM and scan them with FormatADM.
-	raw := testSource()
-	admDocs := map[string][]byte{}
-	for _, name := range []string{"f1.json", "f2.json", "f3.json"} {
-		rc, err := raw.Open("/sensors/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := io.ReadAll(rc)
-		rc.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc, err := jsonparse.Parse(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		admDocs[name+".adm"] = item.Encode(nil, doc)
-	}
-	admSrc := &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": admDocs}}
-	job := &Job{Fragments: []*Fragment{{
-		ID: 0, Source: ScanSource{Collection: "/sensors", Project: measurementsPath(), Format: FormatADM},
-		Partitions: 2, SinkExchange: -1,
-	}}}
-	res, err := RunStaged(job, &Env{Source: admSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("ADM scan rows = %d, want 6", len(res.Rows))
-	}
-	// Corrupt ADM must fail.
-	bad := &runtime.MemSource{Collections: map[string]map[string][]byte{
-		"/sensors": {"x.adm": {0xff, 0x01, 0x02}},
-	}}
-	if _, err := RunStaged(job, &Env{Source: bad}); err == nil {
-		t.Fatal("corrupt ADM must fail")
-	}
-	// Trailing garbage after a valid document must fail.
-	valid := item.Encode(nil, item.Number(1))
-	trailing := &runtime.MemSource{Collections: map[string]map[string][]byte{
-		"/sensors": {"x.adm": append(valid, 0x00)},
-	}}
-	if _, err := RunStaged(job, &Env{Source: trailing}); err == nil {
-		t.Fatal("trailing ADM bytes must fail")
 	}
 }
 

@@ -18,32 +18,6 @@ type ETSSource struct{}
 
 func (ETSSource) sourceName() string { return "EMPTY-TUPLE-SOURCE" }
 
-// ScanFormat selects how DATASCAN decodes the files of a collection.
-type ScanFormat uint8
-
-// Scan formats.
-const (
-	// FormatJSON parses raw JSON text; a projection path streams while
-	// parsing (the VXQuery behaviour).
-	FormatJSON ScanFormat = iota
-	// FormatADM decodes binary pre-converted documents (the
-	// AsterixDB-load behaviour): the whole document is materialized and
-	// any projection path is applied afterwards, so there is no streaming
-	// benefit.
-	FormatADM
-)
-
-func (f ScanFormat) String() string {
-	switch f {
-	case FormatJSON:
-		return "json"
-	case FormatADM:
-		return "adm"
-	default:
-		return fmt.Sprintf("format(%d)", uint8(f))
-	}
-}
-
 // ScanFilter is a range predicate on a scalar path, attached to a DATASCAN
 // by the index rule: files whose zone-map range cannot overlap
 // [Lo, Hi] are skipped entirely. Nil bounds are unbounded; strict bounds
@@ -99,29 +73,24 @@ func (f *ScanFilter) String() string {
 // ScanSource is the DATASCAN operator (§3.2, §4.2): it reads the files of a
 // collection — each partition takes its share of the files — and emits one
 // single-field tuple per projected item. With a nil Project path the whole
-// document is one item per file; with a path (and FormatJSON), the
-// streaming projector emits each matching sub-item as its own tuple, which
+// document is one item per file; with a path, the streaming projector emits each matching sub-item as its own tuple, which
 // is the pipelining rules' "second argument" to DATASCAN.
 type ScanSource struct {
 	Collection string
 	Project    jsonparse.Path
-	Format     ScanFormat
 	// Filter enables zone-map file pruning (may be nil).
 	Filter *ScanFilter
 }
 
 func (s ScanSource) sourceName() string {
-	fmtSuffix := ""
-	if s.Format != FormatJSON {
-		fmtSuffix = " [" + s.Format.String() + "]"
-	}
+	filter := ""
 	if s.Filter != nil {
-		fmtSuffix += " filter{" + s.Filter.String() + "}"
+		filter = " filter{" + s.Filter.String() + "}"
 	}
 	if len(s.Project) == 0 {
-		return fmt.Sprintf("DATASCAN collection(%q)%s", s.Collection, fmtSuffix)
+		return fmt.Sprintf("DATASCAN collection(%q)%s", s.Collection, filter)
 	}
-	return fmt.Sprintf("DATASCAN collection(%q) %s%s", s.Collection, s.Project, fmtSuffix)
+	return fmt.Sprintf("DATASCAN collection(%q) %s%s", s.Collection, s.Project, filter)
 }
 
 // ExchangeSource consumes the frames routed to this partition by the given

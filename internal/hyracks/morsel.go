@@ -150,10 +150,10 @@ func (q *queueStats) add(other queueStats) {
 }
 
 // buildMorselQueue lists a scan's files, prunes those a zone-map index rules
-// out, and splits the survivors into morsels. Raw-JSON files are split when
-// the source can report their size and reopen them at an offset; everything
-// else (binary ADM documents, sources without range support) degrades to one
-// whole-file morsel, which is exactly the pre-morsel behaviour. Large files
+// out, and splits the survivors into morsels. Files are split when the
+// source can report their size and reopen them at an offset; a source without
+// range support degrades to one whole-file morsel per file, which is exactly
+// the pre-morsel behaviour. Large files
 // with no recorded boundary index get one from the speculative parallel
 // indexer at build time (see coldIndexSplits). When the index carries
 // per-zone stats for the filter's path, morsels whose every overlapping zone
@@ -189,7 +189,7 @@ func buildMorselQueue(src runtime.Source, s ScanSource, idx runtime.IndexLookup,
 		}
 		base := len(morsels)
 		split := false
-		if s.Format == FormatJSON && canRange && canSize {
+		if canRange && canSize {
 			size, err := sz.Size(file)
 			if err == nil && size > morselSize {
 				var splits []int64

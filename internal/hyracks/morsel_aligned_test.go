@@ -197,7 +197,7 @@ func TestMorselAlignedViaZoneMapRegistry(t *testing.T) {
 	}
 
 	const ms = 8 << 10
-	q, _, err := buildMorselQueue(src, ScanSource{Collection: "/sensors", Format: FormatJSON, Project: measurementsPath()},
+	q, _, err := buildMorselQueue(src, ScanSource{Collection: "/sensors", Project: measurementsPath()},
 		reg, 1, morselOptions{morselSize: ms}, true)
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func TestColdIndexAlignedMorsels(t *testing.T) {
 	}}
 	file := "/sensors/big.json"
 	reg := index.NewRegistry()
-	scan := ScanSource{Collection: "/sensors", Format: FormatJSON, Project: measurementsPath()}
+	scan := ScanSource{Collection: "/sensors", Project: measurementsPath()}
 	opts := morselOptions{morselSize: 8 << 10, coldIndexMin: 1}
 
 	q, _, err := buildMorselQueue(src, scan, reg, 1, opts, true)
@@ -115,7 +115,7 @@ func TestColdIndexDisabledAndGated(t *testing.T) {
 			Collections: map[string]map[string][]byte{"/sensors": {"big.json": data}},
 		}}
 	}
-	scan := ScanSource{Collection: "/sensors", Format: FormatJSON, Project: measurementsPath()}
+	scan := ScanSource{Collection: "/sensors", Project: measurementsPath()}
 
 	countAligned := func(q *morselQueue) (interior, aligned int) {
 		for {

@@ -75,7 +75,6 @@ func TestMorselZonePruning(t *testing.T) {
 	scan := ScanSource{
 		Collection: "/sensors",
 		Project:    measurementsPath(),
-		Format:     FormatJSON,
 		Filter:     zoneFilter(100, 110),
 	}
 
@@ -162,7 +161,6 @@ func TestMorselPruningFirstMorselDropped(t *testing.T) {
 	scan := ScanSource{
 		Collection: "/sensors",
 		Project:    measurementsPath(),
-		Format:     FormatJSON,
 		Filter:     zoneFilter(390, 399), // the last few records only
 	}
 	q, qs, err := buildMorselQueue(src, scan, reg, 1, morselOptions{morselSize: 4 << 10}, true)

@@ -11,10 +11,10 @@
 // link differ. The pipelined scheduler (RunPipelined) starts every task as a
 // goroutine over bounded channel links, like Hyracks' pipelined connectors.
 // The staged scheduler (RunStaged) runs tasks one after another over
-// materialized links and so records clean per-task wall-clock work; the
-// cluster experiments feed those measurements into the virtual-time
-// scheduler (internal/simsched) to model multi-core/multi-node schedules on
-// machines that do not physically have them.
+// materialized links and so records clean per-task wall-clock work and
+// per-operator self times, free of time spent waiting on other tasks: that
+// is what the query profile (vxq -profile) and the benchmark's traced ladder
+// run attribute the wall clock with.
 package hyracks
 
 import (
