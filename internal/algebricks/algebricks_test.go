@@ -165,16 +165,16 @@ func TestSubstAndUses(t *testing.T) {
 	if !UsesOnly(e, []Var{a, b}) {
 		t.Error("UsesOnly should pass")
 	}
-	sub := Subst(e, b, Num(3))
+	sub := MapExpr(e, ReplaceVar(b, Num(3)))
 	if UsesVar(sub, b) {
-		t.Errorf("Subst left %v in %s", b, sub)
+		t.Errorf("ReplaceVar left %v in %s", b, sub)
 	}
 	if !UsesVar(sub, a) {
-		t.Error("Subst removed unrelated var")
+		t.Error("ReplaceVar removed unrelated var")
 	}
-	// Original unchanged (Subst builds new calls).
+	// Original unchanged (MapExpr builds new calls).
 	if !UsesVar(e, b) {
-		t.Error("Subst must not mutate the original")
+		t.Error("MapExpr must not mutate the original")
 	}
 }
 
@@ -466,23 +466,26 @@ func TestCompileNestedErrors(t *testing.T) {
 	if _, err := Compile(NewPlan(badRoot, vars), CompileOptions{}); err == nil {
 		t.Error("nested non-aggregate root must fail")
 	}
-	// Unsupported nested operator (GroupBy inside a subplan).
-	vars2 := &VarAllocator{}
-	v2 := vars2.New()
-	a2 := vars2.New()
-	badNested := &DistributeResult{Vs: []Var{a2}, In: &Subplan{
-		Nested: &Aggregate{
-			Aggs: []AggExpr{{V: a2, Fn: "count", Arg: VarRef(v2)}},
-			In: &GroupBy{
-				Keys: []KeyExpr{{V: vars2.New(), E: VarRef(v2)}},
-				Aggs: []AggExpr{{V: vars2.New(), Fn: "sequence", Arg: VarRef(v2)}},
-				In:   &NestedTupleSource{},
-			},
-		},
-		In: &Assign{V: v2, E: Num(1), In: &EmptyTupleSource{}},
-	}}
-	if _, err := Compile(NewPlan(badNested, vars2), CompileOptions{}); err == nil {
-		t.Error("group-by inside nested plan must fail")
+	// A nested plan is lowered through the ordinary compiler, but must run
+	// on the outer tuple alone: a leaf other than NESTED-TUPLE-SOURCE, or an
+	// operator that closes an exchange (a join), is rejected.
+	nestedOver := func(in Op) *Plan {
+		vars := &VarAllocator{}
+		v, a := vars.New(), vars.New()
+		return NewPlan(&DistributeResult{Vs: []Var{a}, In: &Subplan{
+			Nested: &Aggregate{Aggs: []AggExpr{{V: a, Fn: "count", Arg: Num(1)}}, In: in},
+			In:     &Assign{V: v, E: Num(1), In: &EmptyTupleSource{}},
+		}}, vars)
+	}
+	for name, in := range map[string]Op{
+		"empty-tuple-source leaf": &EmptyTupleSource{},
+		"join": &Join{Cond: True(), LeftKeys: []Expr{Num(1)}, RightKeys: []Expr{Num(1)},
+			Left: &NestedTupleSource{}, Right: &NestedTupleSource{}},
+	} {
+		_, err := Compile(nestedOver(in), CompileOptions{})
+		if err == nil || !strings.Contains(err.Error(), "outer tuple alone") {
+			t.Errorf("%s inside a nested plan: err = %v, want the outer-tuple error", name, err)
+		}
 	}
 }
 

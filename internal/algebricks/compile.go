@@ -36,13 +36,9 @@ func Compile(p *Plan, opts CompileOptions) (*hyracks.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]int, len(dr.Vs))
-	for i, v := range dr.Vs {
-		col, err := columnOf(s.schema, v)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = col
+	cols, err := columnsOf(s.schema, dr.Vs)
+	if err != nil {
+		return nil, err
 	}
 	s.ops = append(s.ops, &hyracks.ProjectSpec{Cols: cols})
 	c.job.Fragments = append(c.job.Fragments, &hyracks.Fragment{
@@ -60,6 +56,9 @@ type compiler struct {
 	job     *hyracks.Job
 	fragSeq int
 	exchSeq int
+	// outer is the schema a NESTED-TUPLE-SOURCE exposes: non-nil exactly
+	// while a subplan's nested plan is being lowered.
+	outer []Var
 }
 
 func (c *compiler) nextFragID() int {
@@ -68,7 +67,8 @@ func (c *compiler) nextFragID() int {
 	return id
 }
 
-// stream is a fragment under construction.
+// stream is a fragment under construction. A nested plan's stream has no
+// source: it is fed the outer tuple by the SUBPLAN operator.
 type stream struct {
 	src        hyracks.SourceSpec
 	ops        []hyracks.OpSpec
@@ -130,6 +130,32 @@ func columnOf(schema []Var, v Var) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("algebricks: variable %v not in schema %v", v, schema)
+}
+
+// columnsOf resolves each of vs to its column in schema.
+func columnsOf(schema, vs []Var) ([]int, error) {
+	cols := make([]int, len(vs))
+	for i, v := range vs {
+		col, err := columnOf(schema, v)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = col
+	}
+	return cols, nil
+}
+
+// evalAll compiles each expression to a runtime evaluator over schema.
+func evalAll(es []Expr, schema []Var) ([]runtime.Evaluator, error) {
+	evs := make([]runtime.Evaluator, len(es))
+	for i, e := range es {
+		ev, err := exprEval(e, schema)
+		if err != nil {
+			return nil, err
+		}
+		evs[i] = ev
+	}
+	return evs, nil
 }
 
 // exprEval compiles a logical expression to a runtime evaluator over the
@@ -255,13 +281,9 @@ func (c *compiler) compile(op Op) (*stream, error) {
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]int, len(o.Vs))
-		for i, v := range o.Vs {
-			col, err := columnOf(s.schema, v)
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = col
+		cols, err := columnsOf(s.schema, o.Vs)
+		if err != nil {
+			return nil, err
 		}
 		s.ops = append(s.ops, &hyracks.ProjectSpec{Cols: cols})
 		s.schema = append([]Var(nil), o.Vs...)
@@ -298,10 +320,7 @@ func (c *compiler) compile(op Op) (*stream, error) {
 		if err != nil {
 			return nil, err
 		}
-		outVars := make([]Var, len(o.Aggs))
-		for i, a := range o.Aggs {
-			outVars[i] = a.V
-		}
+		outVars := Schema(o, nil)
 		if s.partitions == 1 {
 			defs, err := c.aggDefs(o.Aggs, s.schema, aggSingle)
 			if err != nil {
@@ -348,21 +367,15 @@ func (c *compiler) compile(op Op) (*stream, error) {
 		if err != nil {
 			return nil, err
 		}
-		keyEvals := make([]runtime.Evaluator, len(o.Keys))
+		keys := make([]Expr, len(o.Keys))
 		for i, k := range o.Keys {
-			ev, err := exprEval(k.E, s.schema)
-			if err != nil {
-				return nil, err
-			}
-			keyEvals[i] = ev
+			keys[i] = k.E
 		}
-		outVars := make([]Var, 0, len(o.Keys)+len(o.Aggs))
-		for _, k := range o.Keys {
-			outVars = append(outVars, k.V)
+		keyEvals, err := evalAll(keys, s.schema)
+		if err != nil {
+			return nil, err
 		}
-		for _, a := range o.Aggs {
-			outVars = append(outVars, a.V)
-		}
+		outVars := Schema(o, nil)
 		if s.partitions == 1 {
 			defs, err := c.aggDefs(o.Aggs, s.schema, aggSingle)
 			if err != nil {
@@ -378,18 +391,15 @@ func (c *compiler) compile(op Op) (*stream, error) {
 				return nil, err
 			}
 			s.ops = append(s.ops, &hyracks.GroupBySpec{Keys: keyEvals, Aggs: local, Desc: "local"})
-			// After the local group-by the key occupies columns [0,k).
-			exchKeys := make([]runtime.Evaluator, len(o.Keys))
+			// After the local group-by the key occupies columns [0,k), on
+			// both sides of the exchange.
+			keyCols := make([]runtime.Evaluator, len(o.Keys))
 			for i := range o.Keys {
-				exchKeys[i] = runtime.ColumnEval{Col: i}
+				keyCols[i] = runtime.ColumnEval{Col: i}
 			}
 			parts := s.partitions
-			exch := c.closeToExchange(s, hyracks.ExchangeHash, exchKeys, parts)
+			exch := c.closeToExchange(s, hyracks.ExchangeHash, keyCols, parts)
 			gs := &stream{src: hyracks.ExchangeSource{Exchange: exch}, partitions: parts}
-			globalKeys := make([]runtime.Evaluator, len(o.Keys))
-			for i := range o.Keys {
-				globalKeys[i] = runtime.ColumnEval{Col: i}
-			}
 			global := make([]hyracks.AggDef, len(o.Aggs))
 			for i, a := range o.Aggs {
 				fn, err := runtime.LookupAgg(aggGlobal[a.Fn])
@@ -398,29 +408,21 @@ func (c *compiler) compile(op Op) (*stream, error) {
 				}
 				global[i] = hyracks.AggDef{Fn: fn, Arg: runtime.ColumnEval{Col: len(o.Keys) + i}}
 			}
-			gs.ops = append(gs.ops, &hyracks.GroupBySpec{Keys: globalKeys, Aggs: global, Desc: "global"})
+			gs.ops = append(gs.ops, &hyracks.GroupBySpec{Keys: keyCols, Aggs: global, Desc: "global"})
 			gs.schema = outVars
 			return gs, nil
 		}
 		// Single-step over partitioned input: repartition raw tuples by the
-		// key expressions, then group in one pass.
+		// key expressions, then group in one pass. The schema is unchanged
+		// across the exchange, so the key evaluators serve both sides.
 		parts := s.partitions
-		inputSchema := s.schema
 		exch := c.closeToExchange(s, hyracks.ExchangeHash, keyEvals, parts)
-		gs := &stream{src: hyracks.ExchangeSource{Exchange: exch}, partitions: parts, schema: inputSchema}
-		keyEvals2 := make([]runtime.Evaluator, len(o.Keys))
-		for i, k := range o.Keys {
-			ev, err := exprEval(k.E, gs.schema)
-			if err != nil {
-				return nil, err
-			}
-			keyEvals2[i] = ev
-		}
+		gs := &stream{src: hyracks.ExchangeSource{Exchange: exch}, partitions: parts, schema: s.schema}
 		defs, err := c.aggDefs(o.Aggs, gs.schema, aggSingle)
 		if err != nil {
 			return nil, err
 		}
-		gs.ops = append(gs.ops, &hyracks.GroupBySpec{Keys: keyEvals2, Aggs: defs, Desc: o.Label()})
+		gs.ops = append(gs.ops, &hyracks.GroupBySpec{Keys: keyEvals, Aggs: defs, Desc: o.Label()})
 		gs.schema = outVars
 		return gs, nil
 
@@ -453,7 +455,10 @@ func (c *compiler) compile(op Op) (*stream, error) {
 		return nil, fmt.Errorf("algebricks: nested DISTRIBUTE-RESULT")
 
 	case *NestedTupleSource:
-		return nil, fmt.Errorf("algebricks: NESTED-TUPLE-SOURCE outside a nested plan")
+		if c.outer == nil {
+			return nil, fmt.Errorf("algebricks: NESTED-TUPLE-SOURCE outside a nested plan")
+		}
+		return &stream{partitions: 1, schema: append([]Var(nil), c.outer...)}, nil
 
 	default:
 		return nil, fmt.Errorf("algebricks: cannot compile %T", op)
@@ -475,29 +480,19 @@ func (c *compiler) compileJoin(o *Join) (*stream, error) {
 		// bucket, so one partition does the work.
 		parts = 1
 	}
-	buildKeys := make([]runtime.Evaluator, len(o.LeftKeys))
-	exchLeftKeys := make([]runtime.Evaluator, len(o.LeftKeys))
-	for i, e := range o.LeftKeys {
-		ev, err := exprEval(e, sl.schema)
-		if err != nil {
-			return nil, err
-		}
-		buildKeys[i] = ev
-		exchLeftKeys[i], _ = exprEval(e, sl.schema)
+	// Evaluators are stateless (their scratch lives in runtime.Ctx), so one
+	// set of key evaluators routes the exchange and drives the join.
+	buildKeys, err := evalAll(o.LeftKeys, sl.schema)
+	if err != nil {
+		return nil, err
 	}
-	probeKeys := make([]runtime.Evaluator, len(o.RightKeys))
-	exchRightKeys := make([]runtime.Evaluator, len(o.RightKeys))
-	for i, e := range o.RightKeys {
-		ev, err := exprEval(e, sr.schema)
-		if err != nil {
-			return nil, err
-		}
-		probeKeys[i] = ev
-		exchRightKeys[i], _ = exprEval(e, sr.schema)
+	probeKeys, err := evalAll(o.RightKeys, sr.schema)
+	if err != nil {
+		return nil, err
 	}
 	combined := append(append([]Var(nil), sl.schema...), sr.schema...)
-	bexch := c.closeToExchange(sl, hyracks.ExchangeHash, exchLeftKeys, parts)
-	pexch := c.closeToExchange(sr, hyracks.ExchangeHash, exchRightKeys, parts)
+	bexch := c.closeToExchange(sl, hyracks.ExchangeHash, buildKeys, parts)
+	pexch := c.closeToExchange(sr, hyracks.ExchangeHash, probeKeys, parts)
 	s := &stream{
 		src: hyracks.JoinSource{Build: bexch, Probe: pexch, Spec: &hyracks.JoinSpec{
 			BuildKeys: buildKeys, ProbeKeys: probeKeys, Desc: o.Label(),
@@ -525,81 +520,24 @@ func isTrueConst(e Expr) bool {
 }
 
 // compileNested lowers a nested (subplan) plan rooted at an Aggregate with a
-// NestedTupleSource leaf into a physical op chain. The chain sees the outer
-// tuple as its single input tuple.
+// NestedTupleSource leaf through compile, into a physical op chain that sees
+// the outer tuple as its single input tuple. The lowered stream must still
+// have no source: one check rejects both a leaf other than
+// NESTED-TUPLE-SOURCE and an operator that closed an exchange (the stream
+// would then read from that exchange).
 func (c *compiler) compileNested(root Op, outerSchema []Var) ([]hyracks.OpSpec, []Var, error) {
-	agg, ok := root.(*Aggregate)
-	if !ok {
+	if _, ok := root.(*Aggregate); !ok {
 		return nil, nil, fmt.Errorf("algebricks: nested plan root must be AGGREGATE, got %T", root)
 	}
-	var build func(op Op) ([]hyracks.OpSpec, []Var, error)
-	build = func(op Op) ([]hyracks.OpSpec, []Var, error) {
-		switch o := op.(type) {
-		case *NestedTupleSource:
-			return nil, append([]Var(nil), outerSchema...), nil
-		case *Assign:
-			ops, schema, err := build(o.In)
-			if err != nil {
-				return nil, nil, err
-			}
-			ev, err := exprEval(o.E, schema)
-			if err != nil {
-				return nil, nil, err
-			}
-			return append(ops, &hyracks.AssignSpec{Evals: []runtime.Evaluator{ev}, Desc: o.Label()}),
-				append(schema, o.V), nil
-		case *Select:
-			ops, schema, err := build(o.In)
-			if err != nil {
-				return nil, nil, err
-			}
-			ev, err := exprEval(o.Cond, schema)
-			if err != nil {
-				return nil, nil, err
-			}
-			return append(ops, &hyracks.SelectSpec{Cond: ev, Desc: o.Cond.String()}), schema, nil
-		case *Project:
-			ops, schema, err := build(o.In)
-			if err != nil {
-				return nil, nil, err
-			}
-			cols := make([]int, len(o.Vs))
-			for i, v := range o.Vs {
-				col, err := columnOf(schema, v)
-				if err != nil {
-					return nil, nil, err
-				}
-				cols[i] = col
-			}
-			return append(ops, &hyracks.ProjectSpec{Cols: cols}), append([]Var(nil), o.Vs...), nil
-		case *Unnest:
-			ops, schema, err := build(o.In)
-			if err != nil {
-				return nil, nil, err
-			}
-			ev, err := exprEval(o.E, schema)
-			if err != nil {
-				return nil, nil, err
-			}
-			return append(ops, &hyracks.UnnestSpec{Expr: ev, Desc: o.Label()}),
-				append(schema, o.V), nil
-		default:
-			return nil, nil, fmt.Errorf("algebricks: unsupported nested operator %T", op)
-		}
-	}
-	ops, schema, err := build(agg.In)
+	saved := c.outer
+	c.outer = append(make([]Var, 0, len(outerSchema)), outerSchema...)
+	s, err := c.compile(root)
+	c.outer = saved
 	if err != nil {
 		return nil, nil, err
 	}
-	defs, err := c.aggDefs(agg.Aggs, schema, aggSingle)
-	if err != nil {
-		return nil, nil, err
+	if s.src != nil {
+		return nil, nil, fmt.Errorf("algebricks: nested plan must run on its outer tuple alone, but reads %T", s.src)
 	}
-	ops = append(ops, &hyracks.AggregateSpec{Aggs: defs, Desc: aggList(agg.Aggs)})
-	ops = fuseProjects(ops)
-	outVars := make([]Var, len(agg.Aggs))
-	for i, a := range agg.Aggs {
-		outVars[i] = a.V
-	}
-	return ops, outVars, nil
+	return fuseProjects(s.ops), s.schema, nil
 }

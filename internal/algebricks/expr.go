@@ -111,23 +111,33 @@ func Num(n float64) *ConstExpr { return &ConstExpr{Seq: item.Single(item.Number(
 // True is the boolean true constant.
 func True() *ConstExpr { return &ConstExpr{Seq: item.Single(item.Bool(true))} }
 
-// Subst returns e with every reference to from replaced by a clone of to.
-func Subst(e Expr, from Var, to Expr) Expr {
-	switch x := e.(type) {
-	case *VarExpr:
-		if x.V == from {
+// MapExpr returns e rebuilt with f applied to every node, top-down: where f
+// returns a different expression, that result replaces the node and is not
+// descended into; otherwise the node's arguments are mapped in turn. Call
+// nodes are rebuilt and leaves f keeps are shared; e itself is never
+// modified, so f may match a node by pointer identity.
+func MapExpr(e Expr, f func(Expr) Expr) Expr {
+	if r := f(e); r != e {
+		return r
+	}
+	c, ok := e.(*CallExpr)
+	if !ok {
+		return e
+	}
+	args := make([]Expr, len(c.Args))
+	for i, a := range c.Args {
+		args[i] = MapExpr(a, f)
+	}
+	return &CallExpr{Fn: c.Fn, Args: args}
+}
+
+// ReplaceVar is the MapExpr function that replaces every reference to from
+// with a copy of to.
+func ReplaceVar(from Var, to Expr) func(Expr) Expr {
+	return func(e Expr) Expr {
+		if x, ok := e.(*VarExpr); ok && x.V == from {
 			return to.Clone()
 		}
-		return x
-	case *ConstExpr:
-		return x
-	case *CallExpr:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = Subst(a, from, to)
-		}
-		return &CallExpr{Fn: x.Fn, Args: args}
-	default:
 		return e
 	}
 }

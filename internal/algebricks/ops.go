@@ -274,3 +274,44 @@ func (o *DistributeResult) Label() string {
 
 // InputSlots implements Op.
 func (o *DistributeResult) InputSlots() []*Op { return []*Op{&o.In} }
+
+// ExprSlots returns pointers to every expression field of op: a reader
+// dereferences them, a rewriter assigns through them. It is the one list of
+// an operator's expressions — rewrite rules, variable-use analysis,
+// substitution and column pruning all read it, so an operator or field
+// added here is seen by every one of them.
+func ExprSlots(op Op) []*Expr {
+	var slots []*Expr
+	switch o := op.(type) {
+	case *Assign:
+		slots = append(slots, &o.E)
+	case *Unnest:
+		slots = append(slots, &o.E)
+	case *Select:
+		slots = append(slots, &o.Cond)
+	case *Aggregate:
+		for i := range o.Aggs {
+			slots = append(slots, &o.Aggs[i].Arg)
+		}
+	case *GroupBy:
+		for i := range o.Keys {
+			slots = append(slots, &o.Keys[i].E)
+		}
+		for i := range o.Aggs {
+			slots = append(slots, &o.Aggs[i].Arg)
+		}
+	case *Join:
+		slots = append(slots, &o.Cond)
+		for i := range o.LeftKeys {
+			slots = append(slots, &o.LeftKeys[i])
+		}
+		for i := range o.RightKeys {
+			slots = append(slots, &o.RightKeys[i])
+		}
+	case *Sort:
+		for i := range o.Keys {
+			slots = append(slots, &o.Keys[i].E)
+		}
+	}
+	return slots
+}

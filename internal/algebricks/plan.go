@@ -2,6 +2,7 @@ package algebricks
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -87,6 +88,68 @@ func Schema(op Op, outer []Var) []Var {
 	default:
 		panic(fmt.Sprintf("algebricks: unknown operator %T", op))
 	}
+}
+
+// Walk calls visit on every operator of the tree rooted at root, parents
+// before children, following input slots and subplans' nested plans.
+func Walk(root Op, visit func(Op)) {
+	visit(root)
+	if sp, ok := root.(*Subplan); ok {
+		Walk(sp.Nested, visit)
+	}
+	for _, in := range root.InputSlots() {
+		Walk(*in, visit)
+	}
+}
+
+// varList returns the variable list of a PROJECT or DISTRIBUTE-RESULT, the
+// operators that reference variables directly rather than through
+// expressions (nil for every other operator).
+func varList(op Op) []Var {
+	switch o := op.(type) {
+	case *Project:
+		return o.Vs
+	case *DistributeResult:
+		return o.Vs
+	}
+	return nil
+}
+
+// VarUsed reports whether v is referenced anywhere in the tree rooted at
+// root — by an expression slot or a variable list — other than by the
+// operators skip reports (nil skips none).
+func VarUsed(root Op, v Var, skip func(Op) bool) bool {
+	used := false
+	Walk(root, func(op Op) {
+		if used || (skip != nil && skip(op)) {
+			return
+		}
+		for _, e := range ExprSlots(op) {
+			used = used || UsesVar(*e, v)
+		}
+		used = used || slices.Contains(varList(op), v)
+	})
+	return used
+}
+
+// SubstVar replaces every reference to from in the tree rooted at root with
+// a copy of to. When to is itself a variable, variable lists are renamed
+// too.
+func SubstVar(root Op, from Var, to Expr) {
+	replace := ReplaceVar(from, to)
+	Walk(root, func(op Op) {
+		for _, e := range ExprSlots(op) {
+			*e = MapExpr(*e, replace)
+		}
+		if tv, ok := to.(*VarExpr); ok {
+			vs := varList(op)
+			for i := range vs {
+				if vs[i] == from {
+					vs[i] = tv.V
+				}
+			}
+		}
+	})
 }
 
 // WalkSlots visits every operator slot of the plan bottom-up (children

@@ -19,9 +19,12 @@ func (s varSet) clone() varSet {
 	return out
 }
 
-func (s varSet) addExpr(e Expr) {
-	for _, v := range e.FreeVars(nil) {
-		s[v] = true
+// addExprs adds every variable op's expression slots reference.
+func (s varSet) addExprs(op Op) {
+	for _, e := range ExprSlots(op) {
+		for _, v := range (*e).FreeVars(nil) {
+			s[v] = true
+		}
 	}
 }
 
@@ -39,150 +42,40 @@ func PruneColumns(p *Plan) {
 
 // pruneOp prunes the subtree rooted at op, given the set of variables its
 // consumers require, and returns the (possibly wrapped) operator. outer is
-// the schema a NestedTupleSource exposes.
+// the schema a NestedTupleSource exposes. Each input is required to carry
+// what passes through op plus what op's expressions reference; the cases
+// below differ only in what passes through.
 func pruneOp(op Op, required varSet, outer []Var) Op {
+	var childReq varSet
 	switch o := op.(type) {
-	case *EmptyTupleSource, *NestedTupleSource, *DataScan:
-		return op
-
 	case *Assign:
-		childReq := required.clone()
+		childReq = required.clone()
 		delete(childReq, o.V)
-		childReq.addExpr(o.E)
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
-	case *Select:
-		childReq := required.clone()
-		childReq.addExpr(o.Cond)
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
 	case *Unnest:
-		childReq := required.clone()
+		childReq = required.clone()
 		delete(childReq, o.V)
-		childReq.addExpr(o.E)
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
-	case *Project:
-		o.In = projectTo(pruneOp(o.In, required, outer), required, outer)
-		return o
-
-	case *Sort:
-		childReq := required.clone()
-		for _, k := range o.Keys {
-			childReq.addExpr(k.E)
-		}
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
-	case *Aggregate:
-		childReq := varSet{}
-		for _, a := range o.Aggs {
-			childReq.addExpr(a.Arg)
-		}
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
-	case *GroupBy:
-		childReq := varSet{}
-		for _, k := range o.Keys {
-			childReq.addExpr(k.E)
-		}
-		for _, a := range o.Aggs {
-			childReq.addExpr(a.Arg)
-		}
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
+	case *Select, *Project, *Sort, *Join:
+		childReq = required.clone()
+	case *Aggregate, *GroupBy:
+		// They replace the schema: nothing passes through.
+		childReq = varSet{}
 	case *Subplan:
-		childReq := required.clone()
-		// The nested plan's expressions may reference outer variables.
-		collectNestedUses(o.Nested, childReq)
-		inSchema := Schema(o.In, outer)
-		o.Nested = pruneNested(o.Nested, inSchema)
-		o.In = projectTo(pruneOp(o.In, childReq, outer), childReq, outer)
-		return o
-
-	case *Join:
-		childReq := required.clone()
-		childReq.addExpr(o.Cond)
-		for _, e := range o.LeftKeys {
-			childReq.addExpr(e)
-		}
-		for _, e := range o.RightKeys {
-			childReq.addExpr(e)
-		}
-		o.Left = projectTo(pruneOp(o.Left, childReq, outer), childReq, outer)
-		o.Right = projectTo(pruneOp(o.Right, childReq, outer), childReq, outer)
-		return o
-
-	case *DistributeResult:
-		// Handled at the top level only.
-		return op
-
+		// The nested plan's expressions may reference outer variables
+		// (conservatively including nested-internal variables, which simply
+		// never occur in the outer schema). Its root is an AGGREGATE, which
+		// ignores the required set.
+		childReq = required.clone()
+		Walk(o.Nested, childReq.addExprs)
+		o.Nested = pruneOp(o.Nested, nil, Schema(o.In, outer))
 	default:
+		// Leaves, DATASCAN and DISTRIBUTE-RESULT (handled by PruneColumns).
 		return op
 	}
-}
-
-// pruneNested prunes inside a subplan's nested chain (its leaf sees the
-// outer schema).
-func pruneNested(root Op, outer []Var) Op {
-	agg, ok := root.(*Aggregate)
-	if !ok {
-		return root
-	}
-	req := varSet{}
-	for _, a := range agg.Aggs {
-		req.addExpr(a.Arg)
-	}
-	agg.In = projectTo(pruneOp(agg.In, req, outer), req, outer)
-	return agg
-}
-
-// collectNestedUses adds every variable referenced by the nested plan's
-// expressions to req (conservatively including nested-internal variables,
-// which simply never occur in the outer schema).
-func collectNestedUses(op Op, req varSet) {
-	for _, e := range nestedExprs(op) {
-		req.addExpr(e)
-	}
+	childReq.addExprs(op)
 	for _, in := range op.InputSlots() {
-		collectNestedUses(*in, req)
+		*in = projectTo(pruneOp(*in, childReq, outer), childReq, outer)
 	}
-	if sp, ok := op.(*Subplan); ok {
-		collectNestedUses(sp.Nested, req)
-	}
-}
-
-func nestedExprs(op Op) []Expr {
-	switch o := op.(type) {
-	case *Assign:
-		return []Expr{o.E}
-	case *Select:
-		return []Expr{o.Cond}
-	case *Unnest:
-		return []Expr{o.E}
-	case *Aggregate:
-		es := make([]Expr, len(o.Aggs))
-		for i, a := range o.Aggs {
-			es[i] = a.Arg
-		}
-		return es
-	case *GroupBy:
-		var es []Expr
-		for _, k := range o.Keys {
-			es = append(es, k.E)
-		}
-		for _, a := range o.Aggs {
-			es = append(es, a.Arg)
-		}
-		return es
-	default:
-		return nil
-	}
+	return op
 }
 
 // projectTo wraps child in a PROJECT keeping only the required variables,

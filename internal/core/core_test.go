@@ -52,28 +52,72 @@ avg(
 ) div 10`
 )
 
+// ORDER BY queries whose sort keys reference a variable a rewrite rule
+// removes or renames: each rule must see the sort keys as uses of that
+// variable (group-by, path and pipelining rules respectively).
+const (
+	queryOrderByGroupAgg = `
+for $r in collection("/sensors")("root")()("results")()
+group by $s := $r("station")
+order by max($r("value")), $s
+return $s`
+
+	queryOrderByMembers = `
+for $d in collection("/sensors")
+let $m := $d("root")()
+for $x in $m
+order by count($m), $x("metadata")("count")
+return $x("metadata")("count")`
+
+	queryOrderByScanPath = `
+for $d in collection("/sensors")
+let $rs := $d("root")
+for $x in $rs()
+order by count($rs)
+return count($x("results"))`
+)
+
+// queryNestedSubplan nests a subplan inside a subplan's nested plan, which
+// the physical compiler lowers like any other plan.
+const queryNestedSubplan = `
+for $r in collection("/sensors")("root")()
+group by $c := $r("metadata")("count")
+return count(
+  for $x in $r
+  let $n := count(for $m in $x("results")() where $m("dataType") eq "TMIN" return $m)
+  where $n gt 1
+  return $x)`
+
 // sensorSource builds a small deterministic sensor collection:
-// 3 files x 2 records x 4 measurements.
+// 3 files x 2 records x 4 measurements. "/sensors" holds each file as one
+// {"root":[...]} document; "/sensors-nd" holds the same records as NDJSON,
+// one {"root":[record]} value per line.
 func sensorSource() *runtime.MemSource {
 	meas := func(date, typ, station string, val int) string {
 		return fmt.Sprintf(`{"date":%q,"dataType":%q,"station":%q,"value":%d}`, date, typ, station, val)
 	}
-	files := map[string][]byte{}
+	files, ndFiles := map[string][]byte{}, map[string][]byte{}
 	for f := 0; f < 3; f++ {
 		st := fmt.Sprintf("ST%03d", f)
-		doc := `{"root":[` +
+		records := []string{
 			`{"metadata":{"count":4},"results":[` +
-			meas("2003-12-25T00:00", "TMIN", st, -f) + "," +
-			meas("2003-12-25T00:00", "TMAX", st, 10+f) + "," +
-			meas("2003-12-26T00:00", "TMIN", st, 1) + "," +
-			meas("2002-12-25T00:00", "TMIN", st, 2) + `]},` +
+				meas("2003-12-25T00:00", "TMIN", st, -f) + "," +
+				meas("2003-12-25T00:00", "TMAX", st, 10+f) + "," +
+				meas("2003-12-26T00:00", "TMIN", st, 1) + "," +
+				meas("2002-12-25T00:00", "TMIN", st, 2) + `]}`,
 			`{"metadata":{"count":2},"results":[` +
-			meas("2004-12-25T00:00", "TMIN", st, 5) + "," +
-			meas("2004-12-25T00:00", "TMAX", st, 15+f) + `]}` +
-			`]}`
-		files[fmt.Sprintf("s%d.json", f)] = []byte(doc)
+				meas("2004-12-25T00:00", "TMIN", st, 5) + "," +
+				meas("2004-12-25T00:00", "TMAX", st, 15+f) + `]}`,
+		}
+		name := fmt.Sprintf("s%d.json", f)
+		files[name] = []byte(`{"root":[` + strings.Join(records, ",") + `]}`)
+		for _, r := range records {
+			ndFiles[name] = append(ndFiles[name], `{"root":[`+r+"]}\n"...)
+		}
 	}
-	return &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": files}}
+	return &runtime.MemSource{Collections: map[string]map[string][]byte{
+		"/sensors": files, "/sensors-nd": ndFiles,
+	}}
 }
 
 func ruleConfigs() map[string]RuleConfig {
@@ -117,11 +161,18 @@ func rowsString(res *hyracks.Result) string {
 }
 
 // TestAllQueriesAllRuleConfigs is the central semantics-preservation test:
-// every paper query must produce identical results under every rule
-// configuration and partition count.
+// every query of the corpus — the paper queries plus ORDER BY and nested
+// queries that once failed to compile — must produce identical results under every rule
+// configuration and partition count, over the whole-document and the NDJSON
+// layout of the collection.
 func TestAllQueriesAllRuleConfigs(t *testing.T) {
 	queries := map[string]string{
 		"Q0": queryQ0, "Q0b": queryQ0b, "Q1": queryQ1, "Q1b": queryQ1b, "Q2": queryQ2,
+		"orderby-group-agg": queryOrderByGroupAgg, "orderby-members": queryOrderByMembers,
+		"orderby-scan-path": queryOrderByScanPath, "nested-subplan": queryNestedSubplan,
+	}
+	for name, q := range queries {
+		queries[name+"/ndjson"] = strings.ReplaceAll(q, `"/sensors"`, `"/sensors-nd"`)
 	}
 	for qname, q := range queries {
 		var want string
@@ -134,6 +185,9 @@ func TestAllQueriesAllRuleConfigs(t *testing.T) {
 				res := runQuery(t, q, cfg, p)
 				got := rowsString(res)
 				if want == "" {
+					if got == "" {
+						t.Fatalf("%s/%s/p=%d: no rows", qname, cfgName, p)
+					}
 					want = got
 					continue
 				}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"vxq/internal/algebricks"
 	"vxq/internal/hyracks"
 	"vxq/internal/item"
@@ -70,7 +72,7 @@ func (MergeUnnestWithKeysOrMembers) Apply(p *algebricks.Plan, slot *algebricks.O
 	if !ok || kom.Fn != "keys-or-members" {
 		return false, nil
 	}
-	if varUsedOutside(p, asg.V, []algebricks.Op{un, asg}) {
+	if algebricks.VarUsed(p.Root, asg.V, except(un, asg)) {
 		return false, nil
 	}
 	un.E = asg.E
@@ -89,23 +91,19 @@ func (RemovePromoteData) Name() string { return "remove-promote-data" }
 // Apply implements algebricks.Rule.
 func (RemovePromoteData) Apply(p *algebricks.Plan, slot *algebricks.Op) (bool, error) {
 	changed := false
-	rewriteOpExprs(*slot, func(e algebricks.Expr) algebricks.Expr {
+	var strip func(e algebricks.Expr) algebricks.Expr
+	strip = func(e algebricks.Expr) algebricks.Expr {
 		call, ok := e.(*algebricks.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return e
-		}
-		switch call.Fn {
-		case "promote":
+		if ok && len(call.Args) == 1 &&
+			(call.Fn == "promote" || call.Fn == "data" && isConstString(call.Args[0])) {
 			changed = true
-			return call.Args[0]
-		case "data":
-			if isConstString(call.Args[0]) {
-				changed = true
-				return call.Args[0]
-			}
+			return algebricks.MapExpr(call.Args[0], strip)
 		}
 		return e
-	})
+	}
+	for _, e := range algebricks.ExprSlots(*slot) {
+		*e = algebricks.MapExpr(*e, strip)
+	}
 	return changed, nil
 }
 
@@ -158,7 +156,7 @@ func (IntroduceDataScan) Apply(p *algebricks.Plan, slot *algebricks.Op) (bool, e
 	if _, ok := asg.In.(*algebricks.EmptyTupleSource); !ok {
 		return false, nil
 	}
-	if varUsedOutside(p, asg.V, []algebricks.Op{un, asg}) {
+	if algebricks.VarUsed(p.Root, asg.V, except(un, asg)) {
 		return false, nil
 	}
 	*slot = &algebricks.DataScan{
@@ -250,7 +248,7 @@ func (r MergePathIntoDataScan) Apply(p *algebricks.Plan, slot *algebricks.Op) (b
 		if !ok {
 			return false, nil
 		}
-		if varUsedOutside(p, asg.V, []algebricks.Op{un, asg}) {
+		if algebricks.VarUsed(p.Root, asg.V, except(un, asg)) {
 			return false, nil
 		}
 		scan = sc
@@ -258,7 +256,7 @@ func (r MergePathIntoDataScan) Apply(p *algebricks.Plan, slot *algebricks.Op) (b
 	} else {
 		return false, nil
 	}
-	if varUsedOutside(p, scan.V, inside) {
+	if algebricks.VarUsed(p.Root, scan.V, except(inside...)) {
 		return false, nil
 	}
 
@@ -392,7 +390,7 @@ func (RemoveRedundantTreat) Apply(p *algebricks.Plan, slot *algebricks.Op) (bool
 	if !ok || treat.Fn != "treat" || len(treat.Args) != 1 {
 		return false, nil
 	}
-	substVarEverywhere(p.Root, asg.V, treat.Args[0])
+	algebricks.SubstVar(p.Root, asg.V, treat.Args[0])
 	*slot = asg.In
 	return true, nil
 }
@@ -427,7 +425,7 @@ func (ConvertCountToAggregate) Apply(p *algebricks.Plan, slot *algebricks.Op) (b
 	}
 	seqVar, _ := singleSequenceVar(cnt.Args[0], gb)
 	j := p.Vars.New()
-	arg := algebricks.Subst(cnt.Args[0], seqVar, algebricks.VarRef(j))
+	arg := algebricks.MapExpr(cnt.Args[0], algebricks.ReplaceVar(seqVar, algebricks.VarRef(j)))
 	if cnt == asg.E {
 		// The whole expression is the aggregate: the subplan produces the
 		// assign's variable directly and the assign disappears.
@@ -451,7 +449,12 @@ func (ConvertCountToAggregate) Apply(p *algebricks.Plan, slot *algebricks.Op) (b
 			In: &algebricks.NestedTupleSource{},
 		},
 	}
-	asg.E = replaceExprNode(asg.E, cnt, algebricks.VarRef(cv))
+	asg.E = algebricks.MapExpr(asg.E, func(e algebricks.Expr) algebricks.Expr {
+		if e == cnt {
+			return algebricks.VarRef(cv)
+		}
+		return e
+	})
 	asg.In = &algebricks.Subplan{Nested: nested, In: asg.In}
 	return true, nil
 }
@@ -479,20 +482,6 @@ func findAggOverSequence(e algebricks.Expr, gb *algebricks.GroupBy) *algebricks.
 		}
 	}
 	return nil
-}
-
-// replaceExprNode replaces the node identified by pointer identity with
-// replacement, returning the (possibly new) root.
-func replaceExprNode(root algebricks.Expr, target, replacement algebricks.Expr) algebricks.Expr {
-	if root == target {
-		return replacement
-	}
-	if call, ok := root.(*algebricks.CallExpr); ok {
-		for i, a := range call.Args {
-			call.Args[i] = replaceExprNode(a, target, replacement)
-		}
-	}
-	return root
 }
 
 // groupByBelow returns the GroupBy reachable from op through Assigns (other
@@ -557,7 +546,7 @@ func (PushAggregateIntoGroupBy) Apply(p *algebricks.Plan, slot *algebricks.Op) (
 		if !ok {
 			break
 		}
-		arg = algebricks.Subst(arg, asg.V, asg.E)
+		arg = algebricks.MapExpr(arg, algebricks.ReplaceVar(asg.V, asg.E))
 		opBelow = asg.In
 	}
 	un, ok := opBelow.(*algebricks.Unnest)
@@ -588,10 +577,11 @@ func (PushAggregateIntoGroupBy) Apply(p *algebricks.Plan, slot *algebricks.Op) (
 	}
 	// The aggregate argument, with the per-item variable substituted by the
 	// group-by input expression, becomes the pushed-down aggregate.
-	pushedArg := algebricks.Subst(arg, un.V, gb.Aggs[idx].Arg)
+	pushedArg := algebricks.MapExpr(arg, algebricks.ReplaceVar(un.V, gb.Aggs[idx].Arg))
 	newAgg := algebricks.AggExpr{V: agg.Aggs[0].V, Fn: agg.Aggs[0].Fn, Arg: pushedArg}
-	inside := append(opsInSubtree(sp.Nested), sp, gb)
-	if varUsedOutside(p, seqRef.V, inside) {
+	inside := []algebricks.Op{sp, gb}
+	algebricks.Walk(sp.Nested, func(op algebricks.Op) { inside = append(inside, op) })
+	if algebricks.VarUsed(p.Root, seqRef.V, except(inside...)) {
 		// The sequence is still needed elsewhere: add the new aggregate
 		// alongside instead of replacing.
 		gb.Aggs = append(gb.Aggs, newAgg)
@@ -604,165 +594,10 @@ func (PushAggregateIntoGroupBy) Apply(p *algebricks.Plan, slot *algebricks.Op) (
 
 // --- shared helpers ----------------------------------------------------------
 
-// opsInSubtree lists every operator of a subtree, including nested plans.
-func opsInSubtree(root algebricks.Op) []algebricks.Op {
-	var out []algebricks.Op
-	var visit func(op algebricks.Op)
-	visit = func(op algebricks.Op) {
-		out = append(out, op)
-		if sp, ok := op.(*algebricks.Subplan); ok {
-			visit(sp.Nested)
-		}
-		for _, in := range op.InputSlots() {
-			visit(*in)
-		}
-	}
-	visit(root)
-	return out
-}
-
-// varUsedOutside reports whether v is referenced by any operator of the
-// plan other than those listed in inside.
-func varUsedOutside(p *algebricks.Plan, v algebricks.Var, inside []algebricks.Op) bool {
-	skip := make(map[algebricks.Op]bool, len(inside))
-	for _, op := range inside {
-		skip[op] = true
-	}
-	found := false
-	var visit func(op algebricks.Op)
-	visit = func(op algebricks.Op) {
-		if found {
-			return
-		}
-		if !skip[op] {
-			for _, e := range opExprsOf(op) {
-				if algebricks.UsesVar(e, v) {
-					found = true
-					return
-				}
-			}
-			if dr, ok := op.(*algebricks.DistributeResult); ok {
-				for _, rv := range dr.Vs {
-					if rv == v {
-						found = true
-						return
-					}
-				}
-			}
-			if pr, ok := op.(*algebricks.Project); ok {
-				for _, pv := range pr.Vs {
-					if pv == v {
-						found = true
-						return
-					}
-				}
-			}
-		}
-		if sp, ok := op.(*algebricks.Subplan); ok {
-			visit(sp.Nested)
-		}
-		for _, in := range op.InputSlots() {
-			visit(*in)
-		}
-	}
-	visit(p.Root)
-	return found
-}
-
-func opExprsOf(op algebricks.Op) []algebricks.Expr {
-	switch o := op.(type) {
-	case *algebricks.Assign:
-		return []algebricks.Expr{o.E}
-	case *algebricks.Select:
-		return []algebricks.Expr{o.Cond}
-	case *algebricks.Unnest:
-		return []algebricks.Expr{o.E}
-	case *algebricks.Aggregate:
-		es := make([]algebricks.Expr, len(o.Aggs))
-		for i, a := range o.Aggs {
-			es[i] = a.Arg
-		}
-		return es
-	case *algebricks.GroupBy:
-		var es []algebricks.Expr
-		for _, k := range o.Keys {
-			es = append(es, k.E)
-		}
-		for _, a := range o.Aggs {
-			es = append(es, a.Arg)
-		}
-		return es
-	case *algebricks.Join:
-		es := []algebricks.Expr{o.Cond}
-		es = append(es, o.LeftKeys...)
-		es = append(es, o.RightKeys...)
-		return es
-	default:
-		return nil
-	}
-}
-
-// substVarEverywhere replaces references to from with to in every
-// expression of the plan.
-func substVarEverywhere(root algebricks.Op, from algebricks.Var, to algebricks.Expr) {
-	var visit func(op algebricks.Op)
-	visit = func(op algebricks.Op) {
-		rewriteOpExprs(op, func(e algebricks.Expr) algebricks.Expr {
-			if v, ok := e.(*algebricks.VarExpr); ok && v.V == from {
-				return to.Clone()
-			}
-			return e
-		})
-		if sp, ok := op.(*algebricks.Subplan); ok {
-			visit(sp.Nested)
-		}
-		for _, in := range op.InputSlots() {
-			visit(*in)
-		}
-	}
-	visit(root)
-}
-
-// rewriteOpExprs applies f bottom-up to every (sub)expression of one
-// operator, in place.
-func rewriteOpExprs(op algebricks.Op, f func(algebricks.Expr) algebricks.Expr) {
-	rw := func(e algebricks.Expr) algebricks.Expr { return rewriteExpr(e, f) }
-	switch o := op.(type) {
-	case *algebricks.Assign:
-		o.E = rw(o.E)
-	case *algebricks.Select:
-		o.Cond = rw(o.Cond)
-	case *algebricks.Unnest:
-		o.E = rw(o.E)
-	case *algebricks.Aggregate:
-		for i := range o.Aggs {
-			o.Aggs[i].Arg = rw(o.Aggs[i].Arg)
-		}
-	case *algebricks.GroupBy:
-		for i := range o.Keys {
-			o.Keys[i].E = rw(o.Keys[i].E)
-		}
-		for i := range o.Aggs {
-			o.Aggs[i].Arg = rw(o.Aggs[i].Arg)
-		}
-	case *algebricks.Join:
-		o.Cond = rw(o.Cond)
-		for i := range o.LeftKeys {
-			o.LeftKeys[i] = rw(o.LeftKeys[i])
-		}
-		for i := range o.RightKeys {
-			o.RightKeys[i] = rw(o.RightKeys[i])
-		}
-	}
-}
-
-func rewriteExpr(e algebricks.Expr, f func(algebricks.Expr) algebricks.Expr) algebricks.Expr {
-	if c, ok := e.(*algebricks.CallExpr); ok {
-		for i, a := range c.Args {
-			c.Args[i] = rewriteExpr(a, f)
-		}
-	}
-	return f(e)
+// except is the algebricks.VarUsed skip function for the operators a rule is
+// about to merge or remove: their own references do not count.
+func except(ops ...algebricks.Op) func(algebricks.Op) bool {
+	return func(op algebricks.Op) bool { return slices.Contains(ops, op) }
 }
 
 // --- Index rule (the paper's §6 future work) ---------------------------------

@@ -108,30 +108,10 @@ func buildScanQueues(job *Job, env *Env, shared bool) (map[int]*morselQueue, que
 	return queues, qs, nil
 }
 
-// TaskTime records the measured wall-clock work of one fragment-partition
-// task. Under the staged scheduler it is clean single-threaded work, which is
-// what a profile attributes; under the pipelined scheduler it includes time
-// blocked on exchanges.
-type TaskTime struct {
-	Fragment  int
-	Partition int
-	Elapsed   time.Duration
-	// Morsels is the number of scan morsels this task processed (0 for
-	// non-scan fragments). Under the shared queue it shows how work-stealing
-	// balanced a skewed file set; under the static deal it shows the
-	// deterministic per-partition split.
-	Morsels int
-	// Steals is how many of those morsels were taken off another partition's
-	// static share (always 0 under the staged scheduler's round-robin deal).
-	Steals int
-}
-
 // Result is the outcome of a job execution.
 type Result struct {
 	// Rows are the collector's tuples, one []item.Sequence per tuple.
 	Rows [][]item.Sequence
-	// Tasks are the per-fragment-partition work measurements.
-	Tasks []TaskTime
 	// Stats are the merged execution statistics.
 	Stats runtime.Stats
 	// PeakMemory is the accountant's high-water mark in bytes.
@@ -278,7 +258,6 @@ launch:
 	res.Stats.ColdIndexBuilds = qstats.coldIndexBuilds
 	var profs []*taskProf
 	for _, t := range tasks {
-		res.Tasks = append(res.Tasks, t.time)
 		res.Stats.Add(t.ctx.RT.Stats)
 		if t.ctx.prof != nil {
 			profs = append(profs, t.ctx.prof)
@@ -295,7 +274,6 @@ type task struct {
 	job  *jobRun
 	frag *Fragment
 	ctx  *TaskCtx
-	time TaskTime
 }
 
 // newTask builds a task and its execution context — the one place a job's
@@ -323,8 +301,8 @@ func (r *jobRun) newTask(f *Fragment, partition int) *task {
 }
 
 // run drives the task's source through its operator chain into the
-// fragment's sink, records the measurements, and reports a failure to the
-// job.
+// fragment's sink, records its profile when profiling, and reports a failure
+// to the job.
 func (t *task) run() {
 	r, f, ctx := t.job, t.frag, t.ctx
 	var terminal Writer
@@ -348,13 +326,8 @@ func (t *task) run() {
 	}}
 	start := time.Now()
 	err := runSource(ctx, f, chain, in)
-	elapsed := time.Since(start)
-	t.time = TaskTime{
-		Fragment: f.ID, Partition: ctx.Partition, Elapsed: elapsed,
-		Morsels: ctx.MorselsScanned, Steals: ctx.MorselsStolen,
-	}
 	if ctx.prof != nil {
-		ctx.prof.finish(ctx, start.Sub(r.epoch).Nanoseconds(), elapsed.Nanoseconds())
+		ctx.prof.finish(ctx, start.Sub(r.epoch).Nanoseconds(), time.Since(start).Nanoseconds())
 	}
 	// A task torn down after another task's failure may surface errStopped
 	// wrapped with scan context (e.g. a file path); only genuine first

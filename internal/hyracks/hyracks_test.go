@@ -452,12 +452,17 @@ func TestJobString(t *testing.T) {
 }
 
 func TestTaskTimesRecorded(t *testing.T) {
-	res, err := RunStaged(twoStepGroupByJob(2, 2), &Env{Source: testSource()})
+	res, err := RunStaged(twoStepGroupByJob(2, 2), &Env{Source: testSource(), Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tasks) != 4 {
-		t.Errorf("tasks = %d, want 4 (2+2 partitions)", len(res.Tasks))
+	if n := profiledTasks(res.Profile); n != 4 {
+		t.Errorf("profiled tasks = %d, want 4 (2+2 partitions)", n)
+	}
+	for _, sp := range res.Profile.Spans {
+		if sp.EndNS < sp.StartNS {
+			t.Errorf("span %s f%d/p%d ends before it starts", sp.Name, sp.Fragment, sp.Partition)
+		}
 	}
 }
 

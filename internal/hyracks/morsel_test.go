@@ -98,8 +98,9 @@ func TestMorselScanEquivalence(t *testing.T) {
 
 // TestMorselQueueSplitsAndCounts checks the scheduler bookkeeping: a skewed
 // file set is split into the expected number of morsels, every morsel is
-// scanned exactly once (TaskTime.Morsels sums to the total), and the staged
-// executor's round-robin deal is deterministic per partition.
+// scanned exactly once (the profile's scan spans' Morsels sum to the
+// total), and the staged executor's round-robin deal is deterministic per
+// partition and steals nothing.
 func TestMorselQueueSplitsAndCounts(t *testing.T) {
 	const ms = 4 << 10
 	docs := map[string][]byte{
@@ -118,23 +119,27 @@ func TestMorselQueueSplitsAndCounts(t *testing.T) {
 	}
 	src := &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": docs}}
 	const parts = 4
-	env := func() *Env { return &Env{Source: src, MorselSize: ms} }
+	env := func() *Env { return &Env{Source: src, MorselSize: ms, Profile: true} }
 
-	sumMorsels := func(res *Result) (total int, perPart map[int]int) {
+	sumMorsels := func(res *Result) (total, steals int, perPart map[int]int) {
 		perPart = map[int]int{}
-		for _, tt := range res.Tasks {
-			total += tt.Morsels
-			perPart[tt.Partition] += tt.Morsels
+		for _, sp := range res.Profile.Spans {
+			if sp.Kind != "scan" {
+				continue
+			}
+			total += int(sp.Morsels)
+			steals += int(sp.MorselSteals)
+			perPart[sp.Partition] += int(sp.Morsels)
 		}
-		return total, perPart
+		return total, steals, perPart
 	}
 
 	piped, err := RunPipelined(scanJob(parts, measurementsPath()), env())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total, _ := sumMorsels(piped); total != wantMorsels {
-		t.Errorf("pipelined: morsels scanned = %d, want %d", total, wantMorsels)
+	if total, steals, _ := sumMorsels(piped); total != wantMorsels || steals > total {
+		t.Errorf("pipelined: morsels scanned = %d (%d stolen), want %d", total, steals, wantMorsels)
 	}
 
 	staged1, err := RunStaged(scanJob(parts, measurementsPath()), env())
@@ -145,10 +150,13 @@ func TestMorselQueueSplitsAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total1, per1 := sumMorsels(staged1)
-	total2, per2 := sumMorsels(staged2)
+	total1, steals1, per1 := sumMorsels(staged1)
+	total2, steals2, per2 := sumMorsels(staged2)
 	if total1 != wantMorsels || total2 != wantMorsels {
 		t.Errorf("staged: morsels scanned = %d / %d, want %d", total1, total2, wantMorsels)
+	}
+	if steals1 != 0 || steals2 != 0 {
+		t.Errorf("staged round-robin deal stole %d / %d morsels, want 0", steals1, steals2)
 	}
 	for p := 0; p < parts; p++ {
 		if per1[p] != per2[p] {
@@ -240,7 +248,7 @@ func TestStatsPerTaskMergeUnderRace(t *testing.T) {
 	const workers = 8
 	for i := 0; i < 3; i++ {
 		res, err := RunPipelined(twoStepGroupByJob(workers, workers/2),
-			&Env{Source: src, MorselSize: 2 << 10})
+			&Env{Source: src, MorselSize: 2 << 10, Profile: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,10 +265,19 @@ func TestStatsPerTaskMergeUnderRace(t *testing.T) {
 		if res.Stats.TuplesShuffled == 0 {
 			t.Errorf("run %d: no shuffled tuples through the hash exchange", i)
 		}
-		if len(res.Tasks) != workers+workers/2 {
-			t.Errorf("run %d: %d task times, want %d", i, len(res.Tasks), workers+workers/2)
+		if n := profiledTasks(res.Profile); n != workers+workers/2 {
+			t.Errorf("run %d: %d profiled tasks, want %d", i, n, workers+workers/2)
 		}
 	}
+}
+
+// profiledTasks counts the fragment-partition tasks a profile has spans for.
+func profiledTasks(p *Profile) int {
+	tasks := map[[2]int]bool{}
+	for _, sp := range p.Spans {
+		tasks[[2]int{sp.Fragment, sp.Partition}] = true
+	}
+	return len(tasks)
 }
 
 func boolInt(b bool) int {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"vxq/internal/item"
@@ -279,52 +280,39 @@ var (
 	})
 )
 
-// FnCount is the scalar fn:count over a materialized sequence (the
-// unoptimized form that the group-by rules replace with an incremental
-// aggregate).
-var FnCount = register(&Function{
-	Name:  "count",
-	Arity: 1,
-	Apply: func(_ *Ctx, args []item.Sequence) (item.Sequence, error) {
-		return item.Single(item.Number(len(args[0]))), nil
-	},
-})
-
-func numericFold(name string, finish func(sum float64, n int) (item.Sequence, error)) *Function {
+// aggFold registers the scalar function name as one step of agg over its
+// materialized argument, so the scalar form (what the unoptimized plan
+// evaluates) and the incremental aggregate the group-by rules convert it to
+// share one definition and cannot disagree.
+func aggFold(name string, agg *AggFunc) *Function {
 	return register(&Function{
 		Name:  name,
 		Arity: 1,
 		Apply: func(_ *Ctx, args []item.Sequence) (item.Sequence, error) {
-			var sum float64
-			for _, it := range args[0] {
-				n, ok := it.(item.Number)
-				if !ok {
-					return nil, fmt.Errorf("expected number, got %s", it.Kind())
-				}
-				sum += float64(n)
+			st := agg.New()
+			if err := st.Step(args[0]); err != nil {
+				return nil, err
 			}
-			return finish(sum, len(args[0]))
+			return st.Finish()
 		},
 	})
 }
 
 // Scalar folds over materialized sequences.
 var (
-	FnSum = numericFold("sum", func(sum float64, n int) (item.Sequence, error) {
-		return item.Single(item.Number(sum)), nil
-	})
-	FnAvg = numericFold("avg", func(sum float64, n int) (item.Sequence, error) {
-		if n == 0 {
-			return nil, nil // avg of empty sequence is empty
-		}
-		return item.Single(item.Number(sum / float64(n))), nil
-	})
+	FnCount = aggFold("count", AggCount)
+	FnSum   = aggFold("sum", AggSum)
+	FnAvg   = aggFold("avg", AggAvg)
+	FnMin   = aggFold("min", AggMin)
+	FnMax   = aggFold("max", AggMax)
 )
 
 // FnCollection reads and parses every file of a collection, returning the
-// sequence of documents. This is the unoptimized evaluation of the
-// collection expression (§4.2, Fig. 5): the whole collection materializes
-// into a single tuple field. The pipelining rules replace it with DATASCAN.
+// sequence of its files' top-level values — one per document, or one per
+// record of an NDJSON file, exactly what DATASCAN emits. This is the
+// unoptimized evaluation of the collection expression (§4.2, Fig. 5): the
+// whole collection materializes into a single tuple field. The pipelining
+// rules replace it with DATASCAN.
 var FnCollection = register(&Function{
 	Name:  "collection",
 	Arity: 1,
@@ -342,11 +330,17 @@ var FnCollection = register(&Function{
 		}
 		var out item.Sequence
 		for _, f := range files {
-			doc, err := readDoc(ctx, f)
+			err := readFile(ctx, f, func(r io.Reader) error {
+				lx := jsonparse.NewStreamLexer(r, jsonparse.DefaultChunkSize)
+				_, err := jsonparse.ScanValues(lx, nil, -1, func(it item.Item) error {
+					out = append(out, it)
+					return nil
+				})
+				return err
+			})
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, doc)
 		}
 		if ctx.Accountant != nil {
 			ctx.Accountant.Allocate(item.SizeBytesSeq(out))
@@ -356,7 +350,7 @@ var FnCollection = register(&Function{
 	},
 })
 
-// FnJSONDoc reads and parses a single JSON document.
+// FnJSONDoc reads and parses a file holding a single JSON document.
 var FnJSONDoc = register(&Function{
 	Name:  "json-doc",
 	Arity: 1,
@@ -368,7 +362,11 @@ var FnJSONDoc = register(&Function{
 		if ctx == nil || ctx.Source == nil {
 			return nil, fmt.Errorf("no data source configured")
 		}
-		doc, err := readDoc(ctx, path)
+		var doc item.Item
+		err = readFile(ctx, path, func(r io.Reader) (err error) {
+			doc, err = jsonparse.ParseReader(r, jsonparse.DefaultChunkSize)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -376,14 +374,16 @@ var FnJSONDoc = register(&Function{
 	},
 })
 
-func readDoc(ctx *Ctx, path string) (item.Item, error) {
+// readFile opens path, hands its contents to parse and counts the bytes read;
+// a parse error is prefixed with the path.
+func readFile(ctx *Ctx, path string, parse func(io.Reader) error) error {
 	rc, err := ctx.Source.Open(path)
 	if err != nil {
 		// Both Source implementations name the file in their open errors.
-		return nil, err
+		return err
 	}
 	cr := &CountingReader{R: rc}
-	doc, err := jsonparse.ParseReader(cr, jsonparse.DefaultChunkSize)
+	err = parse(cr)
 	if cerr := rc.Close(); err == nil {
 		err = cerr
 	}
@@ -392,9 +392,9 @@ func readDoc(ctx *Ctx, path string) (item.Item, error) {
 		ctx.Stats.FilesRead++
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	return doc, nil
+	return nil
 }
 
 func singletonString(s item.Sequence) (string, error) {

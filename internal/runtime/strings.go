@@ -238,31 +238,3 @@ var (
 		},
 	})
 )
-
-func extremumFold(name string, keepLeft func(c int) bool) *Function {
-	return register(&Function{
-		Name:  name,
-		Arity: 1,
-		Apply: func(_ *Ctx, args []item.Sequence) (item.Sequence, error) {
-			if len(args[0]) == 0 {
-				return nil, nil
-			}
-			best := args[0][0]
-			for _, it := range args[0][1:] {
-				if it.Kind() != best.Kind() {
-					return nil, fmt.Errorf("mixed kinds %s and %s", best.Kind(), it.Kind())
-				}
-				if !keepLeft(item.Compare(best, it)) {
-					best = it
-				}
-			}
-			return item.Single(best), nil
-		},
-	})
-}
-
-// Scalar min/max folds over materialized sequences.
-var (
-	FnMin = extremumFold("min", func(c int) bool { return c <= 0 })
-	FnMax = extremumFold("max", func(c int) bool { return c >= 0 })
-)
