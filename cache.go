@@ -13,9 +13,9 @@ import (
 
 // The engine's warm path is a three-layer cache stack:
 //
-//  1. Sidecar-backed structural indexes (internal/index): per-file record
-//     splits and zone stats persisted next to the data, validated by
-//     (size, mtime), so even a fresh process scans warm.
+//  1. Sidecar-backed zone indexes (internal/index): the per-zone stats a
+//     BuildIndex pass computes, persisted next to the data and validated
+//     by (size, mtime), so even a fresh process prunes warm.
 //  2. A compiled-plan cache: normalized query text + option fingerprint →
 //     compiled job, bounded LRU, so a repeated query skips parse, rewrite
 //     and physical planning.

@@ -1,7 +1,9 @@
 package vxq
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -9,6 +11,8 @@ import (
 	"time"
 
 	"vxq/internal/gen"
+	"vxq/internal/index"
+	"vxq/internal/runtime"
 )
 
 func TestNormalizeQuery(t *testing.T) {
@@ -386,16 +390,84 @@ func TestSidecarsWrittenByEngineIndexBuild(t *testing.T) {
 	}
 }
 
-// TestSidecarsWrittenByColdScan: the other writer. A first scan of files
-// bigger than a morsel runs the cold boundary pass and persists what it
-// found; a fresh engine over the same directory then rebuilds nothing, hits
-// its plan cache on the repeat, and — once a date index is persisted —
-// prunes a one-month range query down to a few morsels of one file.
-func TestSidecarsWrittenByColdScan(t *testing.T) {
+// TestOneBigFileScan: one NDJSON file several morsels long comes back with
+// the same rows at every partition count, morsel size and scheduler — the
+// morsels are cut nominally and re-aligned by the newline probe, with no
+// boundary pass (ColdIndexBuilds stays 0) — and a plain query writes no
+// sidecar.
+func TestOneBigFileScan(t *testing.T) {
 	dir := t.TempDir()
-	// Newline-split records so byte-range morsels exist, one year per file so
-	// a year bound skips whole files, dates clustered within each file so a
-	// month bound skips morsels inside the surviving one.
+	cfg := gen.Config{Seed: 3, Files: 1, RecordsPerFile: 300, MeasurementsPerArray: 8, Stations: 40,
+		YearMin: 2000, YearMax: 2003, SplitRecords: true}
+	size, err := cfg.WriteDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `for $r in collection("/sensors")("root")()("results")()
+	      where $r("dataType") eq "TMIN" return {"s": $r("station"), "d": $r("date"), "v": $r("value")}`
+	run := func(opts Options) []string {
+		t.Helper()
+		eng := New(opts)
+		eng.Mount("/sensors", dir)
+		res, err := eng.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ColdIndexBuilds != 0 {
+			t.Fatalf("%+v: %d cold index builds, want 0", opts, res.Stats.ColdIndexBuilds)
+		}
+		out := make([]string, len(res.Items))
+		for i, it := range res.Items {
+			out[i] = JSON(it)
+		}
+		return out
+	}
+	want := run(Options{Partitions: 1, MorselSize: 1 << 30}) // one whole-file morsel
+	if len(want) == 0 {
+		t.Fatal("reference returned no rows; bad setup")
+	}
+	for _, ms := range []int64{size / 7, size / 3} {
+		for parts := 1; parts <= 3; parts++ {
+			for _, staged := range []bool{false, true} {
+				got := run(Options{Partitions: parts, MorselSize: ms, Staged: staged})
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("morsel=%d parts=%d staged=%v: %d rows differ from the whole-file scan's %d",
+						ms, parts, staged, len(got), len(want))
+				}
+			}
+		}
+	}
+	if sc, _ := filepath.Glob(filepath.Join(dir, "*"+runtime.SidecarSuffix)); len(sc) != 0 {
+		t.Fatalf("plain queries wrote sidecars: %v", sc)
+	}
+}
+
+// v1Sidecar encodes a version-1 sidecar, the format that also carried
+// record-boundary splits: header, split grain, delta-encoded splits, no
+// zone paths, CRC.
+func v1Sidecar(ident runtime.FileIdent, splits []int64) []byte {
+	b := append([]byte("VXQS"), 1, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint64(b, uint64(ident.Size))
+	b = binary.LittleEndian.AppendUint64(b, uint64(ident.ModTimeNanos))
+	b = binary.LittleEndian.AppendUint64(b, 4<<10)
+	b = binary.AppendUvarint(b, uint64(len(splits)))
+	prev := int64(0)
+	for _, s := range splits {
+		b = binary.AppendUvarint(b, uint64(s-prev))
+		prev = s
+	}
+	b = binary.AppendUvarint(b, 0)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestSidecarV1MigratesOnBuild: a version-1 sidecar left by an older build
+// is a counted miss, never a query error; BuildIndexes rewrites it as the
+// current version, and a fresh engine warm-starts from that — loading zones
+// and pruning whole files and morsels of the survivor.
+func TestSidecarV1MigratesOnBuild(t *testing.T) {
+	dir := t.TempDir()
+	// One year per file so a year bound skips whole files, dates clustered
+	// within each file so a month bound skips morsels inside the survivor.
 	cfg := gen.Config{
 		Seed: 1, Files: 4, RecordsPerFile: 96, MeasurementsPerArray: 20, Stations: 50,
 		YearMin: 2000, YearMax: 2003,
@@ -404,61 +476,63 @@ func TestSidecarsWrittenByColdScan(t *testing.T) {
 	if _, err := cfg.WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
+	src := &runtime.DirSource{Mounts: map[string]string{"/sensors": dir}}
+	files, err := src.Files("/sensors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		ident, _ := src.Ident(f)
+		if err := os.WriteFile(f+runtime.SidecarSuffix, v1Sidecar(ident, []int64{4096, 8192}), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	open := func() *Engine {
-		eng := New(Options{Partitions: 2, MorselSize: 64 << 10, ColdIndexMinBytes: 1, IndexZoneGrain: 16 << 10})
+		eng := New(Options{Partitions: 2, MorselSize: 64 << 10, IndexZoneGrain: 16 << 10})
 		eng.Mount("/sensors", dir)
 		return eng
 	}
-	query := func(eng *Engine, q string) *Result {
-		t.Helper()
-		res, err := eng.Query(q)
+	const month = `for $d in collection("/sensors")("root")()("results")()("date")
+	      where $d ge "2003-06-01" and $d lt "2003-07-01" return $d`
+
+	old := open()
+	cold, err := old.Query(month)
+	if err != nil {
+		t.Fatalf("a version-1 sidecar failed the query: %v", err)
+	}
+	if len(cold.Items) == 0 {
+		t.Fatal("one-month range returned nothing; bad setup")
+	}
+	if cs := old.CacheStats(); cs.SidecarMisses != int64(len(files)) || cs.SidecarLoads != 0 {
+		t.Fatalf("version-1 sidecars: %+v, want %d misses and no loads", cs, len(files))
+	}
+	if err := old.BuildIndex("/sensors", `("root")()("results")()("date")`); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f + runtime.SidecarSuffix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-
-	cold := open()
-	first := query(cold, apiQ1)
-	if first.Stats.ColdIndexBuilds == 0 {
-		t.Fatal("first scan ran no cold boundary pass")
-	}
-	if cs := cold.CacheStats(); cs.SidecarWrites == 0 {
-		t.Fatalf("first scan persisted nothing: %+v", cs)
+		if v := binary.LittleEndian.Uint32(b[4:]); v != index.SidecarVersion {
+			t.Fatalf("%s: sidecar version %d after BuildIndex, want %d", f, v, index.SidecarVersion)
+		}
 	}
 
 	warm := open()
-	for i, wantPlanHit := range []bool{false, true} {
-		res := query(warm, apiQ1)
-		if res.Stats.ColdIndexBuilds != 0 {
-			t.Fatalf("warm scan %d rebuilt %d structural indexes, want 0", i, res.Stats.ColdIndexBuilds)
-		}
-		if res.Cache.PlanHit != wantPlanHit {
-			t.Fatalf("warm scan %d: plan hit = %v, want %v", i, res.Cache.PlanHit, wantPlanHit)
-		}
-		if len(res.Items) != len(first.Items) {
-			t.Fatalf("warm scan %d returned %d items, cold returned %d", i, len(res.Items), len(first.Items))
-		}
-	}
-	if cs := warm.CacheStats(); cs.SidecarLoads == 0 {
-		t.Fatalf("fresh engine loaded no sidecars: %+v", cs)
-	}
-
-	if err := warm.BuildIndex("/sensors", `("root")()("results")()("date")`); err != nil {
+	res, err := warm.Query(month)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reader := open()
-	res := query(reader, `for $d in collection("/sensors")("root")()("results")()("date")
-	      where $d ge "2003-06-01" and $d lt "2003-07-01" return $d`)
-	if len(res.Items) == 0 {
-		t.Fatal("one-month range returned nothing; bad setup")
+	if fmt.Sprint(res.Items) != fmt.Sprint(cold.Items) {
+		t.Fatalf("warm pruned scan returned %d items, cold returned %d", len(res.Items), len(cold.Items))
+	}
+	if cs := warm.CacheStats(); cs.SidecarLoads == 0 || cs.SidecarWrites != 0 {
+		t.Fatalf("fresh engine: %+v, want loads and no writes", cs)
 	}
 	if res.Stats.FilesSkipped == 0 || res.Stats.MorselsSkipped == 0 {
 		t.Fatalf("range scan skipped %d files and %d morsels, want both > 0",
 			res.Stats.FilesSkipped, res.Stats.MorselsSkipped)
-	}
-	if res.Stats.ColdIndexBuilds != 0 {
-		t.Fatalf("range scan rebuilt %d structural indexes on a sidecar-warm collection", res.Stats.ColdIndexBuilds)
 	}
 }
 

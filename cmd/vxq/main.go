@@ -58,7 +58,6 @@ func run() error {
 	profile := fs.Bool("profile", false, "print the per-operator execution profile to stderr (runs the staged executor so operator self-times account for the job wall)")
 	trace := fs.String("trace", "", "write the machine-readable JSON profile trace to this file (implies profiling)")
 	morselKB := fs.Int64("morsel-kb", 0, "scan morsel size in KiB (0 = default 4 MiB); large files split into byte-range morsels")
-	coldIndexKB := fs.Int64("cold-index-kb", 0, "smallest file (KiB) whose first cold scan runs the boundary-index pass and persists a sidecar (0 = default 32 MiB)")
 	cacheDir := fs.String("cache-dir", "", "directory for persistent structural-index sidecars (default: next to each data file)")
 	noSidecars := fs.Bool("no-sidecars", false, "disable persistent index sidecars (in-memory indexes only)")
 	repeat := fs.Int("repeat", 1, "run the query this many times (warm runs exercise the plan/result caches and sidecars)")
@@ -90,7 +89,6 @@ func run() error {
 		DisablePipeliningRules: *noPipe,
 		DisableGroupByRules:    *noGroup,
 		MorselSize:             *morselKB << 10,
-		ColdIndexMinBytes:      *coldIndexKB << 10,
 		CacheDir:               *cacheDir,
 		DisableSidecars:        *noSidecars,
 		ResultCacheBytes:       *resultCacheKB << 10,
@@ -143,9 +141,9 @@ func run() error {
 				res.Stats.SpilledBytes, res.Stats.SpillPartitions, res.Stats.SpillWaves)
 		}
 		cs := eng.CacheStats()
-		fmt.Fprintf(os.Stderr, "cache: plan hit=%v result hit=%v  files skipped: %d  morsels skipped: %d  cold index builds: %d  sidecars loaded/written: %d/%d\n",
+		fmt.Fprintf(os.Stderr, "cache: plan hit=%v result hit=%v  files skipped: %d  morsels skipped: %d  sidecars loaded/written: %d/%d\n",
 			res.Cache.PlanHit, res.Cache.ResultHit,
-			res.Stats.FilesSkipped, res.Stats.MorselsSkipped, res.Stats.ColdIndexBuilds,
+			res.Stats.FilesSkipped, res.Stats.MorselsSkipped,
 			cs.SidecarLoads, cs.SidecarWrites)
 	}
 	if *profile && res.Profile != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // parallelBuilderSplitGrain is the record-start sampling granularity of the
-// parallel-builder benchmark — the zone-map build's production grain.
+// parallel-builder benchmark — the grain the benchmark module measures at.
 const parallelBuilderSplitGrain int64 = 4 << 10
 
 // BenchmarkParallelBuilder runs the speculative parallel builder at
@@ -43,6 +43,9 @@ func BenchmarkParallelBuilder(b *testing.B) {
 //   - on any host, including single-core ones, the speculation overhead is
 //     bounded: the best parallel configuration is never worse than 1.6x the
 //     sequential pass (one extra pass over ~25% of the input plus stitching).
+//
+// Times come from calibratedBestOf, so a run during which a sibling process
+// held a core the pass could use does not count.
 func TestParallelIndexBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping parallel index bounds in -short")
@@ -67,7 +70,21 @@ func TestParallelIndexBounds(t *testing.T) {
 			return nil
 		})
 	}
-	secs := bestOf(t, 300*time.Millisecond, passes...)
+	ncpu := goruntime.NumCPU()
+	// A pass counts only when the host delivered the cores it can use, up
+	// to the widest worker count a scaling bound below judges.
+	judged := 1
+	for _, w := range []int{8, 4, 2} {
+		if ncpu >= w {
+			judged = w
+			break
+		}
+	}
+	cores := []int{1}
+	for _, w := range workers {
+		cores = append(cores, min(w, judged))
+	}
+	secs := calibratedBestOf(t, cores, 300*time.Millisecond, passes...)
 	mb := float64(len(data)) / (1 << 20)
 	t.Logf("sequential: %.0f MB/s", mb/secs[0])
 	speedup := map[int]float64{}
@@ -77,7 +94,6 @@ func TestParallelIndexBounds(t *testing.T) {
 		t.Logf("workers=%d: %.0f MB/s (%.2fx sequential)", w, mb/secs[i+1], speedup[w])
 		bestSpeedup = max(bestSpeedup, speedup[w])
 	}
-	ncpu := goruntime.NumCPU()
 	check := func(w int, want float64) {
 		if speedup[w] < want {
 			t.Errorf("%d workers on %d cores: speedup %.2fx, want >= %.1fx", w, ncpu, speedup[w], want)

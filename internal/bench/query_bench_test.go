@@ -73,7 +73,7 @@ func TestQueryKernelBounds(t *testing.T) {
 	}
 	const minDur = 300 * time.Millisecond
 	for _, shape := range []string{"groupby", "shuffle", "join"} {
-		secs, encoded, out := timeQueryModes(t, shape, minDur, "encoded", "eager")
+		secs, encoded, out := timeQueryModes(t, shape, minDur, false, "encoded", "eager")
 		allocsPerTuple := allocsPerPass(t, encoded) / queryBenchTuples
 		t.Logf("%s: encoded %.2f Mtuples/s (%.4f allocs/tuple), eager %.2f Mtuples/s, output %d",
 			shape, queryBenchTuples/secs[0]/1e6, allocsPerTuple, queryBenchTuples/secs[1]/1e6, out)
@@ -92,10 +92,11 @@ func TestQueryKernelBounds(t *testing.T) {
 	}
 }
 
-// timeQueryModes times one shape under two modes through bestOf and returns
-// the per-mode best seconds, the first mode's pass function, and the output
+// timeQueryModes times one shape under two modes through bestOf — or, when
+// calibrated, calibratedBestOf at one core per pass — and returns the
+// per-mode best seconds, the first mode's pass function, and the output
 // tuple count, which every pass of both modes must agree on.
-func timeQueryModes(t *testing.T, shape string, minDur time.Duration, modeA, modeB string) (secs []float64, passA func() error, out int64) {
+func timeQueryModes(t *testing.T, shape string, minDur time.Duration, calibrated bool, modeA, modeB string) (secs []float64, passA func() error, out int64) {
 	t.Helper()
 	pass := queryBenchPass(shape)
 	out, err := pass(modeA)
@@ -115,6 +116,9 @@ func timeQueryModes(t *testing.T, shape string, minDur time.Duration, modeA, mod
 		}
 	}
 	passA = timed(modeA)
+	if calibrated {
+		return calibratedBestOf(t, []int{1, 1}, minDur, passA, timed(modeB)), passA, out
+	}
 	return bestOf(t, minDur, passA, timed(modeB)), passA, out
 }
 
@@ -124,8 +128,10 @@ func timeQueryModes(t *testing.T, shape string, minDur time.Duration, modeA, mod
 // pair order alternating each iteration) and each side takes its best pass,
 // so drift of the machine (frequency scaling, co-tenants, the rest of the
 // test suite running in sibling processes) cancels instead of biasing one
-// mode. A shape over the bound is re-measured with a longer window before
-// failing — transient contention must not fail CI, persistent overhead must.
+// mode, and only passes bracketed by one-core calibrations at full speed
+// count (calibratedBestOf; the kernels run on one goroutine). A shape over
+// the bound is re-measured with a longer window before failing — transient
+// contention must not fail CI, persistent overhead must.
 func TestProfileOverheadBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping profile overhead bound in -short")
@@ -134,7 +140,7 @@ func TestProfileOverheadBound(t *testing.T) {
 	const bound = 1.03
 	for _, shape := range []string{"groupby", "shuffle", "join"} {
 		measure := func(dur time.Duration) float64 {
-			secs, _, _ := timeQueryModes(t, shape, dur, "encoded", "profiled")
+			secs, _, _ := timeQueryModes(t, shape, dur, true, "encoded", "profiled")
 			ratio := secs[1] / secs[0]
 			t.Logf("%s: profiled/unprofiled = %.4f (%.4fs vs %.4fs)", shape, ratio, secs[1], secs[0])
 			return ratio

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,15 +30,6 @@ type Env struct {
 	// (DefaultMorselSize when <= 0): raw-JSON files larger than this are
 	// split into independently schedulable byte ranges.
 	MorselSize int64
-	// ColdIndexMinBytes gates the cold-scan boundary pass: a raw-JSON file
-	// at least this large with no recorded record-boundary index gets one
-	// from the speculative parallel indexer at queue-build time, so even the
-	// first scan of a huge file cuts morsels exactly on record starts
-	// (DefaultColdIndexMinBytes when 0; negative disables the pass).
-	ColdIndexMinBytes int64
-	// ColdIndexWorkers is the worker count of that pass (GOMAXPROCS when
-	// <= 0).
-	ColdIndexWorkers int
 	// Pool recycles tuple frames across operators and tasks; one is created
 	// on demand when nil.
 	Pool *frame.Pool
@@ -73,18 +65,10 @@ func (e *Env) pool() *frame.Pool {
 	return e.Pool
 }
 
-func (e *Env) morselOpts() morselOptions {
-	return morselOptions{
-		morselSize:       e.MorselSize,
-		coldIndexMin:     e.ColdIndexMinBytes,
-		coldIndexWorkers: e.ColdIndexWorkers,
-	}
-}
-
 // buildScanQueues prepares one morsel queue per scan fragment (pruning
 // zone-map-excluded files and morsels as a side effect) so every task of a
 // fragment drains the same queue. It returns the queues and the merged
-// pruning/cold-index counters.
+// pruning counters.
 func buildScanQueues(job *Job, env *Env, shared bool) (map[int]*morselQueue, queueStats, error) {
 	var (
 		queues map[int]*morselQueue
@@ -95,7 +79,7 @@ func buildScanQueues(job *Job, env *Env, shared bool) (map[int]*morselQueue, que
 		if !ok {
 			continue
 		}
-		q, sk, err := buildMorselQueue(env.Source, s, env.Indexes, f.Partitions, env.morselOpts(), shared)
+		q, sk, err := buildMorselQueue(env.Source, s, env.Indexes, f.Partitions, env.MorselSize, shared)
 		if err != nil {
 			return nil, queueStats{}, err
 		}
@@ -255,7 +239,6 @@ launch:
 	res := &Result{Rows: r.collector.Rows, PeakMemory: acct.Peak()}
 	res.Stats.FilesSkipped = qstats.filesSkipped
 	res.Stats.MorselsSkipped = qstats.morselsSkipped
-	res.Stats.ColdIndexBuilds = qstats.coldIndexBuilds
 	var profs []*taskProf
 	for _, t := range tasks {
 		res.Stats.Add(t.ctx.RT.Stats)
@@ -302,9 +285,17 @@ func (r *jobRun) newTask(f *Fragment, partition int) *task {
 
 // run drives the task's source through its operator chain into the
 // fragment's sink, records its profile when profiling, and reports a failure
-// to the job.
+// to the job. An operator panic is that failure too: it becomes the query's
+// error, naming the fragment, the partition and the stack, and stops the
+// sibling tasks like any other first failure.
 func (t *task) run() {
 	r, f, ctx := t.job, t.frag, t.ctx
+	defer func() {
+		if p := recover(); p != nil {
+			r.fail(fmt.Errorf("hyracks: fragment %d partition %d panicked: %v\n%s",
+				f.ID, ctx.Partition, p, debug.Stack()))
+		}
+	}()
 	var terminal Writer
 	if f.SinkExchange >= 0 {
 		e := r.job.exchange(f.SinkExchange)
@@ -720,14 +711,13 @@ func runScan(ctx *TaskCtx, s ScanSource, partitions int, w Writer) error {
 			qs  queueStats
 			err error
 		)
-		q, qs, err = buildMorselQueue(ctx.RT.Source, s, ctx.RT.Indexes, partitions, morselOptions{}, false)
+		q, qs, err = buildMorselQueue(ctx.RT.Source, s, ctx.RT.Indexes, partitions, 0, false)
 		if err != nil {
 			return err
 		}
 		if st := ctx.RT.Stats; st != nil {
 			st.FilesSkipped += qs.filesSkipped
 			st.MorselsSkipped += qs.morselsSkipped
-			st.ColdIndexBuilds += qs.coldIndexBuilds
 		}
 	}
 	sc := &scanState{ctx: ctx, b: newFrameBuilder(ctx, w), field: make([][]byte, 1), seq1: make(item.Sequence, 1)}
@@ -792,15 +782,9 @@ func scanMorsel(ctx *TaskCtx, sc *scanState, s ScanSource, m morsel) error {
 		if !ok {
 			return fmt.Errorf("source cannot open byte ranges")
 		}
-		if m.aligned {
-			// The split index guarantees start is a record start: open there
-			// directly, nothing to re-align.
-			base = m.start
-		} else {
-			// Open one byte early: if the byte at start-1 is the separating
-			// newline, the first record of this morsel starts exactly at start.
-			base = m.start - 1
-		}
+		// Open one byte early: if the byte at start-1 is the separating
+		// newline, the first record of this morsel starts exactly at start.
+		base = m.start - 1
 		rc, err = ro.OpenRange(m.file, base)
 	} else {
 		rc, err = src.Open(m.file)
@@ -831,10 +815,9 @@ func scanMorsel(ctx *TaskCtx, sc *scanState, s ScanSource, m morsel) error {
 }
 
 func scanMorselRecords(sc *scanState, s ScanSource, m morsel) error {
-	if !m.first && !m.aligned {
+	if !m.first {
 		// Align to the first record boundary at or after m.start: skip past
 		// the next newline. No newline left means no record starts here.
-		// (Aligned morsels were opened exactly at a known record start.)
 		ok, err := sc.lx.SkipPastNewline()
 		if err != nil || !ok {
 			return err

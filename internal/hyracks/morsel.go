@@ -2,11 +2,9 @@ package hyracks
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
 
-	"vxq/internal/jsonparse"
 	"vxq/internal/runtime"
 )
 
@@ -15,31 +13,6 @@ import (
 // byte ranges, so one oversized file no longer serializes onto a single
 // partition (the skew problem of static file striding).
 const DefaultMorselSize int64 = 4 << 20
-
-// DefaultColdIndexMinBytes is the file size at which a cold scan — a
-// raw-JSON file with no recorded record-boundary index — runs the
-// speculative parallel indexer at queue-build time to compute exact splits
-// before cutting morsels. Below it the probe-and-realign fallback is cheap
-// enough that the extra phase-1 pass isn't worth scheduling.
-const DefaultColdIndexMinBytes int64 = 32 << 20
-
-// coldIndexSplitGrain is the record-start sampling granularity of the
-// cold-scan boundary pass. It matches the zone-map build's default
-// (index.DefaultSplitGrain) so recorded cold-scan indexes are
-// indistinguishable from build-time ones.
-const coldIndexSplitGrain int64 = 4 << 10
-
-// morselOptions bundles the tuning knobs of a morsel-queue build.
-type morselOptions struct {
-	// morselSize is the byte-range granularity (DefaultMorselSize when <= 0).
-	morselSize int64
-	// coldIndexMin gates the cold-scan boundary pass
-	// (DefaultColdIndexMinBytes when 0, disabled when negative).
-	coldIndexMin int64
-	// coldIndexWorkers is the parallel indexer's worker count (GOMAXPROCS
-	// when <= 0).
-	coldIndexWorkers int
-}
 
 // morsel is one unit of scan work: a byte range of one file. A record whose
 // line start (the offset just past the '\n' preceding it, or offset 0)
@@ -57,12 +30,6 @@ type morsel struct {
 	start int64
 	end   int64 // exclusive ownership limit; -1 = the whole rest of the file
 	first bool  // first morsel of its file (no alignment skip)
-	// aligned marks a morsel whose start is a known record start (from a
-	// zone-map split index), so the consumer opens at start directly and
-	// skips the probe-byte + SkipPastNewline re-alignment. Ownership is
-	// unchanged: an aligned start is its own line start, so [start, end)
-	// still bounds exactly the records whose line starts fall inside it.
-	aligned bool
 	// countsFile marks the one morsel of its file that increments
 	// Stats.FilesRead. It starts out on the first morsel but moves to the
 	// earliest survivor when zone pruning drops the first — first itself
@@ -136,31 +103,29 @@ func (q *morselQueue) take(partition int) (m morsel, stolen, ok bool) {
 	return q.morsels[i], false, true
 }
 
-// queueStats counts the pruning and cold-index work of a morsel-queue build.
+// queueStats counts the pruning work of a morsel-queue build.
 type queueStats struct {
-	filesSkipped    int64 // files pruned by a file-level zone-map range
-	morselsSkipped  int64 // morsels pruned by per-zone min/max stats
-	coldIndexBuilds int64 // cold-scan structural-index passes run
+	filesSkipped   int64 // files pruned by a file-level zone-map range
+	morselsSkipped int64 // morsels pruned by per-zone min/max stats
 }
 
 func (q *queueStats) add(other queueStats) {
 	q.filesSkipped += other.filesSkipped
 	q.morselsSkipped += other.morselsSkipped
-	q.coldIndexBuilds += other.coldIndexBuilds
 }
 
 // buildMorselQueue lists a scan's files, prunes those a zone-map index rules
 // out, and splits the survivors into morsels. Files are split when the
 // source can report their size and reopen them at an offset; a source without
 // range support degrades to one whole-file morsel per file, which is exactly
-// the pre-morsel behaviour. Large files
-// with no recorded boundary index get one from the speculative parallel
-// indexer at build time (see coldIndexSplits). When the index carries
-// per-zone stats for the filter's path, morsels whose every overlapping zone
-// excludes the predicate are pruned before they are ever scheduled. It
-// returns the queue and the pruning/cold-index counters.
+// the pre-morsel behaviour. Cuts are nominal — every morselSize bytes — and
+// the consumer finds each morsel's first line start with a one-byte probe
+// (see scanMorsel). When the index carries per-zone stats for the filter's
+// path, morsels whose every overlapping zone excludes the predicate are
+// pruned before they are ever scheduled. It returns the queue and the
+// pruning counters.
 func buildMorselQueue(src runtime.Source, s ScanSource, idx runtime.IndexLookup,
-	partitions int, opts morselOptions, shared bool) (*morselQueue, queueStats, error) {
+	partitions int, morselSize int64, shared bool) (*morselQueue, queueStats, error) {
 	var qs queueStats
 	if src == nil {
 		return nil, qs, fmt.Errorf("hyracks: scan without a data source")
@@ -169,7 +134,6 @@ func buildMorselQueue(src runtime.Source, s ScanSource, idx runtime.IndexLookup,
 	if err != nil {
 		return nil, qs, err
 	}
-	morselSize := opts.morselSize
 	if morselSize <= 0 {
 		morselSize = DefaultMorselSize
 	}
@@ -192,26 +156,10 @@ func buildMorselQueue(src runtime.Source, s ScanSource, idx runtime.IndexLookup,
 		if canRange && canSize {
 			size, err := sz.Size(file)
 			if err == nil && size > morselSize {
-				var splits []int64
-				if sl, ok := idx.(runtime.SplitLookup); ok {
-					splits, _ = sl.FileSplits(s.Collection, file)
-				}
-				if len(splits) == 0 {
-					if splits = coldIndexSplits(src, s.Collection, file, size, idx, opts); splits != nil {
-						qs.coldIndexBuilds++
-					}
-				}
-				if len(splits) > 0 {
-					morsels = appendAlignedMorsels(morsels, file, size, morselSize, splits)
-				} else {
-					for off := int64(0); off < size; off += morselSize {
-						end := off + morselSize
-						if end > size {
-							end = size
-						}
-						morsels = append(morsels, morsel{file: file, start: off, end: end,
-							first: off == 0, countsFile: off == 0})
-					}
+				for off := int64(0); off < size; off += morselSize {
+					end := min(off+morselSize, size)
+					morsels = append(morsels, morsel{file: file, start: off, end: end,
+						first: off == 0, countsFile: off == 0})
 				}
 				split = true
 			}
@@ -291,74 +239,4 @@ func morselAdmitted(m morsel, zones []runtime.Zone, f *ScanFilter) bool {
 		}
 	}
 	return covered < end
-}
-
-// appendAlignedMorsels cuts one file on known record starts: each nominal cut
-// (the multiples of morselSize) snaps forward to the first recorded split at
-// or after it. Snapping never moves a cut backward, so morsels can run over
-// morselSize by up to one record plus the split-sampling grain, and a nominal
-// cut with no split before the file end simply merges the tail into the last
-// morsel. Every non-first morsel starts exactly on a record start and is
-// marked aligned: the consumer opens it at start directly, with no probe byte
-// and no newline re-alignment. Ownership is identical to the probing path —
-// the split offsets are precisely the line starts the probe would find — so
-// exactly-once delivery is preserved record for record.
-func appendAlignedMorsels(morsels []morsel, file string, size, morselSize int64, splits []int64) []morsel {
-	prev := int64(0)
-	for target := morselSize; target < size; target += morselSize {
-		i := sort.Search(len(splits), func(i int) bool { return splits[i] >= target })
-		if i == len(splits) {
-			break
-		}
-		b := splits[i]
-		if b <= prev {
-			continue
-		}
-		if b >= size {
-			break
-		}
-		morsels = append(morsels, morsel{file: file, start: prev, end: b,
-			first: prev == 0, countsFile: prev == 0, aligned: prev != 0})
-		prev = b
-	}
-	return append(morsels, morsel{file: file, start: prev, end: size,
-		first: prev == 0, countsFile: prev == 0, aligned: prev != 0})
-}
-
-// coldIndexSplits computes the record-boundary index of one cold file — a
-// raw-JSON file big enough to morsel-split but with no splits on record —
-// by running the speculative parallel indexer's phase 1 over the file's byte
-// ranges. The result is recorded back through the index registry when it
-// implements runtime.SplitRecorder, so only the first scan of a file pays;
-// every later queue build finds the splits via the ordinary SplitLookup.
-// Any failure (or a source without range reads) degrades to nil and the
-// caller falls back to nominal cuts with probe-based re-alignment —
-// alignment is an optimization, never a correctness dependency.
-func coldIndexSplits(src runtime.Source, collection, file string, size int64,
-	idx runtime.IndexLookup, opts morselOptions) []int64 {
-	min := opts.coldIndexMin
-	if min < 0 {
-		return nil
-	}
-	if min == 0 {
-		min = DefaultColdIndexMinBytes
-	}
-	if size < min {
-		return nil
-	}
-	ro, ok := src.(runtime.RangeOpener)
-	if !ok {
-		return nil
-	}
-	pi := jsonparse.ParallelIndexer{Workers: opts.coldIndexWorkers}
-	splits, err := pi.SplitsRange(func(off int64) (io.ReadCloser, error) {
-		return ro.OpenRange(file, off)
-	}, size, coldIndexSplitGrain, 0)
-	if err != nil || len(splits) == 0 {
-		return nil
-	}
-	if rec, ok := idx.(runtime.SplitRecorder); ok {
-		rec.RecordFileSplits(collection, file, splits)
-	}
-	return splits
 }

@@ -50,14 +50,14 @@ func zoneFilter(lo, hi int) *ScanFilter {
 }
 
 // pruneFixture builds a clustered-value collection, its zone-map registry
-// (fine zones, fine splits), and the list of files.
+// (fine zones), and the list of files.
 func pruneFixture(t *testing.T) (*runtime.MemSource, *index.Registry) {
 	t.Helper()
 	docs := map[string][]byte{"clustered.json": clusteredValueFile(400, 120)} // ~73 KiB
 	src := &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": docs}}
 	zms, err := index.BuildWith(src, "/sensors",
 		[]jsonparse.Path{measurementsPath().Append(jsonparse.KeyStep("value"))},
-		index.BuildOptions{SplitGrain: 512, ZoneGrain: 2048})
+		index.BuildOptions{ZoneGrain: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMorselZonePruning(t *testing.T) {
 		Filter:     zoneFilter(100, 110),
 	}
 
-	q, qs, err := buildMorselQueue(src, scan, reg, 1, morselOptions{morselSize: 4 << 10}, true)
+	q, qs, err := buildMorselQueue(src, scan, reg, 1, 4<<10, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMorselPruningFirstMorselDropped(t *testing.T) {
 		Project:    measurementsPath(),
 		Filter:     zoneFilter(390, 399), // the last few records only
 	}
-	q, qs, err := buildMorselQueue(src, scan, reg, 1, morselOptions{morselSize: 4 << 10}, true)
+	q, qs, err := buildMorselQueue(src, scan, reg, 1, 4<<10, true)
 	if err != nil {
 		t.Fatal(err)
 	}

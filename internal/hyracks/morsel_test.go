@@ -56,10 +56,41 @@ func resultItems(res *Result) []string {
 	return out
 }
 
+// blankLinesFile builds newline-delimited records separated by runs of
+// blank and whitespace-only lines of varying length (up to a few hundred
+// bytes), so nominal morsel cuts fall inside a run as often as inside a
+// record.
+func blankLinesFile(records int) []byte {
+	rec := ndSensorFile(records, 40)
+	var out []byte
+	for i, line := range bytes.SplitAfter(rec, []byte("\n")) {
+		out = append(out, line...)
+		out = append(out, bytes.Repeat([]byte("\n"), i%7)...)
+		out = append(out, bytes.Repeat([]byte("  \n"), (i*37)%90)...)
+	}
+	return out
+}
+
+// fixedLinesFile builds records newline-terminated at exactly lineBytes
+// bytes each, so every cut at a multiple of lineBytes is a line start.
+func fixedLinesFile(records, lineBytes int) []byte {
+	var out []byte
+	for i := 0; i < records; i++ {
+		head := fmt.Sprintf(`{"root":[{"results":[{"date":"2013-12-%02dT00:00","station":"C%06d","value":%d,"pad":"`,
+			1+i%28, i, i%40)
+		tail := `"}]}]}` + "\n"
+		out = append(out, head...)
+		out = append(out, bytes.Repeat([]byte("x"), lineBytes-len(head)-len(tail))...)
+		out = append(out, tail...)
+	}
+	return out
+}
+
 // TestMorselScanEquivalence is the correctness property of the morsel
 // scheduler: concatenating the records parsed from every morsel must equal
-// the whole-file parse, at morsel sizes that split mid-record, for files
-// with and without newline separators, at several partition counts, on both
+// the whole-file parse, at morsel sizes that split mid-record, mid-string,
+// inside blank-line runs and exactly on line starts, for files with and
+// without newline separators, at several partition counts, on both
 // executors.
 func TestMorselScanEquivalence(t *testing.T) {
 	docs := map[string][]byte{
@@ -73,6 +104,14 @@ func TestMorselScanEquivalence(t *testing.T) {
 		"oneline.json": bigSensorFile(8 << 10),
 		// Smaller than every morsel size: never split.
 		"tiny.json": ndSensorFile(2, 0),
+		// Strings dense with escapes, so cuts land mid-string and mid-escape.
+		"escaped.json": escapedNewlineFile(60),
+		// Runs of blank and whitespace-only lines between records, so cuts
+		// land inside them.
+		"blanks.json": blankLinesFile(60),
+		// 256-byte lines: every cut is exactly a line start, the case the
+		// probe's one byte of look-behind exists for.
+		"cuts.json": fixedLinesFile(64, 256),
 	}
 	src := &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": docs}}
 	want := referenceItems(t, docs, measurementsPath())
@@ -90,6 +129,52 @@ func TestMorselScanEquivalence(t *testing.T) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("morsel=%d parts=%d: item %d = %s, want %s", ms, parts, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// escapedNewlineFile builds newline-delimited records whose note strings are
+// dense with two-character escape sequences — \n, \", \\ — so that morsel
+// boundaries and 64-byte block boundaries land inside escapes and between a
+// backslash and its escaped character. A raw 0x0A never occurs inside a JSON
+// string (it must be escaped), so the only newline bytes are the record
+// separators; the scanner must not mistake the 'n' of a \n escape — or a
+// quote preceded by an even run of backslashes — for structure.
+func escapedNewlineFile(records int) []byte {
+	var sb strings.Builder
+	esc := strings.Repeat(`line\n`, 20) + strings.Repeat(`\\`, 31) + `\"quoted\"` + strings.Repeat(`\\n`, 13)
+	for i := 0; i < records; i++ {
+		fmt.Fprintf(&sb,
+			`{"root":[{"metadata":{"count":1},"results":[{"date":"2013-12-%02dT00:00","dataType":"TMIN","station":"E%06d","value":%d,"note":"%s"}]}]}`+"\n",
+			1+i%28, i, i%40, esc[i%7:]) // vary phase so escapes shift against block boundaries
+	}
+	return []byte(sb.String())
+}
+
+// TestMorselEscapedNewlineSpansBoundary is the string-spanning case: records
+// full of escaped newlines (backslash + 'n' — the only legal way to put a
+// newline in a JSON string) cut by morsel boundaries mid-string and
+// mid-escape. The newline probe must deliver every record exactly once.
+func TestMorselEscapedNewlineSpansBoundary(t *testing.T) {
+	docs := map[string][]byte{"escaped.json": escapedNewlineFile(60)}
+	src := &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": docs}}
+	want := referenceItems(t, docs, measurementsPath())
+	if len(want) != 60 {
+		t.Fatalf("reference = %d items, want 60", len(want))
+	}
+	for _, ms := range []int64{128, 256, 512, 1 << 10} {
+		for _, parts := range []int{1, 3} {
+			env := func() *Env { return &Env{Source: src, MorselSize: ms} }
+			got := resultItems(runBoth(t, scanJob(parts, measurementsPath()), env))
+			if len(got) != len(want) {
+				t.Fatalf("morsel=%d parts=%d: %d items, want %d (record dropped or duplicated)",
+					ms, parts, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("morsel=%d parts=%d: item %d differs", ms, parts, i)
 				}
 			}
 		}

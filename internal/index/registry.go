@@ -10,9 +10,8 @@ import (
 )
 
 // Persistence configures sidecar-backed persistence of a Registry: what a
-// zone-map build or a cold scan computes for a file is written to that
-// file's sidecar, and lookups missing in memory consult the sidecar before
-// falling back cold.
+// zone-map build computes for a file is written to that file's sidecar, and
+// lookups missing in memory consult the sidecar before giving up.
 type Persistence struct {
 	// Ident resolves a file's durable (size, mtime) identity. Files it
 	// reports ok=false for (e.g. in-memory documents) are never persisted
@@ -26,7 +25,7 @@ type Persistence struct {
 type RegistryStats struct {
 	// SidecarLoads counts sidecars successfully loaded and validated.
 	SidecarLoads int64
-	// SidecarMisses counts lookups that had to go cold: no sidecar, a
+	// SidecarMisses counts lookups that found no usable sidecar: none, a
 	// corrupt or truncated one, or a (size, mtime) / version mismatch.
 	SidecarMisses int64
 	// SidecarWrites counts sidecars written (or rewritten).
@@ -34,28 +33,24 @@ type RegistryStats struct {
 }
 
 // fileEntry is everything the registry knows about one file: its identity
-// at observation time, its record-boundary splits, and its per-path zone
-// stats. probed marks that a sidecar load was already attempted under the
-// current identity, so a missing sidecar costs one disk probe per file, not
-// one per query.
+// at observation time and its per-path zone stats. probed marks that a
+// sidecar load was already attempted under the current identity, so a
+// missing sidecar costs one disk probe per file, not one per query.
 type fileEntry struct {
 	ident    runtime.FileIdent
 	hasIdent bool
 	probed   bool
-	splits   []int64
 	zones    map[string]PathZones // path postfix text -> zones
 }
 
-// Registry holds the zone maps of an engine, keyed by collection and path,
-// plus boundary indexes recorded outside any zone-map build (cold scans
-// record the splits their parallel phase 1 computes, so later scans skip the
-// work). It implements runtime.IndexLookup, runtime.SplitLookup,
-// runtime.SplitRecorder and runtime.ZoneLookup. Safe for concurrent use.
+// Registry holds the zone maps of an engine, keyed by collection and path.
+// It implements runtime.IndexLookup and runtime.ZoneLookup. Safe for
+// concurrent use.
 //
 // With persistence configured, per-file state is written through to sidecar
 // files and lookups revalidate against each file's current (size, mtime)
-// identity: a stale or corrupt sidecar is dropped and the caller falls back
-// to a cold scan, which records fresh state and rewrites the sidecar.
+// identity: a stale or corrupt sidecar is dropped, the lookup misses (no
+// pruning), and the next build rewrites the sidecar.
 type Registry struct {
 	mu    sync.RWMutex
 	maps  map[string]*ZoneMap
@@ -153,9 +148,6 @@ func (r *Registry) resolve(collection, file string) *fileEntry {
 			r.stats.SidecarMisses++
 		} else {
 			r.stats.SidecarLoads++
-			if len(e.splits) == 0 {
-				e.splits = sc.Splits
-			}
 			for _, p := range sc.Paths {
 				if e.zones == nil {
 					e.zones = map[string]PathZones{}
@@ -176,7 +168,7 @@ func (r *Registry) persistLocked(file string, e *fileEntry) {
 	if r.pers == nil || r.pers.Ident == nil || !e.hasIdent {
 		return
 	}
-	sc := &Sidecar{Ident: e.ident, SplitGrain: DefaultSplitGrain, Splits: e.splits}
+	sc := &Sidecar{Ident: e.ident}
 	for p, pz := range e.zones {
 		sc.Paths = append(sc.Paths, SidecarPathZones{Path: p, ZoneGrain: pz.Grain, Zones: pz.Stats})
 	}
@@ -190,9 +182,9 @@ func (r *Registry) persistLocked(file string, e *fileEntry) {
 	}
 }
 
-// Add registers (or replaces) a zone map, merging its per-file splits and
-// zone stats into the per-file entries (and through to sidecars, with
-// persistence configured).
+// Add registers (or replaces) a zone map, merging its per-file zone stats
+// into the per-file entries (and through to sidecars, with persistence
+// configured).
 func (r *Registry) Add(zm *ZoneMap) {
 	// Resolve identities outside the lock: Ident stats the filesystem.
 	idents := map[string]runtime.FileIdent{}
@@ -218,9 +210,6 @@ func (r *Registry) Add(zm *ZoneMap) {
 				*e = fileEntry{}
 			}
 			e.ident, e.hasIdent, e.probed = id, true, true
-		}
-		if sp := zm.Splits[f]; len(sp) > 0 {
-			e.splits = sp
 		}
 		if pz, ok := zm.Zones[f]; ok {
 			if e.zones == nil {
@@ -293,68 +282,6 @@ func (r *Registry) FileZones(collection string, path jsonparse.Path, file string
 		return nil, false
 	}
 	return pz.runtimeZones(), true
-}
-
-// FileSplits implements runtime.SplitLookup: it reports the sampled
-// record-start offsets of one file if a recorded boundary index, a
-// validated sidecar, or any registered zone map of the collection carries
-// them. Splits are a property of the file bytes, not of the indexed path,
-// so any map of the collection serves.
-func (r *Registry) FileSplits(collection, file string) ([]int64, bool) {
-	if e := r.resolve(collection, file); e != nil {
-		r.mu.RLock()
-		sp := e.splits
-		r.mu.RUnlock()
-		if len(sp) > 0 {
-			return sp, true
-		}
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, zm := range r.maps {
-		if zm.Collection != collection {
-			continue
-		}
-		if sp, ok := zm.Splits[file]; ok && len(sp) > 0 {
-			return sp, true
-		}
-	}
-	return nil, false
-}
-
-// RecordFileSplits implements runtime.SplitRecorder: it stores a boundary
-// index computed outside a zone-map build — the cold-scan parallel phase 1 —
-// so subsequent scans of the same file get exact morsel splits for free.
-// With persistence configured the splits are written through to the file's
-// sidecar: this is the lazy write-after-first-scan protocol.
-func (r *Registry) RecordFileSplits(collection, file string, splits []int64) {
-	if len(splits) == 0 {
-		return
-	}
-	var (
-		ident    runtime.FileIdent
-		hasIdent bool
-	)
-	r.mu.RLock()
-	pers := r.pers
-	r.mu.RUnlock()
-	if pers != nil && pers.Ident != nil {
-		ident, hasIdent = pers.Ident(file)
-	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.entryLocked(collection, file)
-	if hasIdent {
-		if e.hasIdent && e.ident != ident {
-			*e = fileEntry{}
-		}
-		e.ident, e.hasIdent, e.probed = ident, true, true
-	}
-	e.splits = splits
-	if hasIdent {
-		r.persistLocked(file, e)
-	}
 }
 
 // Len reports the number of registered zone maps.

@@ -13,10 +13,10 @@ import (
 	"vxq/internal/runtime"
 )
 
-// Sidecar persistence: everything a scan of one file pays to compute —
-// record-boundary splits plus per-zone min/max stats of indexed paths — is
-// serialized into a small versioned binary file next to the data file (or
-// under a configurable cache directory), so later processes start warm.
+// Sidecar persistence: the per-zone min/max stats a zone-map build computes
+// for one file's indexed paths are serialized into a small versioned binary
+// file next to the data file (or under a configurable cache directory), so
+// later processes prune warm.
 //
 // Binary layout (all integers little-endian unless varint):
 //
@@ -24,9 +24,6 @@ import (
 //	version uint32               format version; readers reject mismatches
 //	size    int64                data-file size at write time
 //	mtime   int64                data-file mtime (UnixNano) at write time
-//	grain   int64                split sampling grain (0 = every record)
-//	nsplits uvarint              record-start offsets, delta-uvarint encoded
-//	splits  uvarint × nsplits    (each delta from the previous offset)
 //	npaths  uvarint              per-path zone indexes
 //	per path:
 //	  plen  uvarint, path bytes  jsonparse postfix path text
@@ -40,24 +37,22 @@ import (
 // Validation rule: a sidecar is valid for a data file iff magic and version
 // match, (size, mtime) equal the file's current identity, and the CRC checks
 // out. Any mismatch, short read, or decode error is a cache miss — the scan
-// falls back cold and rewrites the sidecar — never a query error.
+// runs unpruned until the next build rewrites the sidecar — never a query
+// error. Version 1 also carried record-boundary splits; version 2 dropped
+// them, so a version-1 sidecar is such a miss.
 
 // sidecarMagic identifies a vxq structural-index sidecar.
 const sidecarMagic = "VXQS"
 
 // SidecarVersion is the current sidecar format version. Bump it whenever the
 // layout changes; readers treat any other version as a miss.
-const SidecarVersion uint32 = 1
+const SidecarVersion uint32 = 2
 
 // Sidecar is the decoded form of one data file's persistent index.
 type Sidecar struct {
 	// Ident is the data file's identity at write time; loads validate it
 	// against the file's current identity.
 	Ident runtime.FileIdent
-	// SplitGrain is the record-start sampling granularity of Splits.
-	SplitGrain int64
-	// Splits are ascending record-start offsets (the SplitLookup contract).
-	Splits []int64
 	// Paths carries one per-zone stats index per indexed path.
 	Paths []SidecarPathZones
 }
@@ -91,18 +86,11 @@ func SidecarPathFor(dataFile, cacheDir string) string {
 
 // Encode serializes the sidecar.
 func (s *Sidecar) Encode() []byte {
-	b := make([]byte, 0, 256+16*len(s.Splits))
+	b := make([]byte, 0, 256)
 	b = append(b, sidecarMagic...)
 	b = binary.LittleEndian.AppendUint32(b, SidecarVersion)
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Ident.Size))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Ident.ModTimeNanos))
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.SplitGrain))
-	b = binary.AppendUvarint(b, uint64(len(s.Splits)))
-	prev := int64(0)
-	for _, off := range s.Splits {
-		b = binary.AppendUvarint(b, uint64(off-prev))
-		prev = off
-	}
 	b = binary.AppendUvarint(b, uint64(len(s.Paths)))
 	for _, p := range s.Paths {
 		b = binary.AppendUvarint(b, uint64(len(p.Path)))
@@ -228,16 +216,6 @@ func DecodeSidecar(b []byte) (*Sidecar, error) {
 	s := &Sidecar{}
 	s.Ident.Size = r.i64()
 	s.Ident.ModTimeNanos = r.i64()
-	s.SplitGrain = r.i64()
-	nsplits := r.count("split")
-	if r.err == nil && nsplits > 0 {
-		s.Splits = make([]int64, nsplits)
-		prev := int64(0)
-		for i := range s.Splits {
-			prev += int64(r.uvarint())
-			s.Splits[i] = prev
-		}
-	}
 	npaths := r.count("path")
 	for i := 0; i < npaths && r.err == nil; i++ {
 		var p SidecarPathZones

@@ -17,9 +17,7 @@ import (
 
 func testSidecar() *Sidecar {
 	return &Sidecar{
-		Ident:      runtime.FileIdent{Size: 4096, ModTimeNanos: 1234567890},
-		SplitGrain: 4 << 10,
-		Splits:     []int64{100, 350, 1200, 4000},
+		Ident: runtime.FileIdent{Size: 4096, ModTimeNanos: 1234567890},
 		Paths: []SidecarPathZones{
 			{
 				Path:      `("root")()("value")`,
@@ -42,16 +40,8 @@ func TestSidecarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Ident != want.Ident || got.SplitGrain != want.SplitGrain {
+	if got.Ident != want.Ident {
 		t.Fatalf("header round trip: %+v vs %+v", got, want)
-	}
-	if len(got.Splits) != len(want.Splits) {
-		t.Fatalf("splits = %v, want %v", got.Splits, want.Splits)
-	}
-	for i := range want.Splits {
-		if got.Splits[i] != want.Splits[i] {
-			t.Fatalf("splits = %v, want %v", got.Splits, want.Splits)
-		}
 	}
 	if len(got.Paths) != len(want.Paths) {
 		t.Fatalf("paths = %d, want %d", len(got.Paths), len(want.Paths))
@@ -187,22 +177,29 @@ func valuePath() jsonparse.Path {
 	}
 }
 
+// buildValueZones builds the value-path zone map of src's "/nd" collection
+// at a fine zone grain.
+func buildValueZones(t *testing.T, src runtime.Source) *ZoneMap {
+	t.Helper()
+	zms, err := BuildWith(src, "/nd", []jsonparse.Path{valuePath()}, BuildOptions{ZoneGrain: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return zms[0]
+}
+
 // TestRegistryWarmStartFromSidecars: what one registry builds and persists, a
 // second (fresh, simulating a new process) must serve from sidecars alone —
-// splits, per-zone stats, and the file-level range aggregated from zones.
+// per-zone stats, and the file-level range aggregated from zones.
 func TestRegistryWarmStartFromSidecars(t *testing.T) {
 	dir := t.TempDir()
 	src := writeNDJSONDir(t, dir, 2, 50)
 	pers := &Persistence{Ident: src.Ident}
 
-	zms, err := BuildWith(src, "/nd", []jsonparse.Path{valuePath()},
-		BuildOptions{SplitGrain: 512, ZoneGrain: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
+	zm := buildValueZones(t, src)
 	reg1 := NewRegistry()
 	reg1.SetPersistence(pers)
-	reg1.Add(zms[0])
+	reg1.Add(zm)
 	if w := reg1.Stats().SidecarWrites; w != 2 {
 		t.Fatalf("sidecar writes = %d, want 2", w)
 	}
@@ -217,31 +214,18 @@ func TestRegistryWarmStartFromSidecars(t *testing.T) {
 	reg2 := NewRegistry()
 	reg2.SetPersistence(pers)
 	for _, f := range files {
-		sp, ok := reg2.FileSplits("/nd", f)
-		if !ok || len(sp) == 0 {
-			t.Fatalf("%s: no splits from sidecar", f)
-		}
-		want := zms[0].Splits[f]
-		if len(sp) != len(want) {
-			t.Fatalf("%s: %d splits from sidecar, %d from build", f, len(sp), len(want))
-		}
-		for i := range sp {
-			if sp[i] != want[i] {
-				t.Fatalf("%s: split[%d] = %d, want %d", f, i, sp[i], want[i])
-			}
-		}
 		zones, ok := reg2.FileZones("/nd", valuePath(), f)
 		if !ok || len(zones) == 0 {
 			t.Fatalf("%s: no zones from sidecar", f)
 		}
-		if zones[len(zones)-1].End != zms[0].Zones[f].Size {
-			t.Fatalf("%s: zones end at %d, file is %d bytes", f, zones[len(zones)-1].End, zms[0].Zones[f].Size)
+		if zones[len(zones)-1].End != zm.Zones[f].Size {
+			t.Fatalf("%s: zones end at %d, file is %d bytes", f, zones[len(zones)-1].End, zm.Zones[f].Size)
 		}
 		r, ok := reg2.FileRange("/nd", valuePath(), f)
 		if !ok {
 			t.Fatalf("%s: no range from sidecar zones", f)
 		}
-		want2 := zms[0].Files[f]
+		want2 := zm.Files[f]
 		if r.Count != want2.Count || item.Compare(r.Min, want2.Min) != 0 || item.Compare(r.Max, want2.Max) != 0 {
 			t.Fatalf("%s: range %v..%v (%d) from sidecar, want %v..%v (%d)",
 				f, r.Min, r.Max, r.Count, want2.Min, want2.Max, want2.Count)
@@ -253,7 +237,7 @@ func TestRegistryWarmStartFromSidecars(t *testing.T) {
 	}
 	// Negative caching: repeated lookups must not re-read the disk.
 	for _, f := range files {
-		reg2.FileSplits("/nd", f)
+		reg2.FileZones("/nd", valuePath(), f)
 	}
 	if st2 := reg2.Stats(); st2.SidecarLoads != st.SidecarLoads {
 		t.Fatalf("repeated lookups re-loaded sidecars: %+v", st2)
@@ -261,19 +245,22 @@ func TestRegistryWarmStartFromSidecars(t *testing.T) {
 }
 
 // TestRegistryInvalidation: a changed file (mtime or size) makes its sidecar
-// stale — lookups miss, fall back cold, and the next recording rewrites the
-// sidecar under the new identity. A corrupt sidecar is likewise a silent
-// miss.
+// stale — lookups miss, and the next build rewrites the sidecar under the
+// new identity. A corrupt sidecar is likewise a silent miss.
 func TestRegistryInvalidation(t *testing.T) {
 	dir := t.TempDir()
 	src := writeNDJSONDir(t, dir, 1, 50)
 	pers := &Persistence{Ident: src.Ident}
 	files, _ := src.Files("/nd")
 	file := files[0]
+	zones := func(r *Registry) bool {
+		_, ok := r.FileZones("/nd", valuePath(), file)
+		return ok
+	}
 
 	reg := NewRegistry()
 	reg.SetPersistence(pers)
-	reg.RecordFileSplits("/nd", file, []int64{95, 190})
+	reg.Add(buildValueZones(t, src))
 	if w := reg.Stats().SidecarWrites; w != 1 {
 		t.Fatalf("writes = %d, want 1", w)
 	}
@@ -284,19 +271,19 @@ func TestRegistryInvalidation(t *testing.T) {
 		}
 		fresh := NewRegistry()
 		fresh.SetPersistence(pers)
-		if _, ok := fresh.FileSplits("/nd", file); ok {
+		if zones(fresh) {
 			t.Fatal("stale sidecar served after mtime change")
 		}
 		if st := fresh.Stats(); st.SidecarMisses != 1 || st.SidecarLoads != 0 {
 			t.Fatalf("stats = %+v, want 1 miss", st)
 		}
-		// The cold scan records fresh splits; the sidecar is rewritten and a
-		// fresh registry reads it warm again.
-		fresh.RecordFileSplits("/nd", file, []int64{95, 190})
+		// A rebuild rewrites the sidecar and a fresh registry reads it warm
+		// again.
+		fresh.Add(buildValueZones(t, src))
 		warm := NewRegistry()
 		warm.SetPersistence(pers)
-		if sp, ok := warm.FileSplits("/nd", file); !ok || len(sp) != 2 {
-			t.Fatalf("rewritten sidecar not served: %v ok=%v", sp, ok)
+		if !zones(warm) {
+			t.Fatal("rewritten sidecar not served")
 		}
 	})
 
@@ -311,7 +298,7 @@ func TestRegistryInvalidation(t *testing.T) {
 		f.Close()
 		fresh := NewRegistry()
 		fresh.SetPersistence(pers)
-		if _, ok := fresh.FileSplits("/nd", file); ok {
+		if zones(fresh) {
 			t.Fatal("stale sidecar served after size change")
 		}
 	})
@@ -322,14 +309,14 @@ func TestRegistryInvalidation(t *testing.T) {
 		// like sidecars do.
 		reg2 := NewRegistry()
 		reg2.SetPersistence(pers)
-		reg2.RecordFileSplits("/nd", file, []int64{95})
-		if _, ok := reg2.FileSplits("/nd", file); !ok {
-			t.Fatal("recorded splits not served")
+		reg2.Add(buildValueZones(t, src))
+		if !zones(reg2) {
+			t.Fatal("built zones not served")
 		}
 		if err := os.Chtimes(file, time.Now(), time.Now().Add(7*time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := reg2.FileSplits("/nd", file); ok {
+		if zones(reg2) {
 			t.Fatal("in-memory entry served after the file changed")
 		}
 	})
@@ -337,7 +324,7 @@ func TestRegistryInvalidation(t *testing.T) {
 	t.Run("corrupt", func(t *testing.T) {
 		reg3 := NewRegistry()
 		reg3.SetPersistence(pers)
-		reg3.RecordFileSplits("/nd", file, []int64{95})
+		reg3.Add(buildValueZones(t, src))
 		scPath := file + runtime.SidecarSuffix
 		b, err := os.ReadFile(scPath)
 		if err != nil {
@@ -349,7 +336,7 @@ func TestRegistryInvalidation(t *testing.T) {
 		}
 		fresh := NewRegistry()
 		fresh.SetPersistence(pers)
-		if _, ok := fresh.FileSplits("/nd", file); ok {
+		if zones(fresh) {
 			t.Fatal("corrupt sidecar served")
 		}
 		if st := fresh.Stats(); st.SidecarMisses != 1 {
@@ -361,7 +348,7 @@ func TestRegistryInvalidation(t *testing.T) {
 		}
 		fresh2 := NewRegistry()
 		fresh2.SetPersistence(pers)
-		if _, ok := fresh2.FileSplits("/nd", file); ok {
+		if zones(fresh2) {
 			t.Fatal("truncated sidecar served")
 		}
 	})
@@ -375,7 +362,7 @@ func TestRegistryNoPersistence(t *testing.T) {
 	files, _ := src.Files("/nd")
 
 	reg := NewRegistry()
-	reg.RecordFileSplits("/nd", files[0], []int64{64})
+	reg.Add(buildValueZones(t, src))
 	if _, err := os.Stat(files[0] + runtime.SidecarSuffix); !os.IsNotExist(err) {
 		t.Fatalf("sidecar written without persistence: %v", err)
 	}
@@ -383,13 +370,13 @@ func TestRegistryNoPersistence(t *testing.T) {
 	// MemSource files report no durable identity: persistence configured but
 	// inert for them.
 	mem := &runtime.MemSource{Collections: map[string]map[string][]byte{
-		"/m": {"doc.json": []byte(`{"root":[]}` + "\n")},
+		"/nd": {"doc.json": []byte(`{"root":[{"results":[{"value":1}]}]}` + "\n")},
 	}}
 	reg2 := NewRegistry()
 	reg2.SetPersistence(&Persistence{Ident: mem.Ident})
-	reg2.RecordFileSplits("/m", "doc.json", []int64{12})
-	if sp, ok := reg2.FileSplits("/m", "doc.json"); !ok || len(sp) != 1 {
-		t.Fatalf("memory-only splits lost: %v ok=%v", sp, ok)
+	reg2.Add(buildValueZones(t, mem))
+	if _, ok := reg2.FileZones("/nd", valuePath(), "/nd/doc.json"); !ok {
+		t.Fatal("memory-only zones lost")
 	}
 	if st := reg2.Stats(); st.SidecarWrites != 0 || st.SidecarLoads != 0 {
 		t.Fatalf("stats = %+v, want no sidecar traffic", st)
@@ -407,7 +394,7 @@ func TestRegistryCacheDir(t *testing.T) {
 
 	reg := NewRegistry()
 	reg.SetPersistence(pers)
-	reg.RecordFileSplits("/nd", files[0], []int64{64, 128})
+	reg.Add(buildValueZones(t, src))
 	if _, err := os.Stat(files[0] + runtime.SidecarSuffix); !os.IsNotExist(err) {
 		t.Fatalf("sidecar written next to data despite cache dir: %v", err)
 	}
@@ -418,29 +405,25 @@ func TestRegistryCacheDir(t *testing.T) {
 
 	warm := NewRegistry()
 	warm.SetPersistence(pers)
-	if sp, ok := warm.FileSplits("/nd", files[0]); !ok || len(sp) != 2 {
-		t.Fatalf("cache-dir sidecar not served: %v ok=%v", sp, ok)
+	if _, ok := warm.FileZones("/nd", valuePath(), files[0]); !ok {
+		t.Fatal("cache-dir sidecar not served")
 	}
 }
 
-// TestRegistryConcurrentAccess runs warm lookups concurrently with split
-// recording and zone-map adds over the same files — the scenario of one job
-// scanning warm while another records what its cold scan computed. Run under
-// -race (the Makefile race target covers this package).
+// TestRegistryConcurrentAccess runs warm lookups concurrently with zone-map
+// adds over the same files — the scenario of one job scanning warm while a
+// rebuild of the same index lands. Run under -race (the Makefile race
+// target covers this package).
 func TestRegistryConcurrentAccess(t *testing.T) {
 	dir := t.TempDir()
 	src := writeNDJSONDir(t, dir, 2, 40)
 	pers := &Persistence{Ident: src.Ident}
 	files, _ := src.Files("/nd")
 
-	zms, err := BuildWith(src, "/nd", []jsonparse.Path{valuePath()},
-		BuildOptions{SplitGrain: 512, ZoneGrain: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
+	zm := buildValueZones(t, src)
 	seed := NewRegistry()
 	seed.SetPersistence(pers)
-	seed.Add(zms[0])
+	seed.Add(zm)
 
 	reg := NewRegistry()
 	reg.SetPersistence(pers)
@@ -451,15 +434,13 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				f := files[(g+i)%len(files)]
-				switch i % 4 {
+				switch i % 3 {
 				case 0:
-					reg.FileSplits("/nd", f)
-				case 1:
 					reg.FileZones("/nd", valuePath(), f)
-				case 2:
+				case 1:
 					reg.FileRange("/nd", valuePath(), f)
-				case 3:
-					reg.RecordFileSplits("/nd", f, []int64{95, 190})
+				case 2:
+					reg.Add(zm)
 				}
 			}
 		}(g)
@@ -468,13 +449,13 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			reg.Add(zms[0])
+			reg.Add(zm)
 		}
 	}()
 	wg.Wait()
 	for _, f := range files {
-		if _, ok := reg.FileSplits("/nd", f); !ok {
-			t.Errorf("%s: splits lost after concurrent access", f)
+		if _, ok := reg.FileZones("/nd", valuePath(), f); !ok {
+			t.Errorf("%s: zones lost after concurrent access", f)
 		}
 	}
 }

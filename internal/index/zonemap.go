@@ -14,33 +14,25 @@
 // survive the file-level check.
 //
 // Zone maps are built with one streaming pass over the collection. With
-// persistence configured (see Persistence), what a build or a cold scan
-// computes is written to per-file sidecars and revalidated against each
-// file's (size, mtime) identity on lookup, so the index survives process
-// restarts and stale entries fall back to a cold scan automatically.
+// persistence configured (see Persistence), what a build computes is
+// written to per-file sidecars and revalidated against each file's
+// (size, mtime) identity on lookup, so the index survives process restarts
+// and stale entries simply stop pruning.
 package index
 
 import (
 	"fmt"
-	"io"
 
 	"vxq/internal/item"
 	"vxq/internal/jsonparse"
 	"vxq/internal/runtime"
 )
 
-// DefaultSplitGrain is the record-boundary sampling granularity of a zone-map
-// build: one record-start offset is kept per this many bytes of file, which
-// bounds split-index memory at size/grain offsets per file while still
-// letting morsel splitting (whose granularity is megabytes) cut exactly on
-// record starts.
+// DefaultSplitGrain is the record-start sampling granularity at which the
+// benchmark module measures the structural-index boundary kernels
+// (jsonparse.BoundaryScanner, jsonparse.ParallelIndexer). No query or build
+// uses it: morsels are cut nominally and re-aligned by a newline probe.
 const DefaultSplitGrain int64 = 4 << 10
-
-// DefaultParallelMinBytes is the file size at which a zone-map build hands
-// the boundary pass to the speculative parallel indexer instead of teeing
-// the stats scan through a sequential BoundaryScanner. Below it the extra
-// range opens cost more than the parallelism returns.
-const DefaultParallelMinBytes int64 = 8 << 20
 
 // DefaultZoneGrain is the byte width of per-zone min/max stats: fine enough
 // that a default-sized morsel (4 MiB) spans several zones, coarse enough
@@ -110,43 +102,13 @@ type ZoneMap struct {
 	// the intra-file refinement of Files that lets morsel splitting skip
 	// byte ranges, not just whole files.
 	Zones map[string]PathZones
-
-	// Splits holds, per file, ascending record-start offsets sampled at
-	// DefaultSplitGrain by the structural-index boundary scanner — a free
-	// byproduct of the build's streaming pass (the scan bytes are teed
-	// through the scanner). Morsel splitting aligns byte ranges to them.
-	Splits map[string][]int64
 }
 
-// BuildOptions tunes a zone-map build. The zero value is the default build:
-// sequential boundary pass teed under the stats scan for small files, the
-// speculative parallel indexer for large range-readable ones.
+// BuildOptions tunes a zone-map build; the zero value is the default build.
 type BuildOptions struct {
-	// SplitGrain is the record-boundary sampling granularity
-	// (DefaultSplitGrain when 0, every record start when negative — the
-	// latter is meant for tests).
-	SplitGrain int64
-	// Workers is the worker count of the parallel boundary pass
-	// (GOMAXPROCS when <= 0).
-	Workers int
-	// ParallelMinBytes is the file size at which the boundary pass goes
-	// parallel, provided the source supports OpenRange and Size
-	// (DefaultParallelMinBytes when 0; negative disables the parallel pass
-	// entirely).
-	ParallelMinBytes int64
 	// ZoneGrain is the byte width of per-zone min/max stats
 	// (DefaultZoneGrain when 0; negative disables zone stats).
 	ZoneGrain int64
-}
-
-func (o BuildOptions) splitGrain() int64 {
-	if o.SplitGrain == 0 {
-		return DefaultSplitGrain
-	}
-	if o.SplitGrain < 0 {
-		return 0
-	}
-	return o.SplitGrain
 }
 
 func (o BuildOptions) zoneGrain() int64 {
@@ -174,15 +136,11 @@ func Build(src runtime.Source, collection string, path jsonparse.Path) (*ZoneMap
 }
 
 // BuildWith builds one zone map per path over a single scan of the
-// collection: every file is read once, its record items feed the min/max
-// stats of every path — whole-file and per-zone — and one boundary pass —
-// the speculative parallel indexer for large range-readable files, a
-// sequential BoundaryScanner teed under the stats scan otherwise — serves
-// all of them. The returned maps share one Splits table per collection
-// (splits are a property of the file bytes, not of the indexed path). With
-// a single path the stats pass is the streaming projected scan (nothing off
-// the path is materialized); with several, each record is parsed once and
-// every path is applied to it.
+// collection: every file is read once and its record items feed the min/max
+// stats of every path, whole-file and per-zone. With a single path the stats
+// pass is the streaming projected scan (nothing off the path is
+// materialized); with several, each record is parsed once and every path is
+// applied to it.
 func BuildWith(src runtime.Source, collection string, paths []jsonparse.Path, opts BuildOptions) ([]*ZoneMap, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("index: no paths to build")
@@ -192,7 +150,6 @@ func BuildWith(src runtime.Source, collection string, paths []jsonparse.Path, op
 		return nil, err
 	}
 	zoneGrain := opts.zoneGrain()
-	splits := make(map[string][]int64, len(files))
 	zms := make([]*ZoneMap, len(paths))
 	for i, p := range paths {
 		zms[i] = &ZoneMap{
@@ -200,7 +157,6 @@ func BuildWith(src runtime.Source, collection string, paths []jsonparse.Path, op
 			Path:       append(jsonparse.Path(nil), p...),
 			Files:      make(map[string]FileStats, len(files)),
 			Zones:      make(map[string]PathZones, len(files)),
-			Splits:     splits,
 		}
 	}
 	for _, f := range files {
@@ -223,26 +179,12 @@ func BuildWith(src runtime.Source, collection string, paths []jsonparse.Path, op
 			return nil
 		}
 
-		// Boundary pass: parallel phase 1 up front when the file is large
-		// and range-readable, otherwise a sequential scanner teed under the
-		// stats scan below.
-		fileSplits, parallel, err := parallelFileSplits(src, f, opts)
-		if err != nil {
-			return nil, fmt.Errorf("index: %s: %w", f, err)
-		}
-
 		rc, err := src.Open(f)
 		if err != nil {
 			return nil, fmt.Errorf("index: %s: %w", f, err)
 		}
 		cr := &runtime.CountingReader{R: rc}
-		var r io.Reader = cr
-		var bs *jsonparse.BoundaryScanner
-		if !parallel {
-			bs = jsonparse.NewBoundaryScanner(opts.splitGrain())
-			r = io.TeeReader(cr, bs)
-		}
-		lx := jsonparse.NewStreamLexerAt(r, jsonparse.DefaultChunkSize, 0)
+		lx := jsonparse.NewStreamLexerAt(cr, jsonparse.DefaultChunkSize, 0)
 		if len(paths) == 1 {
 			_, err = jsonparse.ScanRecords(lx, paths[0], -1, func(ls int64, it item.Item) error {
 				return observe(0, ls, it)
@@ -265,10 +207,6 @@ func BuildWith(src runtime.Source, collection string, paths []jsonparse.Path, op
 		if err != nil {
 			return nil, fmt.Errorf("index: %s: %w", f, err)
 		}
-		if bs != nil {
-			bs.Close()
-			fileSplits = bs.Splits()
-		}
 		size := cr.N
 		for i := range zms {
 			zms[i].Files[f] = stats[i]
@@ -283,40 +221,6 @@ func BuildWith(src runtime.Source, collection string, paths []jsonparse.Path, op
 				zms[i].Zones[f] = PathZones{Grain: zoneGrain, Size: size, Stats: z}
 			}
 		}
-		if len(fileSplits) > 0 {
-			splits[f] = fileSplits
-		}
 	}
 	return zms, nil
-}
-
-// parallelFileSplits builds the boundary index of one file with the
-// speculative parallel indexer, when the build options and the source's
-// capabilities allow it. ok reports whether the parallel pass ran (false
-// means the caller should fall back to the sequential tee).
-func parallelFileSplits(src runtime.Source, file string, opts BuildOptions) (splits []int64, ok bool, err error) {
-	if opts.ParallelMinBytes < 0 {
-		return nil, false, nil
-	}
-	min := opts.ParallelMinBytes
-	if min == 0 {
-		min = DefaultParallelMinBytes
-	}
-	ro, canRange := src.(runtime.RangeOpener)
-	sz, canSize := src.(runtime.Sizer)
-	if !canRange || !canSize {
-		return nil, false, nil
-	}
-	size, err := sz.Size(file)
-	if err != nil || size < min {
-		return nil, false, nil
-	}
-	pi := jsonparse.ParallelIndexer{Workers: opts.Workers}
-	splits, err = pi.SplitsRange(func(off int64) (io.ReadCloser, error) {
-		return ro.OpenRange(file, off)
-	}, size, opts.splitGrain(), 0)
-	if err != nil {
-		return nil, false, err
-	}
-	return splits, true, nil
 }

@@ -131,10 +131,8 @@ func TestParsePath(t *testing.T) {
 }
 
 // TestBuildNDJSONWithSplits: zone maps share DATASCAN's record model — a
-// file may be a stream of newline-delimited documents — and the build's
-// structural-index pass records record-start offsets as a byproduct. Every
-// recorded split must be the byte just past an out-of-string newline,
-// ascending, one per DefaultSplitGrain window at most.
+// file may be a stream of documents split one per line — so every record
+// contributes exactly one value, escaped newlines inside strings included.
 func TestBuildNDJSONWithSplits(t *testing.T) {
 	var data []byte
 	rec := `{"root":[{"metadata":{"count":1},"results":[{"date":"2013-12-01T00:00","dataType":"TMIN","value":%d,"note":"esc\\nape %s"}]}]}` + "\n"
@@ -161,40 +159,22 @@ func TestBuildNDJSONWithSplits(t *testing.T) {
 	if st.Count != 200 {
 		t.Fatalf("count = %d, want 200 (one value per NDJSON record)", st.Count)
 	}
-	splits := zm.Splits["/nd/recs.json"]
-	if len(splits) == 0 {
-		t.Fatal("no splits recorded for a newline-delimited file")
-	}
-	prev := int64(0)
-	for _, s := range splits {
-		if s <= prev {
-			t.Fatalf("splits not strictly ascending at %d", s)
-		}
-		if s > int64(len(data)) || data[s-1] != '\n' {
-			t.Fatalf("split %d is not the byte just past a newline", s)
-		}
-		prev = s
-	}
-	if int64(len(splits)) > int64(len(data))/DefaultSplitGrain+1 {
-		t.Fatalf("%d splits for %d bytes: sampling grain not applied", len(splits), len(data))
-	}
 	reg := NewRegistry()
 	reg.Add(zm)
-	if sp, ok := reg.FileSplits("/nd", "/nd/recs.json"); !ok || len(sp) != len(splits) {
-		t.Fatalf("FileSplits = %d, ok=%v", len(sp), ok)
+	if r, ok := reg.FileRange("/nd", valuePath, "/nd/recs.json"); !ok || r.Count != 200 {
+		t.Fatalf("FileRange = %+v, ok=%v", r, ok)
 	}
-	if _, ok := reg.FileSplits("/other", "/nd/recs.json"); ok {
+	if _, ok := reg.FileZones("/other", valuePath, "/nd/recs.json"); ok {
 		t.Error("wrong collection should miss")
 	}
-	if _, ok := reg.FileSplits("/nd", "nope.json"); ok {
+	if _, ok := reg.FileZones("/nd", valuePath, "nope.json"); ok {
 		t.Error("wrong file should miss")
 	}
 }
 
-// ndjsonCorpus builds an in-memory NDJSON collection with strings that
-// exercise the speculative indexer's hard cases: escaped quotes, backslash
-// runs, and record lengths that put quotes and escapes at arbitrary offsets
-// relative to chunk boundaries.
+// ndjsonCorpus builds an in-memory NDJSON collection with strings full of
+// escaped quotes, backslash runs and braces, at record lengths that put them
+// at arbitrary offsets relative to chunk boundaries.
 func ndjsonCorpus(files, records int) *runtime.MemSource {
 	docs := map[string][]byte{}
 	for f := 0; f < files; f++ {
@@ -215,53 +195,7 @@ func ndjsonCorpus(files, records int) *runtime.MemSource {
 	return &runtime.MemSource{Collections: map[string]map[string][]byte{"/nd": docs}}
 }
 
-// TestParallelBuildSplitsIdentical is the CI smoke gate for the speculative
-// parallel boundary pass: on an NDJSON corpus, a Build forced through the
-// parallel indexer must produce the same ZoneMap — stats and Splits,
-// byte-for-byte — as a Build with the parallel pass disabled.
-func TestParallelBuildSplitsIdentical(t *testing.T) {
-	src := ndjsonCorpus(3, 400)
-	valuePath := jsonparse.Path{
-		jsonparse.KeyStep("root"), jsonparse.MembersStep(),
-		jsonparse.KeyStep("results"), jsonparse.MembersStep(),
-		jsonparse.KeyStep("value"),
-	}
-	for _, grain := range []int64{-1, 256, 4 << 10} {
-		seq, err := BuildWith(src, "/nd", []jsonparse.Path{valuePath},
-			BuildOptions{SplitGrain: grain, ParallelMinBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := BuildWith(src, "/nd", []jsonparse.Path{valuePath},
-			BuildOptions{SplitGrain: grain, ParallelMinBytes: 1, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		files, _ := src.Files("/nd")
-		for _, f := range files {
-			ss, ps := seq[0].Splits[f], par[0].Splits[f]
-			if len(ss) == 0 {
-				t.Fatalf("grain %d: %s: sequential build recorded no splits", grain, f)
-			}
-			if len(ss) != len(ps) {
-				t.Fatalf("grain %d: %s: splits %d (seq) vs %d (par)", grain, f, len(ss), len(ps))
-			}
-			for i := range ss {
-				if ss[i] != ps[i] {
-					t.Fatalf("grain %d: %s: split[%d] = %d (seq) vs %d (par)", grain, f, i, ss[i], ps[i])
-				}
-			}
-			sst, pst := seq[0].Files[f], par[0].Files[f]
-			if sst.Count != pst.Count || item.Compare(sst.Min, pst.Min) != 0 || item.Compare(sst.Max, pst.Max) != 0 {
-				t.Fatalf("grain %d: %s: stats diverge: %+v vs %+v", grain, f, sst, pst)
-			}
-		}
-	}
-}
-
-// countingSource wraps a Source and counts Open calls per file. Embedding
-// hides the optional RangeOpener/Sizer capabilities, which also pins the
-// build to the sequential tee path.
+// countingSource wraps a Source and counts Open calls per file.
 type countingSource struct {
 	runtime.Source
 	opens map[string]int
@@ -311,17 +245,7 @@ func TestBuildWithSharedScan(t *testing.T) {
 				item.Compare(got.Max, want.Max) != 0 {
 				t.Errorf("path %s, %s: shared %+v vs solo %+v", p, f, got, want)
 			}
-			ss, ws := zms[i].Splits[f], solo.Splits[f]
-			if len(ss) != len(ws) {
-				t.Errorf("path %s, %s: splits %d vs %d", p, f, len(ss), len(ws))
-			}
 		}
-	}
-	// The returned maps share one Splits table: a write through one is
-	// visible through the other.
-	zms[0].Splits["sentinel"] = []int64{1}
-	if _, ok := zms[1].Splits["sentinel"]; !ok {
-		t.Error("zone maps of one BuildWith must share the Splits table")
 	}
 	// Multi-path builds inherit the scalar-path check.
 	objPath := jsonparse.Path{jsonparse.KeyStep("root"), jsonparse.MembersStep()}
@@ -330,41 +254,5 @@ func TestBuildWithSharedScan(t *testing.T) {
 	}
 	if _, err := BuildWith(mem, "/nd", nil, BuildOptions{}); err == nil {
 		t.Error("empty path list must be rejected")
-	}
-}
-
-// TestRecordFileSplits: a recorded boundary index is served by FileSplits,
-// takes precedence over zone-map splits for the same file, and an empty
-// recording is a no-op.
-func TestRecordFileSplits(t *testing.T) {
-	reg := NewRegistry()
-	if _, ok := reg.FileSplits("/c", "f.json"); ok {
-		t.Fatal("empty registry should miss")
-	}
-	reg.RecordFileSplits("/c", "f.json", nil)
-	if _, ok := reg.FileSplits("/c", "f.json"); ok {
-		t.Fatal("empty recording must be a no-op")
-	}
-	reg.RecordFileSplits("/c", "f.json", []int64{128, 256})
-	sp, ok := reg.FileSplits("/c", "f.json")
-	if !ok || len(sp) != 2 || sp[0] != 128 || sp[1] != 256 {
-		t.Fatalf("FileSplits = %v, ok=%v", sp, ok)
-	}
-	// A zone map for the same collection carries different splits for the
-	// same file; the recorded index wins.
-	reg.Add(&ZoneMap{
-		Collection: "/c",
-		Path:       jsonparse.Path{jsonparse.KeyStep("x")},
-		Files:      map[string]FileStats{},
-		Splits:     map[string][]int64{"f.json": {512}, "g.json": {64}},
-	})
-	if sp, _ := reg.FileSplits("/c", "f.json"); len(sp) != 2 || sp[0] != 128 {
-		t.Errorf("recorded splits must take precedence, got %v", sp)
-	}
-	if sp, ok := reg.FileSplits("/c", "g.json"); !ok || len(sp) != 1 || sp[0] != 64 {
-		t.Errorf("zone-map splits must still serve unrecorded files, got %v ok=%v", sp, ok)
-	}
-	if _, ok := reg.FileSplits("/other", "f.json"); ok {
-		t.Error("wrong collection should miss")
 	}
 }

@@ -254,8 +254,7 @@ func TestSplitsRangeErrorText(t *testing.T) {
 }
 
 // TestParallelIndexerConcurrent: one shared indexer value must serve many
-// goroutines at once (the cold-scan path builds splits from scan setup, which
-// can run for several jobs concurrently). Run under -race.
+// goroutines at once. Run under -race.
 func TestParallelIndexerConcurrent(t *testing.T) {
 	data := bytes.Repeat([]byte(`{"k":"v\n","n":[1,2,3]}`+"\n"), 500)
 	want := sequentialSplits(data, 64)

@@ -15,7 +15,7 @@
 // structural-to-structural through the Open/Close bitmaps, the indexed string
 // scan jumps to the next quote/backslash event, and the record-boundary
 // scanner (BoundaryScanner) turns the newline-outside-string bitmap into
-// exact morsel split points.
+// exact record-start offsets.
 //
 // Everything here is pure SWAR over uint64 words — no assembly, no unsafe —
 // so it runs on every GOARCH at a large multiple of the byte-loop's
@@ -353,11 +353,11 @@ func structSeek(buf []byte, p int) int {
 // of a newline-delimited file in order (it is an io.Writer, designed to sit
 // on a TeeReader under a streaming scan), it walks the newline-outside-string
 // bitmap and records the first record start — the byte after a '\n' that
-// lies outside every string — at or after each multiple of grain. The
-// resulting split offsets are exact morsel boundaries: every one is the true
-// start of a record, with string state tracked from offset 0, so a newline
-// escape sequence (or any quote/backslash run) straddling a would-be
-// boundary can never produce a bogus split.
+// lies outside every string — at or after each multiple of grain. Every
+// resulting split offset is the true start of a record, with string state
+// tracked from offset 0, so a newline escape sequence (or any
+// quote/backslash run) straddling a would-be boundary can never produce a
+// bogus split.
 //
 // The zero grain means "every record start" — unbounded memory on big files,
 // meant for tests. Peak state is otherwise O(splits), i.e. O(file/grain).

@@ -49,8 +49,8 @@ type Sizer interface {
 	Size(path string) (int64, error)
 }
 
-// SidecarSuffix is the file-name suffix of persistent structural-index
-// sidecars (vxq/internal/index). It lives here so DirSource can exclude
+// SidecarSuffix is the file-name suffix of persistent zone-index sidecars
+// (vxq/internal/index). It lives here so DirSource can exclude
 // sidecars from collection listings without importing the index package:
 // a sidecar sits next to its data file but is never itself a record file.
 const SidecarSuffix = ".vxqx"
@@ -221,7 +221,7 @@ type Stats struct {
 	FilesRead       int64
 	FilesSkipped    int64 // files pruned by a zone-map index
 	MorselsSkipped  int64 // morsels pruned by per-zone min/max stats
-	ColdIndexBuilds int64 // cold-scan structural-index passes run at queue build
+	ColdIndexBuilds int64 // always 0: no scan runs a boundary pass; kept for the benchmark module
 	TuplesProduced  int64
 	TuplesShuffled  int64
 	BytesShuffled   int64
@@ -236,7 +236,6 @@ func (s *Stats) Add(other *Stats) {
 	s.FilesRead += other.FilesRead
 	s.FilesSkipped += other.FilesSkipped
 	s.MorselsSkipped += other.MorselsSkipped
-	s.ColdIndexBuilds += other.ColdIndexBuilds
 	s.TuplesProduced += other.TuplesProduced
 	s.TuplesShuffled += other.TuplesShuffled
 	s.BytesShuffled += other.BytesShuffled
@@ -258,17 +257,6 @@ type IndexLookup interface {
 	FileRange(collection string, path jsonparse.Path, file string) (FileRange, bool)
 }
 
-// SplitLookup is an optional IndexLookup capability: reporting exact
-// record-start offsets of a newline-delimited file, precomputed by the
-// structural-index pass of a zone-map build (every offset is the byte just
-// past a newline that lies outside every string, with string state tracked
-// from offset 0). Morsel splitting uses them to cut files exactly on record
-// boundaries instead of probing for a line start at scan time; a miss simply
-// falls back to the probe. Offsets must be ascending.
-type SplitLookup interface {
-	FileSplits(collection, file string) ([]int64, bool)
-}
-
 // Zone is one byte-range zone of a file's zone-map index: Range summarizes
 // the indexed-path values of exactly the records whose line start lies in
 // [Start, End). Line starts are the same anchor morsel ownership uses, so a
@@ -287,17 +275,6 @@ type Zone struct {
 // (or a nil lookup) disables morsel pruning; correctness never depends on it.
 type ZoneLookup interface {
 	FileZones(collection string, path jsonparse.Path, file string) ([]Zone, bool)
-}
-
-// SplitRecorder is an optional IndexLookup capability: accepting a
-// record-boundary index computed outside a zone-map build. Cold scans of
-// large files run a speculative parallel phase 1 at scan setup to get exact
-// morsel splits; recording the result makes every later scan of the same
-// file start aligned for free. Implementations must be safe for concurrent
-// use. Offsets must be ascending record starts with string state tracked
-// from offset 0 (the SplitLookup contract).
-type SplitRecorder interface {
-	RecordFileSplits(collection, file string, splits []int64)
 }
 
 // Ctx is the per-task evaluation context shared by the operators of one

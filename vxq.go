@@ -76,13 +76,6 @@ type Options struct {
 	// independently schedulable byte ranges, so a handful of oversized files
 	// no longer serializes onto a single partition.
 	MorselSize int64
-	// ColdIndexMinBytes gates the cold-scan boundary pass: a raw JSON file at
-	// least this large with no recorded record-boundary index gets one from
-	// the speculative parallel indexer at scan setup, so even the first scan
-	// of a huge file cuts morsels exactly on record starts (default 32 MiB;
-	// negative disables the pass). The computed index is recorded in the
-	// engine's registry, so only the first scan of a file pays.
-	ColdIndexMinBytes int64
 	// IndexZoneGrain is the byte width of the per-zone min/max stats a
 	// BuildIndex/BuildIndexes pass records alongside its per-file ranges
 	// (index.DefaultZoneGrain when 0; negative disables zone stats). Zones
@@ -97,13 +90,13 @@ type Options struct {
 	// the merged profile to Result.Profile. Collection wraps every operator
 	// boundary; overhead is a few percent at most, and exactly zero when off.
 	Profile bool
-	// CacheDir is where persistent structural-index sidecars are written
-	// ("" = next to each data file). Useful when data directories are
-	// read-only.
+	// CacheDir is where BuildIndex/BuildIndexes write the persistent
+	// zone-index sidecars ("" = next to each data file). Useful when data
+	// directories are read-only.
 	CacheDir string
-	// DisableSidecars turns off sidecar persistence entirely: indexes and
-	// record-boundary splits stay in-memory, nothing is written next to the
-	// data, and nothing is loaded from prior runs.
+	// DisableSidecars turns off sidecar persistence entirely: indexes stay
+	// in-memory, nothing is written next to the data, and nothing is loaded
+	// from prior runs.
 	DisableSidecars bool
 	// PlanCacheSize bounds the compiled-plan cache (entries): repeated
 	// queries — same text modulo whitespace, same rule options — skip
@@ -207,9 +200,10 @@ func (e *Engine) BuildIndex(collection, path string) error {
 }
 
 // BuildIndexes builds zone maps over several scalar paths of one collection
-// with a single scan of its files: each file is read once, every path's
-// min/max feeds off the same parsed records, and one boundary pass — the
-// speculative parallel indexer for large files — serves all of the maps.
+// with a single scan of its files: each file is read once and every path's
+// min/max feeds off the same parsed records. With sidecars enabled the
+// result is persisted next to each file (or under CacheDir); BuildIndex and
+// BuildIndexes are the only writers — a plain query never writes a sidecar.
 func (e *Engine) BuildIndexes(collection string, paths ...string) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("vxq: no index paths")
@@ -345,14 +339,13 @@ func (e *Engine) Query(query string) (*Result, error) {
 	}
 	gen := e.mountGen.Load()
 	env := &hyracks.Env{
-		Source:            e.source(),
-		Accountant:        frame.NewAccountant(0),
-		Indexes:           e.indexes,
-		MorselSize:        e.opts.MorselSize,
-		ColdIndexMinBytes: e.opts.ColdIndexMinBytes,
-		Profile:           e.opts.Profile,
-		OpMemoryBudget:    e.opts.OpMemoryBudget,
-		SpillDir:          e.opts.SpillDir,
+		Source:         e.source(),
+		Accountant:     frame.NewAccountant(0),
+		Indexes:        e.indexes,
+		MorselSize:     e.opts.MorselSize,
+		Profile:        e.opts.Profile,
+		OpMemoryBudget: e.opts.OpMemoryBudget,
+		SpillDir:       e.opts.SpillDir,
 	}
 	var res *hyracks.Result
 	if e.opts.Staged {
@@ -490,7 +483,7 @@ type CacheStats struct {
 	// ResultCacheBytes is the result cache's current accounted charge.
 	ResultCacheBytes int64
 	// SidecarLoads / SidecarMisses / SidecarWrites count persistent
-	// structural-index sidecar traffic.
+	// zone-index sidecar traffic.
 	SidecarLoads, SidecarMisses, SidecarWrites int64
 }
 
