@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"math"
 	goruntime "runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -99,49 +101,63 @@ func spinWall(w int) float64 {
 	return time.Since(start).Seconds()
 }
 
-// calibratedBestOf is bestOf for ratios whose passes need cores[i] cores
-// each. A calibration — w = max(cores) goroutines of register-only
-// arithmetic — runs before every timed pass and after the last, each after
-// a forced GC; its figure, w times the fastest one-goroutine spin over the
-// w-goroutine wall, is the parallelism the host delivered at that moment.
-// A run of pass i counts only when the calibrations on both sides of it
-// reached 0.9·cores[i], so a sibling process holding a core cannot pass for
-// a slow kernel. While some pass has no counted run the window doubles, up
-// to 8× minDur; after that the test fails, naming the best calibration
-// figure. It never skips.
-func calibratedBestOf(t *testing.T, cores []int, minDur time.Duration, passes ...func() error) []float64 {
+// calibratedRuns times passes with timeRounds over window, for ratios whose
+// passes need cores[i] cores each. A calibration — w = max(cores) goroutines
+// of register-only arithmetic — runs before every timed pass and after the
+// last, each after a forced GC; its figure, w times the fastest
+// one-goroutine spin over the w-goroutine wall, is the parallelism the host
+// delivered at that moment. A run of pass i counts only when the
+// calibrations on both sides of it reached 0.9·cores[i], so a sibling
+// process holding a core cannot pass for a slow kernel. It returns the runs
+// that count, in execution order, and the best calibration figure.
+func calibratedRuns(t *testing.T, cores []int, window time.Duration, passes ...func() error) ([]sample, float64) {
 	t.Helper()
 	w := 0
 	for _, c := range cores {
 		w = max(w, c)
 	}
+	var one, wide []float64
+	calibrate := func() {
+		// Collect the previous pass's garbage first, so neither the
+		// calibration nor the next pass shares the cores with GC work the
+		// other left behind.
+		goruntime.GC()
+		c := spinWall(1)
+		one = append(one, c)
+		if w > 1 {
+			c = spinWall(w)
+		}
+		wide = append(wide, c)
+	}
+	samples := timeRounds(t, window, calibrate, passes...)
+	best1 := one[0]
+	for _, s := range one {
+		best1 = min(best1, s)
+	}
+	figure := func(k int) float64 { return float64(w) * best1 / wide[k] }
+	var counted []sample
+	bestFig := 0.0
+	for k, s := range samples {
+		bestFig = max(bestFig, figure(k))
+		if min(figure(k), figure(k+1)) >= 0.9*float64(cores[s.pass]) {
+			counted = append(counted, s)
+		}
+	}
+	return counted, bestFig
+}
+
+// calibratedBestOf is bestOf over the runs calibratedRuns counts. While some
+// pass has no counted run the window doubles, up to 8× minDur, and the runs
+// every window counted are pooled; after that the test fails, naming the
+// best calibration figure. It never skips.
+func calibratedBestOf(t *testing.T, cores []int, minDur time.Duration, passes ...func() error) []float64 {
+	t.Helper()
+	secs := make([]float64, len(passes))
+	bestFig := 0.0
 	for window := minDur; ; window *= 2 {
-		var one, wide []float64
-		calibrate := func() {
-			// Collect the previous pass's garbage first, so neither the
-			// calibration nor the next pass shares the cores with GC work
-			// the other left behind.
-			goruntime.GC()
-			c := spinWall(1)
-			one = append(one, c)
-			if w > 1 {
-				c = spinWall(w)
-			}
-			wide = append(wide, c)
-		}
-		samples := timeRounds(t, window, calibrate, passes...)
-		best1 := one[0]
-		for _, s := range one {
-			best1 = min(best1, s)
-		}
-		figure := func(k int) float64 { return float64(w) * best1 / wide[k] }
-		secs := make([]float64, len(passes))
-		bestFig := 0.0
-		for k, s := range samples {
-			bestFig = max(bestFig, figure(k))
-			if min(figure(k), figure(k+1)) < 0.9*float64(cores[s.pass]) {
-				continue
-			}
+		runs, fig := calibratedRuns(t, cores, window, passes...)
+		bestFig = max(bestFig, fig)
+		for _, s := range runs {
 			if secs[s.pass] == 0 || s.sec < secs[s.pass] {
 				secs[s.pass] = s.sec
 			}
@@ -156,12 +172,44 @@ func calibratedBestOf(t *testing.T, cores []int, minDur time.Duration, passes ..
 			return secs
 		}
 		if window >= 8*minDur {
-			t.Fatalf("the host never delivered the cores around every pass in %v windows: passes needing %v cores have no run; best calibration %.2f of %d",
-				window, missing, bestFig, w)
+			t.Fatalf("the host never delivered the cores around every pass in windows up to %v: passes needing %v cores have no run; best calibration %.2f",
+				window, missing, bestFig)
 		}
-		t.Logf("passes needing %v cores have no run at >= 0.9 of their cores (best calibration %.2f of %d); re-measuring with a %v window",
-			missing, bestFig, w, 2*window)
+		t.Logf("passes needing %v cores have no run at >= 0.9 of their cores (best calibration %.2f); re-measuring with a %v window",
+			missing, bestFig, 2*window)
 	}
+}
+
+// pairedRatios times passes a and b with timeRounds over window and
+// returns, for every round, the ratio b/a of the round's two runs. The two
+// runs of a round are adjacent in time and their order alternates between
+// rounds, so drift of the machine cancels within each ratio.
+func pairedRatios(t *testing.T, window time.Duration, a, b func() error) []float64 {
+	t.Helper()
+	samples := timeRounds(t, window, nil, a, b)
+	ratios := make([]float64, 0, len(samples)/2)
+	for k := 0; k+1 < len(samples); k += 2 {
+		x, y := samples[k], samples[k+1]
+		if x.pass == 1 {
+			x, y = y, x
+		}
+		ratios = append(ratios, y.sec/x.sec)
+	}
+	return ratios
+}
+
+// medianCI sorts xs in place and returns its median and the order
+// statistics at ranks n/2 ∓ 1.29·√n, a 99% confidence interval for the
+// median (the normal approximation to the binomial).
+func medianCI(xs []float64) (lo, med, hi float64) {
+	sort.Float64s(xs)
+	n := len(xs)
+	med = xs[n/2]
+	if n%2 == 0 {
+		med = (xs[n/2-1] + xs[n/2]) / 2
+	}
+	d := 1.29 * math.Sqrt(float64(n))
+	return xs[max(0, int(float64(n)/2-d))], med, xs[min(n-1, int(math.Ceil(float64(n)/2+d)))]
 }
 
 // allocsPerPass is the mallocs one call of pass makes, averaged over a few

@@ -18,11 +18,12 @@ import (
 // queryBenchTuples sizes the probe/input side of every query-kernel shape.
 const queryBenchTuples = 100_000
 
-// queryBenchPass prebuilds a shape's input frames (the join build side holds
-// one row per distinct key) and returns a function running one pass of it in
-// the given mode, yielding the pass's output tuple count.
-func queryBenchPass(shape string) func(mode string) (int64, error) {
-	frames := hyracks.BenchFrames(QueryBenchRows(queryBenchTuples), 0)
+// queryBenchPass prebuilds a shape's input frames of the given number of
+// tuples (the join build side holds one row per distinct key) and returns a
+// function running one pass of it in the given mode, yielding the pass's
+// output tuple count.
+func queryBenchPass(shape string, tuples int) func(mode string) (int64, error) {
+	frames := hyracks.BenchFrames(QueryBenchRows(tuples), 0)
 	var build []*frame.Frame
 	if shape == "join" {
 		build = hyracks.BenchFrames(QueryBenchRows(QueryBenchKeys), 0)
@@ -34,7 +35,7 @@ func queryBenchPass(shape string) func(mode string) (int64, error) {
 
 func benchQueryShape(b *testing.B, shape, mode string) {
 	b.Helper()
-	pass := queryBenchPass(shape)
+	pass := queryBenchPass(shape, queryBenchTuples)
 	if _, err := pass(mode); err != nil {
 		b.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestQueryKernelBounds(t *testing.T) {
 	}
 	const minDur = 300 * time.Millisecond
 	for _, shape := range []string{"groupby", "shuffle", "join"} {
-		secs, encoded, out := timeQueryModes(t, shape, minDur, false, "encoded", "eager")
+		secs, encoded, out := timeQueryModes(t, shape, minDur, "encoded", "eager")
 		allocsPerTuple := allocsPerPass(t, encoded) / queryBenchTuples
 		t.Logf("%s: encoded %.2f Mtuples/s (%.4f allocs/tuple), eager %.2f Mtuples/s, output %d",
 			shape, queryBenchTuples/secs[0]/1e6, allocsPerTuple, queryBenchTuples/secs[1]/1e6, out)
@@ -92,13 +93,21 @@ func TestQueryKernelBounds(t *testing.T) {
 	}
 }
 
-// timeQueryModes times one shape under two modes through bestOf — or, when
-// calibrated, calibratedBestOf at one core per pass — and returns the
-// per-mode best seconds, the first mode's pass function, and the output
+// timeQueryModes times one shape under two modes through bestOf and returns
+// the per-mode best seconds, the first mode's pass function, and the output
 // tuple count, which every pass of both modes must agree on.
-func timeQueryModes(t *testing.T, shape string, minDur time.Duration, calibrated bool, modeA, modeB string) (secs []float64, passA func() error, out int64) {
+func timeQueryModes(t *testing.T, shape string, minDur time.Duration, modeA, modeB string) (secs []float64, passA func() error, out int64) {
 	t.Helper()
-	pass := queryBenchPass(shape)
+	passA, passB, out := queryModePasses(t, shape, queryBenchTuples, modeA, modeB)
+	return bestOf(t, minDur, passA, passB), passA, out
+}
+
+// queryModePasses returns one shape's pass over the given number of tuples
+// under each of two modes, and the output tuple count of a first modeA pass,
+// which every later pass of both modes must agree on.
+func queryModePasses(t *testing.T, shape string, tuples int, modeA, modeB string) (passA, passB func() error, out int64) {
+	t.Helper()
+	pass := queryBenchPass(shape, tuples)
 	out, err := pass(modeA)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", shape, modeA, err)
@@ -115,44 +124,49 @@ func timeQueryModes(t *testing.T, shape string, minDur time.Duration, calibrated
 			return nil
 		}
 	}
-	passA = timed(modeA)
-	if calibrated {
-		return calibratedBestOf(t, []int{1, 1}, minDur, passA, timed(modeB)), passA, out
-	}
-	return bestOf(t, minDur, passA, timed(modeB)), passA, out
+	return timed(modeA), timed(modeB), out
 }
+
+// profileGateTuples sizes the profile gate's passes: a tenth of the kernel
+// bounds' input, so a pass takes a few milliseconds and a window holds
+// hundreds of adjacent pairs. Per-pass fixed costs weigh more at this size,
+// which can only raise the measured overhead.
+const profileGateTuples = queryBenchTuples / 10
 
 // TestProfileOverheadBound pins the profiling tax: the kernel with the
 // boundary wrappers installed must stay within 3% of the unprofiled kernel
-// on the query-kernel shapes. Passes of the two modes are interleaved (the
-// pair order alternating each iteration) and each side takes its best pass,
-// so drift of the machine (frequency scaling, co-tenants, the rest of the
-// test suite running in sibling processes) cancels instead of biasing one
-// mode, and only passes bracketed by one-core calibrations at full speed
-// count (calibratedBestOf; the kernels run on one goroutine). A shape over
-// the bound is re-measured with a longer window before failing — transient
-// contention must not fail CI, persistent overhead must.
+// on the query-kernel shapes. The statistic is the median over rounds of
+// the profiled/unprofiled ratio of a round's two passes (pairedRatios):
+// the two are adjacent in time and their order alternates, so drift of the
+// machine (frequency scaling, co-tenants, the rest of the test suite in
+// sibling processes) cancels within each ratio, and a pass a burst of
+// contention slowed moves the median by one rank instead of deciding a
+// best-of. Windows of pairs are pooled until the median's 99% confidence
+// interval lies on one side of the bound, up to gateWindows windows; the
+// verdict is always the median against the bound.
 func TestProfileOverheadBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping profile overhead bound in -short")
 	}
-	const minDur = 300 * time.Millisecond // per mode
+	const window = 500 * time.Millisecond // per mode
+	const gateWindows = 8
 	const bound = 1.03
 	for _, shape := range []string{"groupby", "shuffle", "join"} {
-		measure := func(dur time.Duration) float64 {
-			secs, _, _ := timeQueryModes(t, shape, dur, true, "encoded", "profiled")
-			ratio := secs[1] / secs[0]
-			t.Logf("%s: profiled/unprofiled = %.4f (%.4fs vs %.4fs)", shape, ratio, secs[1], secs[0])
-			return ratio
+		unprofiled, profiled, _ := queryModePasses(t, shape, profileGateTuples, "encoded", "profiled")
+		var ratios []float64
+		var lo, med, hi float64
+		for w := 1; ; w++ {
+			ratios = append(ratios, pairedRatios(t, window, unprofiled, profiled)...)
+			lo, med, hi = medianCI(ratios)
+			t.Logf("%s: profiled/unprofiled median %.4f over %d pairs (99%% CI %.4f-%.4f)",
+				shape, med, len(ratios), lo, hi)
+			if hi <= bound || lo > bound || w == gateWindows {
+				break
+			}
 		}
-		ratio := measure(minDur)
-		for window := 2 * minDur; ratio > bound && window <= 4*minDur; window *= 2 {
-			t.Logf("%s: over the bound, re-measuring with a longer window", shape)
-			ratio = min(ratio, measure(window))
-		}
-		if ratio > bound {
+		if med > bound {
 			t.Errorf("%s: profiling overhead %.1f%% exceeds the %.0f%% bound",
-				shape, 100*(ratio-1), 100*(bound-1))
+				shape, 100*(med-1), 100*(bound-1))
 		}
 	}
 }

@@ -216,3 +216,54 @@ func TestMorselPruningUnknownIsKept(t *testing.T) {
 		t.Error("empty zone must exclude")
 	}
 }
+
+// TestMorselAlignedEquivalence re-runs the morsel equivalence property with a
+// zone-map registry present and a filter that admits every record, so the
+// queue consults each file's zones at grains finer than, equal to and coarser
+// than the morsel size. Whatever the index holds, morsels stay nominal cuts
+// that the newline probe re-aligns to record starts; only a morsel whose
+// zones hold no record start may be dropped, and the result set must match
+// the whole-file reference exactly (exactly-once ownership).
+func TestMorselAlignedEquivalence(t *testing.T) {
+	docs := map[string][]byte{
+		"many.json":    ndSensorFile(200, 100),
+		"bigrec.json":  ndSensorFile(12, 3000),
+		"oneline.json": bigSensorFile(8 << 10), // no newlines: one record, one zone
+		"tiny.json":    ndSensorFile(2, 0),
+	}
+	src := &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": docs}}
+	want := referenceItems(t, docs, measurementsPath())
+	valuePath := measurementsPath().Append(jsonparse.KeyStep("value"))
+	for _, grain := range []int64{256, 1 << 10, 4 << 10} {
+		zms, err := index.BuildWith(src, "/sensors", []jsonparse.Path{valuePath},
+			index.BuildOptions{ZoneGrain: grain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := index.NewRegistry()
+		reg.Add(zms[0])
+		for _, ms := range []int64{1 << 10, 4 << 10} {
+			for _, parts := range []int{1, 3} {
+				job := &Job{Fragments: []*Fragment{{
+					ID: 0,
+					Source: ScanSource{Collection: "/sensors", Project: measurementsPath(),
+						Filter: zoneFilter(-1, 1000)},
+					Partitions:   parts,
+					SinkExchange: -1,
+				}}}
+				env := func() *Env { return &Env{Source: src, MorselSize: ms, Indexes: reg} }
+				got := resultItems(runBoth(t, job, env))
+				if len(got) != len(want) {
+					t.Fatalf("grain=%d morsel=%d parts=%d: %d items, want %d",
+						grain, ms, parts, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("grain=%d morsel=%d parts=%d: item %d = %s, want %s",
+							grain, ms, parts, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
