@@ -488,7 +488,7 @@ func TestSidecarV1MigratesOnBuild(t *testing.T) {
 		}
 	}
 	open := func() *Engine {
-		eng := New(Options{Partitions: 2, MorselSize: 64 << 10, IndexZoneGrain: 16 << 10})
+		eng := New(Options{Partitions: 2, MorselSize: 64 << 10}) // zones every 8 KiB
 		eng.Mount("/sensors", dir)
 		return eng
 	}

@@ -1,5 +1,5 @@
-// Indexing: the paper's §6 future-work direction, implemented as per-file
-// zone maps. Build a min/max index over the date path of a year-partitioned
+// Indexing: the paper's §6 future-work direction, implemented as zone
+// maps. Build a min/max index over the date path of a year-partitioned
 // collection and watch a year-bounded selection skip almost every file.
 package main
 

@@ -68,38 +68,36 @@ func BenchmarkHashJoinProfiled(b *testing.B)    { benchQueryShape(b, "join", "pr
 // kernel: the encoded GROUP-BY stays under 0.1 allocations per input tuple,
 // and the encoded GROUP-BY and hash shuffle beat the eager reference by at
 // least 2x. Join speedup is reported but not pinned (output dominates it).
+// The speedup is the median over rounds of the eager/encoded ratio of a
+// round's two adjacent passes, judged like TestProfileOverheadBound's
+// overhead (pairedMedian).
 func TestQueryKernelBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping kernel bounds in -short")
 	}
-	const minDur = 300 * time.Millisecond
+	const window = 300 * time.Millisecond // per mode
+	const bound = 2.0
 	for _, shape := range []string{"groupby", "shuffle", "join"} {
-		secs, encoded, out := timeQueryModes(t, shape, minDur, "encoded", "eager")
+		encoded, eager, out := queryModePasses(t, shape, queryBenchTuples, "encoded", "eager")
 		allocsPerTuple := allocsPerPass(t, encoded) / queryBenchTuples
-		t.Logf("%s: encoded %.2f Mtuples/s (%.4f allocs/tuple), eager %.2f Mtuples/s, output %d",
-			shape, queryBenchTuples/secs[0]/1e6, allocsPerTuple, queryBenchTuples/secs[1]/1e6, out)
-		speedup := secs[1] / secs[0]
+		windows := gateWindows
+		if shape == "join" {
+			windows = 1
+		}
+		speedup := pairedMedian(t, shape+": eager/encoded", window, windows, bound, encoded, eager)
+		t.Logf("%s: %.4f allocs/tuple, output %d", shape, allocsPerTuple, out)
 		if shape == "join" {
 			t.Logf("join: encoded %.2fx eager — informational only", speedup)
 			continue
 		}
-		if speedup < 2 {
-			t.Errorf("%s: encoded speedup %.2fx over eager, want >= 2x (encoded %.4fs, eager %.4fs)",
-				shape, speedup, secs[0], secs[1])
+		if speedup < bound {
+			t.Errorf("%s: encoded speedup %.2fx over eager (median of adjacent pairs), want >= %.0fx",
+				shape, speedup, bound)
 		}
 		if shape == "groupby" && allocsPerTuple > 0.1 {
 			t.Errorf("groupby encoded allocs/tuple = %.4f, want <= 0.1", allocsPerTuple)
 		}
 	}
-}
-
-// timeQueryModes times one shape under two modes through bestOf and returns
-// the per-mode best seconds, the first mode's pass function, and the output
-// tuple count, which every pass of both modes must agree on.
-func timeQueryModes(t *testing.T, shape string, minDur time.Duration, modeA, modeB string) (secs []float64, passA func() error, out int64) {
-	t.Helper()
-	passA, passB, out := queryModePasses(t, shape, queryBenchTuples, modeA, modeB)
-	return bestOf(t, minDur, passA, passB), passA, out
 }
 
 // queryModePasses returns one shape's pass over the given number of tuples
@@ -136,37 +134,43 @@ const profileGateTuples = queryBenchTuples / 10
 // TestProfileOverheadBound pins the profiling tax: the kernel with the
 // boundary wrappers installed must stay within 3% of the unprofiled kernel
 // on the query-kernel shapes. The statistic is the median over rounds of
-// the profiled/unprofiled ratio of a round's two passes (pairedRatios):
-// the two are adjacent in time and their order alternates, so drift of the
-// machine (frequency scaling, co-tenants, the rest of the test suite in
-// sibling processes) cancels within each ratio, and a pass a burst of
-// contention slowed moves the median by one rank instead of deciding a
-// best-of. Windows of pairs are pooled until the median's 99% confidence
-// interval lies on one side of the bound, up to gateWindows windows; the
-// verdict is always the median against the bound.
+// the profiled/unprofiled ratio of a round's two passes (pairedMedian).
 func TestProfileOverheadBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping profile overhead bound in -short")
 	}
 	const window = 500 * time.Millisecond // per mode
-	const gateWindows = 8
 	const bound = 1.03
 	for _, shape := range []string{"groupby", "shuffle", "join"} {
 		unprofiled, profiled, _ := queryModePasses(t, shape, profileGateTuples, "encoded", "profiled")
-		var ratios []float64
-		var lo, med, hi float64
-		for w := 1; ; w++ {
-			ratios = append(ratios, pairedRatios(t, window, unprofiled, profiled)...)
-			lo, med, hi = medianCI(ratios)
-			t.Logf("%s: profiled/unprofiled median %.4f over %d pairs (99%% CI %.4f-%.4f)",
-				shape, med, len(ratios), lo, hi)
-			if hi <= bound || lo > bound || w == gateWindows {
-				break
-			}
-		}
-		if med > bound {
+		if med := pairedMedian(t, shape+": profiled/unprofiled", window, gateWindows, bound, unprofiled, profiled); med > bound {
 			t.Errorf("%s: profiling overhead %.1f%% exceeds the %.0f%% bound",
 				shape, 100*(med-1), 100*(bound-1))
+		}
+	}
+}
+
+// gateWindows caps how many windows of pairs pairedMedian pools.
+const gateWindows = 8
+
+// pairedMedian is the statistic of the paired-median gates: the median over
+// rounds of the b/a ratio of a round's two passes (pairedRatios). The two
+// are adjacent in time and their order alternates, so drift of the machine
+// (frequency scaling, co-tenants, the rest of the test suite in sibling
+// processes) cancels within each ratio, and a pass a burst of contention
+// slowed moves the median by one rank instead of deciding a best-of.
+// Windows of pairs are pooled until the median's 99% confidence interval
+// lies on one side of bound, up to windows windows; the caller judges the
+// returned median against the bound.
+func pairedMedian(t *testing.T, name string, window time.Duration, windows int, bound float64, a, b func() error) float64 {
+	t.Helper()
+	var ratios []float64
+	for w := 1; ; w++ {
+		ratios = append(ratios, pairedRatios(t, window, a, b)...)
+		lo, med, hi := medianCI(ratios)
+		t.Logf("%s median %.4f over %d pairs (99%% CI %.4f-%.4f)", name, med, len(ratios), lo, hi)
+		if hi < bound || lo > bound || w >= windows {
+			return med
 		}
 	}
 }

@@ -605,7 +605,7 @@ func except(ops ...algebricks.Op) func(algebricks.Op) bool {
 // PushRangeFilterIntoDataScan attaches a zone-map range filter to a DATASCAN
 // when a SELECT directly above it bounds a scalar path of the scanned items
 // with constant comparisons. The SELECT itself is kept — the filter only
-// lets the scan skip whole files whose indexed [min,max] range cannot
+// lets the scan skip files and morsels whose indexed [min,max] zones cannot
 // satisfy the predicate, implementing the paper's future-work direction:
 // "indexing will further improve the system's performance since the
 // searched data volume will be significantly reduced" (§6).

@@ -23,8 +23,8 @@ type Env struct {
 	// (frame.DefaultFrameSize when <= 0).
 	FrameSize  int
 	Accountant *frame.Accountant
-	// Indexes provides zone-map lookups for DATASCAN file pruning (may be
-	// nil).
+	// Indexes provides zone-map lookups for DATASCAN file and morsel
+	// pruning (may be nil).
 	Indexes runtime.IndexLookup
 	// MorselSize is the byte-range granularity of morsel-driven scans
 	// (DefaultMorselSize when <= 0): raw-JSON files larger than this are
@@ -657,7 +657,7 @@ func feedSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
 		fr.AppendTuple(nil)
 		return w.Push(fr)
 	case ScanSource:
-		return runScan(ctx, s, f.Partitions, w)
+		return runScan(ctx, s, w)
 	case ExchangeSource:
 		return in.recv(s.Exchange, w.Push)
 	case JoinSource:
@@ -695,31 +695,13 @@ func feedSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
 	}
 }
 
-// runScan drains the fragment's morsel queue and emits one single-field
-// tuple per projected item. Raw JSON morsels stream through a fixed chunk
-// buffer (charged to the accountant), so scan memory is O(chunk + emitted
-// item), independent of the file size. When no runner-built queue is
-// present (a fragment run outside RunStaged/RunPipelined), an equivalent
-// statically dealt queue is built on the fly.
-func runScan(ctx *TaskCtx, s ScanSource, partitions int, w Writer) error {
-	if ctx.RT == nil || ctx.RT.Source == nil {
-		return fmt.Errorf("hyracks: scan without a data source")
-	}
+// runScan drains the fragment's morsel queue, which runJob built before
+// any task started, and emits one single-field tuple per projected item.
+// Raw JSON morsels stream through a fixed chunk buffer (charged to the
+// accountant), so scan memory is O(chunk + emitted item), independent of
+// the file size.
+func runScan(ctx *TaskCtx, s ScanSource, w Writer) error {
 	q := ctx.morsels
-	if q == nil {
-		var (
-			qs  queueStats
-			err error
-		)
-		q, qs, err = buildMorselQueue(ctx.RT.Source, s, ctx.RT.Indexes, partitions, 0, false)
-		if err != nil {
-			return err
-		}
-		if st := ctx.RT.Stats; st != nil {
-			st.FilesSkipped += qs.filesSkipped
-			st.MorselsSkipped += qs.morselsSkipped
-		}
-	}
 	sc := &scanState{ctx: ctx, b: newFrameBuilder(ctx, w), field: make([][]byte, 1), seq1: make(item.Sequence, 1)}
 	for {
 		m, stolen, ok := q.take(ctx.Partition)
@@ -778,14 +760,10 @@ func scanMorsel(ctx *TaskCtx, sc *scanState, s ScanSource, m morsel) error {
 		err  error
 	)
 	if m.start > 0 {
-		ro, ok := src.(runtime.RangeOpener)
-		if !ok {
-			return fmt.Errorf("source cannot open byte ranges")
-		}
 		// Open one byte early: if the byte at start-1 is the separating
 		// newline, the first record of this morsel starts exactly at start.
 		base = m.start - 1
-		rc, err = ro.OpenRange(m.file, base)
+		rc, err = src.OpenRange(m.file, base)
 	} else {
 		rc, err = src.Open(m.file)
 	}

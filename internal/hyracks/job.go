@@ -19,18 +19,18 @@ type ETSSource struct{}
 func (ETSSource) sourceName() string { return "EMPTY-TUPLE-SOURCE" }
 
 // ScanFilter is a range predicate on a scalar path, attached to a DATASCAN
-// by the index rule: files whose zone-map range cannot overlap
-// [Lo, Hi] are skipped entirely. Nil bounds are unbounded; strict bounds
-// exclude the endpoint. The filter only ever *prunes* whole files — the
-// plan's SELECT still checks every surviving tuple, so execution is correct
-// with or without an index.
+// by the index rule: files none of whose zones can overlap [Lo, Hi] are
+// skipped entirely, and so are morsels of the other files whose zones
+// cannot. Nil bounds are unbounded; strict bounds exclude the endpoint. The
+// filter only ever *prunes* — the plan's SELECT still checks every
+// surviving tuple, so execution is correct with or without an index.
 type ScanFilter struct {
 	Path               jsonparse.Path
 	Lo, Hi             item.Item
 	LoStrict, HiStrict bool
 }
 
-// Admits reports whether a file with the given value range may contain a
+// Admits reports whether a zone with the given value range may contain a
 // value satisfying the filter.
 func (f *ScanFilter) Admits(r runtime.FileRange) bool {
 	if r.Count == 0 || r.Min == nil || r.Max == nil {

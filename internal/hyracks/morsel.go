@@ -2,6 +2,7 @@ package hyracks
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -105,7 +106,7 @@ func (q *morselQueue) take(partition int) (m morsel, stolen, ok bool) {
 
 // queueStats counts the pruning work of a morsel-queue build.
 type queueStats struct {
-	filesSkipped   int64 // files pruned by a file-level zone-map range
+	filesSkipped   int64 // files no zone of which admits the filter
 	morselsSkipped int64 // morsels pruned by per-zone min/max stats
 }
 
@@ -114,16 +115,14 @@ func (q *queueStats) add(other queueStats) {
 	q.morselsSkipped += other.morselsSkipped
 }
 
-// buildMorselQueue lists a scan's files, prunes those a zone-map index rules
-// out, and splits the survivors into morsels. Files are split when the
-// source can report their size and reopen them at an offset; a source without
-// range support degrades to one whole-file morsel per file, which is exactly
-// the pre-morsel behaviour. Cuts are nominal — every morselSize bytes — and
-// the consumer finds each morsel's first line start with a one-byte probe
-// (see scanMorsel). When the index carries per-zone stats for the filter's
-// path, morsels whose every overlapping zone excludes the predicate are
-// pruned before they are ever scheduled. It returns the queue and the
-// pruning counters.
+// buildMorselQueue lists a scan's files and cuts each into morsels every
+// morselSize bytes; a file no larger than that is one whole-file morsel.
+// Cuts are nominal, and the consumer finds each morsel's first line start
+// with a one-byte probe (see scanMorsel). A scan with a filter asks the
+// index once per file for the file's zones: a file none of whose zones
+// admits the filter is skipped outright, and of the others the morsels
+// whose every overlapping zone excludes the filter are pruned before they
+// are ever scheduled. It returns the queue and the pruning counters.
 func buildMorselQueue(src runtime.Source, s ScanSource, idx runtime.IndexLookup,
 	partitions int, morselSize int64, shared bool) (*morselQueue, queueStats, error) {
 	var qs queueStats
@@ -137,42 +136,33 @@ func buildMorselQueue(src runtime.Source, s ScanSource, idx runtime.IndexLookup,
 	if morselSize <= 0 {
 		morselSize = DefaultMorselSize
 	}
-	_, canRange := src.(runtime.RangeOpener)
-	sz, canSize := src.(runtime.Sizer)
-	var zl runtime.ZoneLookup
-	if s.Filter != nil {
-		zl, _ = idx.(runtime.ZoneLookup)
-	}
 	var morsels []morsel
 	for _, file := range files {
+		var zones []runtime.Zone
 		if s.Filter != nil && idx != nil {
-			if r, ok := idx.FileRange(s.Collection, s.Filter.Path, file); ok && !s.Filter.Admits(r) {
+			zones, _ = idx.FileZones(s.Collection, s.Filter.Path, file)
+			if zones != nil && !slices.ContainsFunc(zones, func(z runtime.Zone) bool { return s.Filter.Admits(z.Range) }) {
 				qs.filesSkipped++
 				continue
 			}
 		}
+		size, err := src.Size(file)
+		if err != nil {
+			return nil, qs, err
+		}
 		base := len(morsels)
-		split := false
-		if canRange && canSize {
-			size, err := sz.Size(file)
-			if err == nil && size > morselSize {
-				for off := int64(0); off < size; off += morselSize {
-					end := min(off+morselSize, size)
-					morsels = append(morsels, morsel{file: file, start: off, end: end,
-						first: off == 0, countsFile: off == 0})
-				}
-				split = true
-			}
-		}
-		if !split {
+		if size <= morselSize {
 			morsels = append(morsels, morsel{file: file, start: 0, end: -1, first: true, countsFile: true})
-		}
-		if zl != nil {
-			if zones, ok := zl.FileZones(s.Collection, s.Filter.Path, file); ok {
-				kept := pruneMorsels(morsels[base:], zones, s.Filter)
-				qs.morselsSkipped += int64(len(morsels) - base - kept)
-				morsels = morsels[:base+kept]
+		} else {
+			for off := int64(0); off < size; off += morselSize {
+				morsels = append(morsels, morsel{file: file, start: off, end: min(off+morselSize, size),
+					first: off == 0, countsFile: off == 0})
 			}
+		}
+		if zones != nil {
+			kept := pruneMorsels(morsels[base:], zones, s.Filter)
+			qs.morselsSkipped += int64(len(morsels) - base - kept)
+			morsels = morsels[:base+kept]
 		}
 	}
 	q := newMorselQueue(morsels, partitions, shared)
@@ -209,7 +199,7 @@ func pruneMorsels(ms []morsel, zones []runtime.Zone, f *ScanFilter) int {
 
 // morselAdmitted reports whether a morsel's byte range can hold a matching
 // record according to the per-zone stats. Zones are ascending and
-// non-overlapping and by the ZoneLookup contract cover [0, fileSize), so
+// non-overlapping and by the IndexLookup contract cover [0, fileSize), so
 // the last zone's End is the file size; any byte of the morsel's effective
 // range the zones do not cover counts as unknown and admits the morsel.
 func morselAdmitted(m morsel, zones []runtime.Zone, f *ScanFilter) bool {

@@ -56,12 +56,11 @@ func pruneFixture(t *testing.T) (*runtime.MemSource, *index.Registry) {
 	docs := map[string][]byte{"clustered.json": clusteredValueFile(400, 120)} // ~73 KiB
 	src := &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": docs}}
 	zms, err := index.BuildWith(src, "/sensors",
-		[]jsonparse.Path{measurementsPath().Append(jsonparse.KeyStep("value"))},
-		index.BuildOptions{ZoneGrain: 2048})
+		[]jsonparse.Path{measurementsPath().Append(jsonparse.KeyStep("value"))}, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := index.NewRegistry()
+	reg := index.NewRegistry(src.Ident)
 	reg.Add(zms[0])
 	return src, reg
 }
@@ -217,6 +216,49 @@ func TestMorselPruningUnknownIsKept(t *testing.T) {
 	}
 }
 
+// TestFileSkippedWhenNoZoneAdmits: the file-level rule is "some zone admits
+// the filter". A file whose zones each exclude the filter is skipped even
+// though the fold of its zones ([1, 9]) admits it; an empty file and a file
+// with no value at the path are skipped; a file the index does not hold is
+// scanned.
+func TestFileSkippedWhenNoZoneAdmits(t *testing.T) {
+	valuePath := jsonparse.Path{jsonparse.KeyStep("v")}
+	row := func(v int) string { return `{"v":` + itoa(v) + `,"pad":"` + strings.Repeat("x", 100) + `"}` + "\n" }
+	indexed := map[string][]byte{
+		"gap.json":     []byte(strings.Repeat(row(1), 10) + strings.Repeat(row(9), 10)),
+		"empty.json":   nil,
+		"novalue.json": []byte(`{"w":5}` + "\n"),
+		"match.json":   []byte(row(5)),
+	}
+	src := &runtime.MemSource{Collections: map[string]map[string][]byte{"/c": indexed}}
+	// One record per zone, so no zone holds both a 1 and a 9.
+	zms, err := index.BuildWith(src, "/c", []jsonparse.Path{valuePath}, int64(len(row(1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := index.NewRegistry(src.Ident)
+	reg.Add(zms[0])
+	indexed["late.json"] = []byte(row(1)) // added after the build: unknown to the index
+
+	scan := ScanSource{Collection: "/c", Filter: &ScanFilter{Path: valuePath, Lo: item.Number(4), Hi: item.Number(6)}}
+	q, qs, err := buildMorselQueue(src, scan, reg, 1, 1<<10, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qs.filesSkipped != 3 {
+		t.Errorf("files skipped = %d, want 3 (gap, empty, novalue)", qs.filesSkipped)
+	}
+	var scanned []string
+	for _, m := range q.morsels {
+		if m.countsFile {
+			scanned = append(scanned, m.file)
+		}
+	}
+	if got := strings.Join(scanned, " "); got != "/c/late.json /c/match.json" {
+		t.Errorf("scanned files = %q, want the unindexed and the matching one", got)
+	}
+}
+
 // TestMorselAlignedEquivalence re-runs the morsel equivalence property with a
 // zone-map registry present and a filter that admits every record, so the
 // queue consults each file's zones at grains finer than, equal to and coarser
@@ -235,12 +277,11 @@ func TestMorselAlignedEquivalence(t *testing.T) {
 	want := referenceItems(t, docs, measurementsPath())
 	valuePath := measurementsPath().Append(jsonparse.KeyStep("value"))
 	for _, grain := range []int64{256, 1 << 10, 4 << 10} {
-		zms, err := index.BuildWith(src, "/sensors", []jsonparse.Path{valuePath},
-			index.BuildOptions{ZoneGrain: grain})
+		zms, err := index.BuildWith(src, "/sensors", []jsonparse.Path{valuePath}, grain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := index.NewRegistry()
+		reg := index.NewRegistry(src.Ident)
 		reg.Add(zms[0])
 		for _, ms := range []int64{1 << 10, 4 << 10} {
 			for _, parts := range []int{1, 3} {

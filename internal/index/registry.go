@@ -4,19 +4,16 @@ import (
 	"os"
 	"sync"
 
-	"vxq/internal/item"
 	"vxq/internal/jsonparse"
 	"vxq/internal/runtime"
 )
 
 // Persistence configures sidecar-backed persistence of a Registry: what a
 // zone-map build computes for a file is written to that file's sidecar, and
-// lookups missing in memory consult the sidecar before giving up.
+// lookups missing in memory consult the sidecar before giving up. Files
+// without a durable identity (e.g. in-memory documents) are never persisted
+// and never read from sidecars.
 type Persistence struct {
-	// Ident resolves a file's durable (size, mtime) identity. Files it
-	// reports ok=false for (e.g. in-memory documents) are never persisted
-	// and never read from sidecars.
-	Ident func(file string) (runtime.FileIdent, bool)
 	// Dir is the sidecar directory ("" = next to each data file).
 	Dir string
 }
@@ -43,32 +40,35 @@ type fileEntry struct {
 	zones    map[string]PathZones // path postfix text -> zones
 }
 
-// Registry holds the zone maps of an engine, keyed by collection and path.
-// It implements runtime.IndexLookup and runtime.ZoneLookup. Safe for
-// concurrent use.
+// Registry holds the zone maps of an engine, per collection, file and path.
+// It implements runtime.IndexLookup. Safe for concurrent use.
 //
-// With persistence configured, per-file state is written through to sidecar
-// files and lookups revalidate against each file's current (size, mtime)
-// identity: a stale or corrupt sidecar is dropped, the lookup misses (no
-// pruning), and the next build rewrites the sidecar.
+// Every lookup revalidates against the file's current identity, whether or
+// not persistence is configured: a stale entry is dropped and the lookup
+// misses (no pruning) until the next build. Files without a durable
+// identity cannot be checked; Drop is their change signal. With persistence
+// configured, per-file state is also written through to sidecar files, and
+// a lookup that finds nothing current in memory loads the file's sidecar.
 type Registry struct {
 	mu    sync.RWMutex
-	maps  map[string]*ZoneMap
+	ident func(file string) (runtime.FileIdent, bool)
 	files map[string]map[string]*fileEntry // collection -> file -> entry
 	pers  *Persistence
 	stats RegistryStats
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		maps:  map[string]*ZoneMap{},
-		files: map[string]map[string]*fileEntry{},
-	}
+// NewRegistry returns an empty registry that checks every lookup against
+// the identity ident reports for the file.
+func NewRegistry(ident func(file string) (runtime.FileIdent, bool)) *Registry {
+	return &Registry{ident: ident, files: map[string]map[string]*fileEntry{}}
 }
 
-func key(collection string, path jsonparse.Path) string {
-	return collection + "\x00" + path.String()
+// Drop forgets everything held in memory about a collection's files. A
+// re-mount calls it: in-memory documents have no identity to revalidate.
+func (r *Registry) Drop(collection string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.files, collection)
 }
 
 // SetPersistence enables (or, with nil, disables) sidecar persistence.
@@ -101,49 +101,51 @@ func (r *Registry) entryLocked(collection, file string) *fileEntry {
 	return e
 }
 
-// resolve returns the entry of one file, revalidating against the file's
-// current identity and loading the sidecar on first touch. A stale entry
-// (identity changed since it was observed) is dropped; a failed sidecar
+// resolve returns the entry of one file, revalidated against the file's
+// current identity, loading the sidecar on first touch. A stale entry
+// (identity changed since it was observed) is emptied; a failed sidecar
 // load leaves a probed negative entry so the disk is not re-read every
-// query. Returns nil when nothing is known about the file. Callers must
-// read the returned entry's fields under r.mu.
+// query. Returns nil when nothing current is known about the file. Callers
+// must read the returned entry's fields under r.mu.
 func (r *Registry) resolve(collection, file string) *fileEntry {
 	r.mu.RLock()
 	e := r.files[collection][file]
 	pers := r.pers
-	fresh := e != nil && e.probed && e.hasIdent
 	var seen runtime.FileIdent
+	var known, probed bool
 	if e != nil {
-		seen = e.ident
+		seen, known, probed = e.ident, e.hasIdent, e.probed
 	}
 	r.mu.RUnlock()
 
-	if pers == nil || pers.Ident == nil {
+	if e == nil && pers == nil {
+		return nil // nothing in memory and no sidecar to consult: no stat
+	}
+	ident, durable := r.ident(file)
+	if !durable {
+		// Nothing to check against and no sidecar to read: serve what a
+		// build of this (in-memory) file left, unless the file had an
+		// identity then.
+		if known {
+			return nil
+		}
 		return e
 	}
-	ident, ok := pers.Ident(file)
-	if !ok {
-		// No durable identity: serve whatever is in memory, never touch disk.
-		return e
-	}
-	if fresh && seen == ident {
+	if known && seen == ident && (probed || pers == nil) {
 		return e
 	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e = r.entryLocked(collection, file)
-	if e.hasIdent && e.ident == ident && e.probed {
-		return e
+	if !e.hasIdent || e.ident != ident {
+		// The file changed, or was never checked: what was recorded about
+		// it is stale.
+		*e = fileEntry{ident: ident, hasIdent: true}
 	}
-	if e.hasIdent && e.ident != ident {
-		// The file changed: everything recorded about it is stale.
-		*e = fileEntry{}
-	}
-	e.ident, e.hasIdent = ident, true
-	if !e.probed {
+	if !e.probed && r.pers != nil {
 		e.probed = true
-		sc, err := LoadSidecar(SidecarPathFor(file, pers.Dir), ident)
+		sc, err := LoadSidecar(SidecarPathFor(file, r.pers.Dir), ident)
 		if err != nil {
 			r.stats.SidecarMisses++
 		} else {
@@ -165,7 +167,7 @@ func (r *Registry) resolve(collection, file string) *fileEntry {
 // r.mu for writing. Failures are silent by design: persistence is an
 // optimization, never a correctness dependency.
 func (r *Registry) persistLocked(file string, e *fileEntry) {
-	if r.pers == nil || r.pers.Ident == nil || !e.hasIdent {
+	if r.pers == nil || !e.hasIdent {
 		return
 	}
 	sc := &Sidecar{Ident: e.ident}
@@ -183,93 +185,32 @@ func (r *Registry) persistLocked(file string, e *fileEntry) {
 }
 
 // Add registers (or replaces) a zone map, merging its per-file zone stats
-// into the per-file entries (and through to sidecars, with persistence
-// configured).
+// into the per-file entries under the identity each file had when the build
+// read it (and through to sidecars, with persistence configured).
 func (r *Registry) Add(zm *ZoneMap) {
-	// Resolve identities outside the lock: Ident stats the filesystem.
-	idents := map[string]runtime.FileIdent{}
-	r.mu.RLock()
-	pers := r.pers
-	r.mu.RUnlock()
-	if pers != nil && pers.Ident != nil {
-		for f := range zm.Files {
-			if id, ok := pers.Ident(f); ok {
-				idents[f] = id
-			}
-		}
-	}
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.maps[key(zm.Collection, zm.Path)] = zm
 	pathText := zm.Path.String()
-	for f := range zm.Files {
+	for f, pz := range zm.Zones {
 		e := r.entryLocked(zm.Collection, f)
-		if id, ok := idents[f]; ok {
-			if e.hasIdent && e.ident != id {
-				*e = fileEntry{}
-			}
-			e.ident, e.hasIdent, e.probed = id, true, true
+		id, durable := zm.idents[f]
+		if e.hasIdent != durable || e.ident != id {
+			*e = fileEntry{ident: id, hasIdent: durable}
 		}
-		if pz, ok := zm.Zones[f]; ok {
-			if e.zones == nil {
-				e.zones = map[string]PathZones{}
-			}
-			e.zones[pathText] = pz
+		e.probed = true
+		if e.zones == nil {
+			e.zones = map[string]PathZones{}
 		}
-		if _, ok := idents[f]; ok {
+		e.zones[pathText] = pz
+		if durable {
 			r.persistLocked(f, e)
 		}
 	}
 }
 
-// FileRange implements runtime.IndexLookup: it reports the indexed value
-// range of one file, if a matching zone map exists — or, warm from a
-// sidecar, by aggregating the file's per-zone stats.
-func (r *Registry) FileRange(collection string, path jsonparse.Path, file string) (runtime.FileRange, bool) {
-	r.mu.RLock()
-	zm, ok := r.maps[key(collection, path)]
-	r.mu.RUnlock()
-	if ok {
-		if st, ok := zm.Files[file]; ok {
-			return runtime.FileRange{Min: st.Min, Max: st.Max, Count: st.Count}, true
-		}
-	}
-	// Cross-process warm path: a sidecar carries zones, whose aggregate is
-	// exactly the file-level range.
-	e := r.resolve(collection, file)
-	if e == nil {
-		return runtime.FileRange{}, false
-	}
-	r.mu.RLock()
-	pz, ok := e.zones[path.String()]
-	r.mu.RUnlock()
-	if !ok {
-		return runtime.FileRange{}, false
-	}
-	var agg FileStats
-	for _, z := range pz.Stats {
-		if z.Count == 0 {
-			continue
-		}
-		if agg.Count == 0 {
-			agg.Min, agg.Max = z.Min, z.Max
-		} else {
-			if item.Compare(z.Min, agg.Min) < 0 {
-				agg.Min = z.Min
-			}
-			if item.Compare(z.Max, agg.Max) > 0 {
-				agg.Max = z.Max
-			}
-		}
-		agg.Count += z.Count
-	}
-	return runtime.FileRange{Min: agg.Min, Max: agg.Max, Count: agg.Count}, true
-}
-
-// FileZones implements runtime.ZoneLookup: it reports the per-zone min/max
+// FileZones implements runtime.IndexLookup: it reports the per-zone min/max
 // stats of one file at an indexed path, from a build in this process or a
-// validated sidecar.
+// validated sidecar, provided the file has not changed since.
 func (r *Registry) FileZones(collection string, path jsonparse.Path, file string) ([]runtime.Zone, bool) {
 	e := r.resolve(collection, file)
 	if e == nil {
@@ -282,11 +223,4 @@ func (r *Registry) FileZones(collection string, path jsonparse.Path, file string
 		return nil, false
 	}
 	return pz.runtimeZones(), true
-}
-
-// Len reports the number of registered zone maps.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.maps)
 }

@@ -181,7 +181,7 @@ func valuePath() jsonparse.Path {
 // at a fine zone grain.
 func buildValueZones(t *testing.T, src runtime.Source) *ZoneMap {
 	t.Helper()
-	zms, err := BuildWith(src, "/nd", []jsonparse.Path{valuePath()}, BuildOptions{ZoneGrain: 1024})
+	zms, err := BuildWith(src, "/nd", []jsonparse.Path{valuePath()}, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +190,14 @@ func buildValueZones(t *testing.T, src runtime.Source) *ZoneMap {
 
 // TestRegistryWarmStartFromSidecars: what one registry builds and persists, a
 // second (fresh, simulating a new process) must serve from sidecars alone —
-// per-zone stats, and the file-level range aggregated from zones.
+// the same per-zone stats, zone by zone.
 func TestRegistryWarmStartFromSidecars(t *testing.T) {
 	dir := t.TempDir()
 	src := writeNDJSONDir(t, dir, 2, 50)
-	pers := &Persistence{Ident: src.Ident}
+	pers := &Persistence{}
 
 	zm := buildValueZones(t, src)
-	reg1 := NewRegistry()
+	reg1 := NewRegistry(src.Ident)
 	reg1.SetPersistence(pers)
 	reg1.Add(zm)
 	if w := reg1.Stats().SidecarWrites; w != 2 {
@@ -211,24 +211,15 @@ func TestRegistryWarmStartFromSidecars(t *testing.T) {
 	}
 
 	// A fresh registry — no zone maps, persistence only — must go warm.
-	reg2 := NewRegistry()
+	reg2 := NewRegistry(src.Ident)
 	reg2.SetPersistence(pers)
 	for _, f := range files {
 		zones, ok := reg2.FileZones("/nd", valuePath(), f)
-		if !ok || len(zones) == 0 {
+		if !ok {
 			t.Fatalf("%s: no zones from sidecar", f)
 		}
-		if zones[len(zones)-1].End != zm.Zones[f].Size {
-			t.Fatalf("%s: zones end at %d, file is %d bytes", f, zones[len(zones)-1].End, zm.Zones[f].Size)
-		}
-		r, ok := reg2.FileRange("/nd", valuePath(), f)
-		if !ok {
-			t.Fatalf("%s: no range from sidecar zones", f)
-		}
-		want2 := zm.Files[f]
-		if r.Count != want2.Count || item.Compare(r.Min, want2.Min) != 0 || item.Compare(r.Max, want2.Max) != 0 {
-			t.Fatalf("%s: range %v..%v (%d) from sidecar, want %v..%v (%d)",
-				f, r.Min, r.Max, r.Count, want2.Min, want2.Max, want2.Count)
+		if err := sameZones(zones, zm.Zones[f]); err != nil {
+			t.Fatalf("%s: sidecar zones: %v", f, err)
 		}
 	}
 	st := reg2.Stats()
@@ -250,7 +241,7 @@ func TestRegistryWarmStartFromSidecars(t *testing.T) {
 func TestRegistryInvalidation(t *testing.T) {
 	dir := t.TempDir()
 	src := writeNDJSONDir(t, dir, 1, 50)
-	pers := &Persistence{Ident: src.Ident}
+	pers := &Persistence{}
 	files, _ := src.Files("/nd")
 	file := files[0]
 	zones := func(r *Registry) bool {
@@ -258,7 +249,7 @@ func TestRegistryInvalidation(t *testing.T) {
 		return ok
 	}
 
-	reg := NewRegistry()
+	reg := NewRegistry(src.Ident)
 	reg.SetPersistence(pers)
 	reg.Add(buildValueZones(t, src))
 	if w := reg.Stats().SidecarWrites; w != 1 {
@@ -269,7 +260,7 @@ func TestRegistryInvalidation(t *testing.T) {
 		if err := os.Chtimes(file, time.Now(), time.Now().Add(3*time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		fresh := NewRegistry()
+		fresh := NewRegistry(src.Ident)
 		fresh.SetPersistence(pers)
 		if zones(fresh) {
 			t.Fatal("stale sidecar served after mtime change")
@@ -280,7 +271,7 @@ func TestRegistryInvalidation(t *testing.T) {
 		// A rebuild rewrites the sidecar and a fresh registry reads it warm
 		// again.
 		fresh.Add(buildValueZones(t, src))
-		warm := NewRegistry()
+		warm := NewRegistry(src.Ident)
 		warm.SetPersistence(pers)
 		if !zones(warm) {
 			t.Fatal("rewritten sidecar not served")
@@ -296,7 +287,7 @@ func TestRegistryInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		fresh := NewRegistry()
+		fresh := NewRegistry(src.Ident)
 		fresh.SetPersistence(pers)
 		if zones(fresh) {
 			t.Fatal("stale sidecar served after size change")
@@ -307,7 +298,7 @@ func TestRegistryInvalidation(t *testing.T) {
 		// The same registry that already served the file warm must notice
 		// the identity change on the next lookup — memory entries revalidate
 		// like sidecars do.
-		reg2 := NewRegistry()
+		reg2 := NewRegistry(src.Ident)
 		reg2.SetPersistence(pers)
 		reg2.Add(buildValueZones(t, src))
 		if !zones(reg2) {
@@ -321,8 +312,23 @@ func TestRegistryInvalidation(t *testing.T) {
 		}
 	})
 
+	t.Run("in-memory staleness without persistence", func(t *testing.T) {
+		// Sidecars off: the in-memory entry is checked just the same.
+		reg4 := NewRegistry(src.Ident)
+		reg4.Add(buildValueZones(t, src))
+		if !zones(reg4) {
+			t.Fatal("built zones not served")
+		}
+		if err := os.Chtimes(file, time.Now(), time.Now().Add(11*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if zones(reg4) {
+			t.Fatal("in-memory entry served after the file changed")
+		}
+	})
+
 	t.Run("corrupt", func(t *testing.T) {
-		reg3 := NewRegistry()
+		reg3 := NewRegistry(src.Ident)
 		reg3.SetPersistence(pers)
 		reg3.Add(buildValueZones(t, src))
 		scPath := file + runtime.SidecarSuffix
@@ -334,7 +340,7 @@ func TestRegistryInvalidation(t *testing.T) {
 		if err := os.WriteFile(scPath, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fresh := NewRegistry()
+		fresh := NewRegistry(src.Ident)
 		fresh.SetPersistence(pers)
 		if zones(fresh) {
 			t.Fatal("corrupt sidecar served")
@@ -346,7 +352,7 @@ func TestRegistryInvalidation(t *testing.T) {
 		if err := os.WriteFile(scPath, b[:7], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fresh2 := NewRegistry()
+		fresh2 := NewRegistry(src.Ident)
 		fresh2.SetPersistence(pers)
 		if zones(fresh2) {
 			t.Fatal("truncated sidecar served")
@@ -361,7 +367,7 @@ func TestRegistryNoPersistence(t *testing.T) {
 	src := writeNDJSONDir(t, dir, 1, 20)
 	files, _ := src.Files("/nd")
 
-	reg := NewRegistry()
+	reg := NewRegistry(src.Ident)
 	reg.Add(buildValueZones(t, src))
 	if _, err := os.Stat(files[0] + runtime.SidecarSuffix); !os.IsNotExist(err) {
 		t.Fatalf("sidecar written without persistence: %v", err)
@@ -372,14 +378,26 @@ func TestRegistryNoPersistence(t *testing.T) {
 	mem := &runtime.MemSource{Collections: map[string]map[string][]byte{
 		"/nd": {"doc.json": []byte(`{"root":[{"results":[{"value":1}]}]}` + "\n")},
 	}}
-	reg2 := NewRegistry()
-	reg2.SetPersistence(&Persistence{Ident: mem.Ident})
+	reg2 := NewRegistry(mem.Ident)
+	reg2.SetPersistence(&Persistence{})
 	reg2.Add(buildValueZones(t, mem))
 	if _, ok := reg2.FileZones("/nd", valuePath(), "/nd/doc.json"); !ok {
 		t.Fatal("memory-only zones lost")
 	}
 	if st := reg2.Stats(); st.SidecarWrites != 0 || st.SidecarLoads != 0 {
 		t.Fatalf("stats = %+v, want no sidecar traffic", st)
+	}
+
+	// Without persistence, a lookup that finds nothing in memory returns
+	// without asking for the file's identity (no stat on the scan path).
+	stats := 0
+	reg3 := NewRegistry(func(f string) (runtime.FileIdent, bool) { stats++; return src.Ident(f) })
+	if _, ok := reg3.FileZones("/nd", valuePath(), files[0]); ok || stats != 0 {
+		t.Fatalf("empty registry: ok=%v after %d identity checks, want a miss after 0", ok, stats)
+	}
+	reg3.Add(buildValueZones(t, src))
+	if _, ok := reg3.FileZones("/nd", valuePath(), files[0]); !ok || stats != 1 {
+		t.Fatalf("built registry: ok=%v after %d identity checks, want a hit after 1", ok, stats)
 	}
 }
 
@@ -389,10 +407,10 @@ func TestRegistryCacheDir(t *testing.T) {
 	dir := t.TempDir()
 	cache := filepath.Join(t.TempDir(), "cache") // not yet created: registry must MkdirAll
 	src := writeNDJSONDir(t, dir, 1, 20)
-	pers := &Persistence{Ident: src.Ident, Dir: cache}
+	pers := &Persistence{Dir: cache}
 	files, _ := src.Files("/nd")
 
-	reg := NewRegistry()
+	reg := NewRegistry(src.Ident)
 	reg.SetPersistence(pers)
 	reg.Add(buildValueZones(t, src))
 	if _, err := os.Stat(files[0] + runtime.SidecarSuffix); !os.IsNotExist(err) {
@@ -403,7 +421,7 @@ func TestRegistryCacheDir(t *testing.T) {
 		t.Fatalf("cache dir entries = %v, err = %v", entries, err)
 	}
 
-	warm := NewRegistry()
+	warm := NewRegistry(src.Ident)
 	warm.SetPersistence(pers)
 	if _, ok := warm.FileZones("/nd", valuePath(), files[0]); !ok {
 		t.Fatal("cache-dir sidecar not served")
@@ -417,15 +435,15 @@ func TestRegistryCacheDir(t *testing.T) {
 func TestRegistryConcurrentAccess(t *testing.T) {
 	dir := t.TempDir()
 	src := writeNDJSONDir(t, dir, 2, 40)
-	pers := &Persistence{Ident: src.Ident}
+	pers := &Persistence{}
 	files, _ := src.Files("/nd")
 
 	zm := buildValueZones(t, src)
-	seed := NewRegistry()
+	seed := NewRegistry(src.Ident)
 	seed.SetPersistence(pers)
 	seed.Add(zm)
 
-	reg := NewRegistry()
+	reg := NewRegistry(src.Ident)
 	reg.SetPersistence(pers)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -438,7 +456,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 				case 0:
 					reg.FileZones("/nd", valuePath(), f)
 				case 1:
-					reg.FileRange("/nd", valuePath(), f)
+					reg.FileZones("/nd", valuePath(), f)
 				case 2:
 					reg.Add(zm)
 				}

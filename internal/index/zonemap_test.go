@@ -33,24 +33,84 @@ func yearPartitionedSource(t *testing.T, files int) runtime.Source {
 	return &runtime.MemSource{Collections: map[string]map[string][]byte{"/sensors": docs}}
 }
 
+// testGrain is the zone width the index tests build at: fine enough that
+// every generated file spans several zones.
+const testGrain = 1 << 10
+
+// buildOne builds the zone map of one path at testGrain.
+func buildOne(src runtime.Source, collection string, path jsonparse.Path) (*ZoneMap, error) {
+	zms, err := BuildWith(src, collection, []jsonparse.Path{path}, testGrain)
+	if err != nil {
+		return nil, err
+	}
+	return zms[0], nil
+}
+
+// fold is a file's value range: the fold of its zones.
+func fold(pz PathZones) FileStats {
+	var agg FileStats
+	for _, z := range pz.Stats {
+		if z.Count == 0 {
+			continue
+		}
+		if agg.Count == 0 || item.Compare(z.Min, agg.Min) < 0 {
+			agg.Min = z.Min
+		}
+		if agg.Count == 0 || item.Compare(z.Max, agg.Max) > 0 {
+			agg.Max = z.Max
+		}
+		agg.Count += z.Count
+	}
+	return agg
+}
+
+// sameZones reports how got (a registry lookup) differs from want (what a
+// build computed), zone by zone: bounds, counts, minima and maxima.
+func sameZones(got []runtime.Zone, want PathZones) error {
+	if len(got) != len(want.Stats) {
+		return fmt.Errorf("%d zones, want %d", len(got), len(want.Stats))
+	}
+	for i, z := range got {
+		w := want.Stats[i]
+		start := int64(i) * want.Grain
+		if z.Start != start || z.End != min(start+want.Grain, want.Size) {
+			return fmt.Errorf("zone %d covers [%d,%d), want [%d,%d)", i, z.Start, z.End, start, min(start+want.Grain, want.Size))
+		}
+		if z.Range.Count != w.Count || (w.Count > 0 &&
+			(item.Compare(z.Range.Min, w.Min) != 0 || item.Compare(z.Range.Max, w.Max) != 0)) {
+			return fmt.Errorf("zone %d = %v..%v (%d), want %v..%v (%d)",
+				i, z.Range.Min, z.Range.Max, z.Range.Count, w.Min, w.Max, w.Count)
+		}
+	}
+	return nil
+}
+
 func TestBuildZoneMap(t *testing.T) {
 	src := yearPartitionedSource(t, 6)
-	zm, err := Build(src, "/sensors", datePath())
+	zm, err := buildOne(src, "/sensors", datePath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(zm.Files) != 6 {
-		t.Fatalf("files = %d", len(zm.Files))
+	if len(zm.Zones) != 6 {
+		t.Fatalf("files = %d", len(zm.Zones))
 	}
-	for f, st := range zm.Files {
+	for f, pz := range zm.Zones {
+		size, _ := src.Size(f)
+		if pz.Grain != testGrain || pz.Size != size || int64(len(pz.Stats)) != (size+testGrain-1)/testGrain {
+			t.Errorf("%s: %d zones of %d bytes over %d bytes, want dense coverage of %d", f,
+				len(pz.Stats), pz.Grain, pz.Size, size)
+		}
+		st := fold(pz)
 		if st.Count != 4*10 {
 			t.Errorf("%s: count = %d, want 40", f, st.Count)
 		}
 		if st.Min == nil || st.Max == nil {
 			t.Fatalf("%s: missing bounds", f)
 		}
-		if item.Compare(st.Min, st.Max) > 0 {
-			t.Errorf("%s: min > max", f)
+		for i, z := range pz.Stats {
+			if z.Count > 0 && item.Compare(z.Min, z.Max) > 0 {
+				t.Errorf("%s: zone %d: min > max", f, i)
+			}
 		}
 		// Year-partitioned: min and max share the file's year.
 		minY := string(st.Min.(item.String))[:4]
@@ -64,42 +124,77 @@ func TestBuildZoneMap(t *testing.T) {
 func TestBuildRejectsNonScalarPath(t *testing.T) {
 	src := yearPartitionedSource(t, 1)
 	objPath := jsonparse.Path{jsonparse.KeyStep("root"), jsonparse.MembersStep()}
-	if _, err := Build(src, "/sensors", objPath); err == nil {
+	if _, err := buildOne(src, "/sensors", objPath); err == nil {
 		t.Fatal("object path must be rejected")
 	}
-	if _, err := Build(src, "/missing", datePath()); err == nil {
+	if _, err := buildOne(src, "/missing", datePath()); err == nil {
 		t.Fatal("missing collection must fail")
+	}
+	for _, grain := range []int64{0, -1} {
+		if _, err := BuildWith(src, "/sensors", []jsonparse.Path{datePath()}, grain); err == nil {
+			t.Errorf("zone grain %d must be rejected", grain)
+		}
+	}
+}
+
+// TestBuildEmptyFiles: an empty file, and a file with no value at the path,
+// each get zones that cover them and admit nothing — one empty zone for the
+// empty file.
+func TestBuildEmptyFiles(t *testing.T) {
+	src := &runtime.MemSource{Collections: map[string]map[string][]byte{"/c": {
+		"empty.json": nil,
+		"other.json": []byte("{\"w\":1}\n{\"w\":2}\n"),
+	}}}
+	zm, err := buildOne(src, "/c", jsonparse.Path{jsonparse.KeyStep("v")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pz := zm.Zones["/c/empty.json"]; pz.Size != 0 || len(pz.Stats) != 1 || pz.Stats[0].Count != 0 {
+		t.Errorf("empty file: %+v, want one empty zone", pz)
+	}
+	if pz := zm.Zones["/c/other.json"]; pz.Size != 16 || len(pz.Stats) != 1 || pz.Stats[0].Count != 0 {
+		t.Errorf("file without values at the path: %+v, want one empty zone over 16 bytes", pz)
+	}
+	reg := NewRegistry(src.Ident)
+	reg.Add(zm)
+	zones, ok := reg.FileZones("/c", jsonparse.Path{jsonparse.KeyStep("v")}, "/c/empty.json")
+	if !ok || len(zones) != 1 || zones[0] != (runtime.Zone{}) {
+		t.Errorf("empty file lookup = %+v, ok=%v; want one empty zone [0,0)", zones, ok)
 	}
 }
 
 func TestRegistryLookup(t *testing.T) {
 	src := yearPartitionedSource(t, 3)
-	zm, err := Build(src, "/sensors", datePath())
+	zm, err := buildOne(src, "/sensors", datePath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
+	reg := NewRegistry(src.Ident)
 	reg.Add(zm)
-	if reg.Len() != 1 {
-		t.Fatalf("len = %d", reg.Len())
-	}
 	files, _ := src.Files("/sensors")
-	r, ok := reg.FileRange("/sensors", datePath(), files[0])
-	if !ok {
-		t.Fatal("range not found")
-	}
-	if r.Count == 0 || r.Min == nil {
-		t.Errorf("range = %+v", r)
+	for _, f := range files {
+		zones, ok := reg.FileZones("/sensors", datePath(), f)
+		if !ok {
+			t.Fatalf("%s: zones not found", f)
+		}
+		if err := sameZones(zones, zm.Zones[f]); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
 	}
 	// Misses: wrong path, wrong collection, wrong file.
-	if _, ok := reg.FileRange("/sensors", datePath().Append(jsonparse.MembersStep()), files[0]); ok {
+	if _, ok := reg.FileZones("/sensors", datePath().Append(jsonparse.MembersStep()), files[0]); ok {
 		t.Error("wrong path should miss")
 	}
-	if _, ok := reg.FileRange("/other", datePath(), files[0]); ok {
+	if _, ok := reg.FileZones("/other", datePath(), files[0]); ok {
 		t.Error("wrong collection should miss")
 	}
-	if _, ok := reg.FileRange("/sensors", datePath(), "nope.json"); ok {
+	if _, ok := reg.FileZones("/sensors", datePath(), "nope.json"); ok {
 		t.Error("wrong file should miss")
+	}
+	// Drop forgets the collection: its documents have no identity to check.
+	reg.Drop("/sensors")
+	if _, ok := reg.FileZones("/sensors", datePath(), files[0]); ok {
+		t.Error("dropped collection should miss")
 	}
 }
 
@@ -151,18 +246,22 @@ func TestBuildNDJSONWithSplits(t *testing.T) {
 		jsonparse.KeyStep("results"), jsonparse.MembersStep(),
 		jsonparse.KeyStep("value"),
 	}
-	zm, err := Build(src, "/nd", valuePath)
+	zm, err := buildOne(src, "/nd", valuePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := zm.Files["/nd/recs.json"]
-	if st.Count != 200 {
+	pz := zm.Zones["/nd/recs.json"]
+	if st := fold(pz); st.Count != 200 {
 		t.Fatalf("count = %d, want 200 (one value per NDJSON record)", st.Count)
 	}
-	reg := NewRegistry()
+	reg := NewRegistry(src.Ident)
 	reg.Add(zm)
-	if r, ok := reg.FileRange("/nd", valuePath, "/nd/recs.json"); !ok || r.Count != 200 {
-		t.Fatalf("FileRange = %+v, ok=%v", r, ok)
+	zones, ok := reg.FileZones("/nd", valuePath, "/nd/recs.json")
+	if !ok {
+		t.Fatal("zones not found")
+	}
+	if err := sameZones(zones, pz); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := reg.FileZones("/other", valuePath, "/nd/recs.json"); ok {
 		t.Error("wrong collection should miss")
@@ -207,8 +306,8 @@ func (c *countingSource) Open(path string) (io.ReadCloser, error) {
 }
 
 // TestBuildWithSharedScan: one BuildWith over several paths must read every
-// file exactly once and produce, per path, the same zone map a dedicated
-// Build would.
+// file exactly once and produce, per path, the same zones a one-path build
+// would.
 func TestBuildWithSharedScan(t *testing.T) {
 	mem := ndjsonCorpus(2, 120)
 	paths := []jsonparse.Path{
@@ -218,7 +317,7 @@ func TestBuildWithSharedScan(t *testing.T) {
 			jsonparse.KeyStep("results"), jsonparse.MembersStep(), jsonparse.KeyStep("date")},
 	}
 	cs := &countingSource{Source: mem, opens: map[string]int{}}
-	zms, err := BuildWith(cs, "/nd", paths, BuildOptions{})
+	zms, err := BuildWith(cs, "/nd", paths, testGrain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +331,7 @@ func TestBuildWithSharedScan(t *testing.T) {
 		}
 	}
 	for i, p := range paths {
-		solo, err := Build(mem, "/nd", p)
+		solo, err := buildOne(mem, "/nd", p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,19 +339,17 @@ func TestBuildWithSharedScan(t *testing.T) {
 			t.Errorf("zms[%d].Path = %s, want %s", i, zms[i].Path, p)
 		}
 		for _, f := range files {
-			got, want := zms[i].Files[f], solo.Files[f]
-			if got.Count != want.Count || item.Compare(got.Min, want.Min) != 0 ||
-				item.Compare(got.Max, want.Max) != 0 {
-				t.Errorf("path %s, %s: shared %+v vs solo %+v", p, f, got, want)
+			if err := sameZones(zms[i].Zones[f].runtimeZones(), solo.Zones[f]); err != nil {
+				t.Errorf("path %s, %s: shared vs solo: %v", p, f, err)
 			}
 		}
 	}
 	// Multi-path builds inherit the scalar-path check.
 	objPath := jsonparse.Path{jsonparse.KeyStep("root"), jsonparse.MembersStep()}
-	if _, err := BuildWith(mem, "/nd", []jsonparse.Path{paths[0], objPath}, BuildOptions{}); err == nil {
+	if _, err := BuildWith(mem, "/nd", []jsonparse.Path{paths[0], objPath}, testGrain); err == nil {
 		t.Error("object path must be rejected in a multi-path build")
 	}
-	if _, err := BuildWith(mem, "/nd", nil, BuildOptions{}); err == nil {
+	if _, err := BuildWith(mem, "/nd", nil, testGrain); err == nil {
 		t.Error("empty path list must be rejected")
 	}
 }

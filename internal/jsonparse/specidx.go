@@ -320,7 +320,7 @@ func (pi ParallelIndexer) Splits(buf []byte, grain int64) []int64 {
 // chunkBuf-sized refill buffer (DefaultChunkSize when <= 0), and resolves
 // its entry escape bit with a small tail read of the preceding bytes. open
 // must return a reader positioned at the given offset (the
-// runtime.RangeOpener shape) and must be safe for concurrent calls.
+// shape of runtime.Source.OpenRange) and must be safe for concurrent calls.
 func (pi ParallelIndexer) SplitsRange(open func(off int64) (io.ReadCloser, error), size, grain int64, chunkBuf int) ([]int64, error) {
 	if size <= 0 {
 		return nil, nil

@@ -32,21 +32,17 @@ type Source interface {
 	// path: scans stream documents through it chunk by chunk, so peak
 	// memory stays O(chunk), not O(file).
 	Open(path string) (io.ReadCloser, error)
-}
-
-// RangeOpener is an optional Source capability: opening a file at a byte
-// offset, so a morsel-driven scan can start mid-file without re-reading the
-// prefix. Sources that cannot seek simply omit it and their files degrade to
-// single whole-file morsels.
-type RangeOpener interface {
-	// OpenRange returns a reader positioned at offset bytes into the file.
+	// OpenRange returns a reader positioned at offset bytes into the file,
+	// so a morsel-driven scan can start mid-file without re-reading the
+	// prefix.
 	OpenRange(path string, offset int64) (io.ReadCloser, error)
-}
-
-// Sizer is an optional Source capability: reporting a file's size in bytes
-// without reading it, used to split files into morsels up front.
-type Sizer interface {
+	// Size reports a file's size in bytes without reading it, used to split
+	// files into morsels up front.
 	Size(path string) (int64, error)
+	// Ident reports a file's durable identity. ok=false means the file has
+	// no identity stable across processes (e.g. in-memory documents), so
+	// persistent caches must not cover it.
+	Ident(path string) (FileIdent, bool)
 }
 
 // SidecarSuffix is the file-name suffix of persistent zone-index sidecars
@@ -61,13 +57,6 @@ const SidecarSuffix = ".vxqx"
 type FileIdent struct {
 	Size         int64
 	ModTimeNanos int64
-}
-
-// Identifier is an optional Source capability: reporting a file's durable
-// identity. ok=false means the file has no identity stable across processes
-// (e.g. in-memory documents) and persistent caches must not cover it.
-type Identifier interface {
-	Ident(path string) (FileIdent, bool)
 }
 
 // CountingReader wraps an io.Reader and counts the bytes delivered, so
@@ -244,17 +233,11 @@ func (s *Stats) Add(other *Stats) {
 	s.SpillWaves += other.SpillWaves
 }
 
-// FileRange is the indexed value range of one file, as reported by a
+// FileRange is the indexed value range of one zone, as reported by a
 // zone-map index (vxq/internal/index).
 type FileRange struct {
-	Min, Max item.Item // nil when the file has no values at the path
+	Min, Max item.Item // nil when the zone has no values at the path
 	Count    int64
-}
-
-// IndexLookup resolves per-file zone-map ranges. A nil lookup (or a miss)
-// simply disables file pruning; correctness never depends on it.
-type IndexLookup interface {
-	FileRange(collection string, path jsonparse.Path, file string) (FileRange, bool)
 }
 
 // Zone is one byte-range zone of a file's zone-map index: Range summarizes
@@ -268,12 +251,13 @@ type Zone struct {
 	Range      FileRange
 }
 
-// ZoneLookup is an optional IndexLookup capability: reporting the per-zone
-// min/max stats of one file at an indexed path. Zones must be ascending,
-// non-overlapping, and cover [0, fileSize) — a record with no value at the
-// path still lands in a zone, whose Count simply doesn't include it. A miss
-// (or a nil lookup) disables morsel pruning; correctness never depends on it.
-type ZoneLookup interface {
+// IndexLookup reports the per-zone min/max stats of one file at an indexed
+// path. Zones are ascending, non-overlapping and cover [0, fileSize) — a
+// record with no value at the path still lands in a zone, whose Count
+// simply doesn't include it, and an empty file has one empty zone. A file's
+// value range is the fold of its zones. A miss (or a nil lookup) disables
+// pruning for the file; correctness never depends on it.
+type IndexLookup interface {
 	FileZones(collection string, path jsonparse.Path, file string) ([]Zone, bool)
 }
 
@@ -283,8 +267,8 @@ type Ctx struct {
 	Source     Source
 	Accountant *frame.Accountant
 	Stats      *Stats
-	// Indexes provides zone-map lookups for DATASCAN file pruning (may be
-	// nil).
+	// Indexes provides zone-map lookups for DATASCAN file and morsel
+	// pruning (may be nil).
 	Indexes IndexLookup
 
 	// argScratch is a stack of recycled argument slices for CallEval, so

@@ -1,0 +1,106 @@
+package vxq
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// staleQuery selects the records whose "v" lies in [100, 200]. Its SELECT
+// bounds the indexed path, so the scan carries a range filter and consults
+// the zone index.
+const staleQuery = `for $v in collection("/c")("v") where $v ge 100 and $v le 200 return $v`
+
+// staleDocs is a two-file collection with no value in [100, 200].
+func staleDocs() map[string][]byte {
+	return map[string][]byte{
+		"a.json": []byte("{\"v\":1}\n{\"v\":2}\n"),
+		"b.json": []byte("{\"v\":300}\n{\"v\":400}\n"),
+	}
+}
+
+// TestChangedFileStopsPruning: a file rewritten after BuildIndex so that it
+// gains a matching record must be scanned, not pruned on the stats of its
+// old bytes — with sidecars on and with sidecars off.
+func TestChangedFileStopsPruning(t *testing.T) {
+	for _, noSidecars := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sidecars_off=%v", noSidecars), func(t *testing.T) { changedFileStopsPruning(t, noSidecars) })
+	}
+}
+
+func changedFileStopsPruning(t *testing.T, noSidecars bool) {
+	dir := t.TempDir()
+	for name, b := range staleDocs() {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := New(Options{Partitions: 2, DisableSidecars: noSidecars})
+	eng.Mount("/c", dir)
+	if err := eng.BuildIndex("/c", `("v")`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query(staleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 0 || res.Stats.FilesSkipped != 2 {
+		t.Fatalf("before the rewrite: %d items, %d files skipped; want 0 and 2",
+			len(res.Items), res.Stats.FilesSkipped)
+	}
+	// The rewrite changes the file's size, so its identity changes.
+	if err := os.WriteFile(filepath.Join(dir, "a.json"), []byte("{\"v\":1}\n{\"v\":150}\n{\"v\":2}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err = eng.Query(staleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 1 || JSON(res.Items[0]) != "150" {
+		t.Fatalf("after the rewrite: %d items %v, want [150]",
+			len(res.Items), res.Items)
+	}
+	if res.Stats.FilesSkipped != 1 {
+		t.Fatalf("after the rewrite: %d files skipped, want 1 (the unchanged one)", res.Stats.FilesSkipped)
+	}
+}
+
+// TestRemountedDocsStopPruning: in-memory documents have no identity to
+// check, so re-mounting a collection is its only change signal — a
+// MountDocs after BuildIndex drops the collection's zones.
+func TestRemountedDocsStopPruning(t *testing.T) {
+	for _, noSidecars := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sidecars_off=%v", noSidecars), func(t *testing.T) { remountedDocsStopPruning(t, noSidecars) })
+	}
+}
+
+func remountedDocsStopPruning(t *testing.T, noSidecars bool) {
+	eng := New(Options{Partitions: 2, DisableSidecars: noSidecars})
+	eng.MountDocs("/c", staleDocs())
+	if err := eng.BuildIndex("/c", `("v")`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query(staleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 0 || res.Stats.FilesSkipped != 2 {
+		t.Fatalf("before the re-mount: %d items, %d files skipped; want 0 and 2",
+			len(res.Items), res.Stats.FilesSkipped)
+	}
+	docs := staleDocs()
+	docs["a.json"] = []byte("{\"v\":1}\n{\"v\":150}\n")
+	eng.MountDocs("/c", docs)
+	res, err = eng.Query(staleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 1 || JSON(res.Items[0]) != "150" {
+		t.Fatalf("after the re-mount: %d items %v, want [150]",
+			len(res.Items), res.Items)
+	}
+	if res.Stats.FilesSkipped != 0 {
+		t.Fatalf("after the re-mount: %d files skipped, want 0", res.Stats.FilesSkipped)
+	}
+}

@@ -74,14 +74,11 @@ type Options struct {
 	// MorselSize is the byte-range granularity of morsel-driven scans
 	// (default 4 MiB). Raw JSON files larger than this are split into
 	// independently schedulable byte ranges, so a handful of oversized files
-	// no longer serializes onto a single partition.
+	// no longer serializes onto a single partition. BuildIndex records zone
+	// stats every MorselSize/8 bytes, so warm scans can skip individual
+	// morsels whose value range excludes a query's predicate, not just
+	// whole files.
 	MorselSize int64
-	// IndexZoneGrain is the byte width of the per-zone min/max stats a
-	// BuildIndex/BuildIndexes pass records alongside its per-file ranges
-	// (index.DefaultZoneGrain when 0; negative disables zone stats). Zones
-	// finer than MorselSize let warm scans skip individual morsels whose
-	// value range excludes a query's predicate, not just whole files.
-	IndexZoneGrain int64
 	// Staged selects the staged executor (sequential, per-task timing)
 	// instead of the default pipelined (goroutine) executor. Results are
 	// identical.
@@ -149,11 +146,11 @@ func New(opts Options) *Engine {
 		opts.Partitions = 1
 	}
 	e := &Engine{
-		opts:    opts,
-		mounts:  map[string]string{},
-		docs:    map[string]map[string][]byte{},
-		indexes: index.NewRegistry(),
+		opts:   opts,
+		mounts: map[string]string{},
+		docs:   map[string]map[string][]byte{},
 	}
+	e.indexes = index.NewRegistry(func(file string) (runtime.FileIdent, bool) { return e.source().Ident(file) })
 	if opts.PlanCacheSize >= 0 {
 		size := opts.PlanCacheSize
 		if size == 0 {
@@ -165,36 +162,43 @@ func New(opts Options) *Engine {
 		e.results = newResultCache(opts.ResultCacheBytes)
 	}
 	if !opts.DisableSidecars {
-		e.indexes.SetPersistence(&index.Persistence{
-			Dir:   opts.CacheDir,
-			Ident: func(file string) (runtime.FileIdent, bool) { return e.source().Ident(file) },
-		})
+		e.indexes.SetPersistence(&index.Persistence{Dir: opts.CacheDir})
 	}
 	return e
 }
 
 // Mount registers a directory of JSON files as a collection, addressable
-// from queries as collection(name).
+// from queries as collection(name). Mounting a name drops the zone stats
+// held in memory for it; sidecars still serve the files they match.
 func (e *Engine) Mount(name, dir string) {
 	e.mounts[name] = dir
-	e.mountGen.Add(1)
+	e.remounted(name)
 }
 
 // MountDocs registers an in-memory set of documents as a collection.
+// In-memory documents have no identity to revalidate, so re-mounting a name
+// drops its zone stats: rebuild the index after changing the documents.
 func (e *Engine) MountDocs(name string, docs map[string][]byte) {
 	e.docs[name] = docs
+	e.remounted(name)
+}
+
+func (e *Engine) remounted(name string) {
+	e.indexes.Drop(name)
 	e.mountGen.Add(1)
 }
 
-// BuildIndex builds a zone-map (per-file min/max) index over a scalar path
-// of a collection, written in JSONiq postfix syntax, e.g.
+// BuildIndex builds a zone-map index over a scalar path of a collection,
+// written in JSONiq postfix syntax, e.g.
 //
 //	eng.BuildIndex("/sensors", `("root")()("results")()("date")`)
 //
-// Queries whose selections bound that path with constant comparisons then
-// skip files whose value range cannot match — the paper's §6 future-work
-// direction. The index reflects the collection at build time; rebuild it
-// after the underlying files change.
+// It records the min/max value at the path every MorselSize/8 bytes of each
+// file. Queries whose selections bound that path with constant comparisons
+// then skip files, and morsels of files, whose value range cannot match —
+// the paper's §6 future-work direction. The index reflects the collection
+// at build time: a file that changes afterwards (a new size or mtime)
+// stops pruning until the next build, and so does a re-mounted collection.
 func (e *Engine) BuildIndex(collection, path string) error {
 	return e.BuildIndexes(collection, path)
 }
@@ -216,8 +220,11 @@ func (e *Engine) BuildIndexes(collection string, paths ...string) error {
 		}
 		pp[i] = p
 	}
-	zms, err := index.BuildWith(e.source(), collection, pp,
-		index.BuildOptions{ZoneGrain: e.opts.IndexZoneGrain})
+	ms := e.opts.MorselSize
+	if ms <= 0 {
+		ms = hyracks.DefaultMorselSize
+	}
+	zms, err := index.BuildWith(e.source(), collection, pp, max(ms/8, 1))
 	if err != nil {
 		return err
 	}
