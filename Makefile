@@ -81,12 +81,14 @@ profile-smoke:
 
 # fuzz-smoke runs the structural-kernel fuzzers briefly: the skip differential
 # (the lexer's structural-index skip vs the token-level skipValue oracle in the
-# jsonparse tests, cross-checked against encoding/json), the record-boundary
-# scanner against
-# its scalar reference over the chunk-size sweep, and the speculative parallel
-# indexer against the sequential builder across worker/chunk/grain sweeps.
-# Seeds under testdata/fuzz are always replayed.
+# jsonparse tests, cross-checked against encoding/json), the token-stream
+# value encoder against item.Encode of the test-side tree parser, the
+# record-boundary scanner against its scalar reference over the chunk-size
+# sweep, and the speculative parallel indexer against the sequential builder
+# across worker/chunk/grain sweeps. Seeds under testdata/fuzz are always
+# replayed.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRawSkipDifferential -fuzztime=10s ./internal/jsonparse
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeValue -fuzztime=10s ./internal/jsonparse
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryScanner -fuzztime=10s ./internal/jsonparse
 	$(GO) test -run='^$$' -fuzz=FuzzSpeculativeIndex -fuzztime=10s ./internal/jsonparse

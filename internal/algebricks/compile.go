@@ -171,9 +171,21 @@ func exprEval(e Expr, schema []Var) (runtime.Evaluator, error) {
 	case *ConstExpr:
 		return runtime.ConstEval{Seq: x.Seq}, nil
 	case *CallExpr:
+		if p, ok := pathEval(x, schema); ok {
+			return p, nil
+		}
 		fn, err := runtime.LookupFunction(x.Fn)
 		if err != nil {
 			return nil, err
+		}
+		if len(x.Args) == 2 {
+			p, isPath := pathEval(x.Args[0], schema)
+			c, isConst := x.Args[1].(*ConstExpr)
+			if isPath && isConst {
+				if ce, ok := runtime.NewCompareEval(fn, p, c.Seq); ok {
+					return ce, nil
+				}
+			}
 		}
 		args := make([]runtime.Evaluator, len(x.Args))
 		for i, a := range x.Args {
@@ -187,6 +199,39 @@ func exprEval(e Expr, schema []Var) (runtime.Evaluator, error) {
 	default:
 		return nil, fmt.Errorf("algebricks: unknown expression %T", e)
 	}
+}
+
+// pathEval compiles value(…value($v, "k1")…, "kn") with constant string keys
+// over a column to the evaluator that walks the encoded field
+// (runtime.PathEval); ok is false for any other expression.
+func pathEval(e Expr, schema []Var) (runtime.PathEval, bool) {
+	x, ok := e.(*CallExpr)
+	if !ok || x.Fn != "value" || len(x.Args) != 2 {
+		return runtime.PathEval{}, false
+	}
+	k, ok := x.Args[1].(*ConstExpr)
+	if !ok || len(k.Seq) != 1 {
+		return runtime.PathEval{}, false
+	}
+	key, ok := k.Seq[0].(item.String)
+	if !ok {
+		return runtime.PathEval{}, false
+	}
+	var p runtime.PathEval
+	switch in := x.Args[0].(type) {
+	case *VarExpr:
+		col, err := columnOf(schema, in.V)
+		if err != nil {
+			return runtime.PathEval{}, false
+		}
+		p.Col = col
+	default:
+		if p, ok = pathEval(in, schema); !ok {
+			return runtime.PathEval{}, false
+		}
+	}
+	p.Keys = append(p.Keys[:len(p.Keys):len(p.Keys)], string(key))
+	return p, true
 }
 
 // Aggregate function lowering tables: logical name to physical aggregate

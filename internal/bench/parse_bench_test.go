@@ -109,7 +109,7 @@ func BenchmarkLexerTokens(b *testing.B) {
 //
 //   - skiprecord: the index kernel beats the tokenizer pass by >= 2x;
 //   - project1: the index kernel beats the tokenizer pass by >= 1.5x;
-//   - project1 allocations: <= 0.05 allocs/record (the interned-item scan);
+//   - project1 allocations: <= 0.05 allocs/record (the encoded scan);
 //   - the phase-1 bitmap builder allocates nothing.
 //
 // That the projected scan emits what a full parse would is checked by

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"vxq/internal/item"
 	"vxq/internal/jsonparse"
 )
 
@@ -62,12 +61,13 @@ func ParseBenchPath(shape string) (jsonparse.Path, error) {
 	}
 }
 
-// ScanParseBench runs one pass of the shape's projected scan over data,
-// returning the number of emitted items.
+// ScanParseBench runs one pass of the shape's projected scan over data the
+// way the query's DATASCAN runs it (each projected value encoded straight
+// from the token stream), returning the number of emitted values.
 func ScanParseBench(data []byte, path jsonparse.Path) (int, error) {
 	l := jsonparse.NewLexer(data)
 	emitted := 0
-	_, err := jsonparse.ScanValues(l, path, -1, func(item.Item) error {
+	_, err := jsonparse.ScanEncoded(l, path, -1, func(int64, []byte) error {
 		emitted++
 		return nil
 	})

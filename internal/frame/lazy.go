@@ -51,9 +51,15 @@ func (t *LazyTuple) FieldCount() int { return len(t.raw) + len(t.extra) }
 // RawFieldCount reports the number of raw (encoded) base fields.
 func (t *LazyTuple) RawFieldCount() int { return len(t.raw) }
 
-// RawField returns the encoded bytes of base field i. Appended fields have
-// no raw encoding; callers encode them when emitting.
-func (t *LazyTuple) RawField(i int) []byte { return t.raw[i] }
+// RawField returns the encoded bytes of base field i, aliasing the frame.
+// Appended fields have no raw encoding (ok is false); callers encode them
+// when emitting.
+func (t *LazyTuple) RawField(i int) ([]byte, bool) {
+	if i < 0 || i >= len(t.raw) {
+		return nil, false
+	}
+	return t.raw[i], true
+}
 
 // Raw returns the raw base field slices. The slice and its contents alias
 // the frame buffer.

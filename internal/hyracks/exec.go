@@ -698,11 +698,13 @@ func feedSource(ctx *TaskCtx, f *Fragment, w Writer, in sourceInput) error {
 // runScan drains the fragment's morsel queue, which runJob built before
 // any task started, and emits one single-field tuple per projected item.
 // Raw JSON morsels stream through a fixed chunk buffer (charged to the
-// accountant), so scan memory is O(chunk + emitted item), independent of
-// the file size.
+// accountant), and each projected value is encoded straight from the token
+// stream into the lexer's scratch (jsonparse.ScanEncoded), so scan memory is
+// O(chunk + emitted encoding), independent of the file size, and no item
+// tree is built.
 func runScan(ctx *TaskCtx, s ScanSource, w Writer) error {
 	q := ctx.morsels
-	sc := &scanState{ctx: ctx, b: newFrameBuilder(ctx, w), field: make([][]byte, 1), seq1: make(item.Sequence, 1)}
+	sc := &scanState{ctx: ctx, b: newFrameBuilder(ctx, w), field: make([][]byte, 1)}
 	for {
 		m, stolen, ok := q.take(ctx.Partition)
 		if !ok {
@@ -720,32 +722,33 @@ func runScan(ctx *TaskCtx, s ScanSource, w Writer) error {
 	return sc.b.flush()
 }
 
-// scanState is the per-task scratch of a scan: the lexer (with its chunk and
-// token buffers), the encode buffer, and the one-field tuple slice are all
-// reused across every morsel and every emitted item, so the steady-state
-// emit path allocates nothing beyond what the frame builder copies in.
+// scanState is the per-task scratch of a scan: the lexer (with its chunk,
+// token and encoding buffers) and the one-field tuple slice are reused
+// across every morsel and every emitted value, so the steady-state emit path
+// allocates nothing beyond what the frame builder copies in.
 type scanState struct {
 	ctx   *TaskCtx
 	b     *frameBuilder
 	lx    *jsonparse.Lexer
-	enc   []byte
-	field [][]byte      // len 1, points at enc
-	seq1  item.Sequence // len 1, the item being emitted
+	field [][]byte // len 1, points at the emitted encoding
 }
 
-// emit encodes one projected item into the reusable buffer and appends it to
-// the current frame (which copies the bytes, so the buffer is free again).
-func (sc *scanState) emit(it item.Item) error {
+// emit appends one projected value's encoding (a one-item sequence, the
+// lexer's scratch) to the current frame, which copies the bytes. The
+// encoding is charged to the accountant while it is in flight.
+func (sc *scanState) emit(_ int64, enc []byte) error {
 	if st := sc.ctx.RT.Stats; st != nil {
 		st.TuplesProduced++
 	}
-	release := sc.ctx.account(item.SizeBytes(it))
-	sc.seq1[0] = it
-	sc.enc = item.EncodeSeq(sc.enc[:0], sc.seq1)
-	sc.field[0] = sc.enc
+	acct, n := sc.ctx.RT.Accountant, int64(len(enc))
+	if acct != nil {
+		acct.Allocate(n)
+	}
+	sc.field[0] = enc
 	err := sc.b.emit(sc.field)
-	sc.seq1[0] = nil
-	release()
+	if acct != nil {
+		acct.Release(n)
+	}
 	return err
 }
 
@@ -805,6 +808,6 @@ func scanMorselRecords(sc *scanState, s ScanSource, m morsel) error {
 	if m.wholeFile() {
 		limit = -1
 	}
-	_, err := jsonparse.ScanValues(sc.lx, s.Project, limit, sc.emit)
+	_, err := jsonparse.ScanEncoded(sc.lx, s.Project, limit, sc.emit)
 	return err
 }

@@ -163,36 +163,68 @@ func (j *joiner) insertRow(h uint64, kf, raw [][]byte) error {
 		j.table[h] = b
 	}
 	stored := make([][]byte, len(raw))
-	var sz int64 = 48
 	for i, f := range raw {
 		stored[i] = append([]byte(nil), f...)
-		sz += int64(len(f))
 	}
 	b.rows = append(b.rows, joinRow{raw: stored})
-	j.hold(sz)
+	j.hold(rowHold(raw))
 	return nil
 }
 
 // flushTable writes every build row back out as a raw record routed by its
 // bucket's key hash, then drops the table. A bucket's rows are written
 // contiguously in arrival order, so rebuilding a partition preserves per-key
-// row order — the only order the join output depends on.
+// row order — the only order the join output depends on. The partitions are
+// written one after another, and each row's charge is released once it is
+// out: the table drains as the partition buffers open, so the flush holds
+// about one buffer more than the table, not the table plus a whole fan-out
+// of buffers.
 func (j *joiner) flushTable(ps *spillParts) error {
+	parts := make([][]*joinBucket, len(ps.ws))
 	for _, b := range j.table {
 		for ; b != nil; b = b.next {
 			h, err := chainKeyHash(b.key)
 			if err != nil {
 				return err
 			}
+			p := spillRoute(h, ps.depth, len(ps.ws))
+			parts[p] = append(parts[p], b)
+		}
+	}
+	for p, buckets := range parts {
+		for _, b := range buckets {
 			for _, row := range b.rows {
-				if err := ps.write(h, spillTagRaw, row.raw); err != nil {
+				if err := ps.writeTo(p, spillTagRaw, row.raw); err != nil {
 					return err
 				}
 			}
+			sz := rowsHold(b.rows)
+			b.rows = nil
+			j.memory -= sz
+			j.ctx.releaseHold(sz)
 		}
 	}
 	j.resetTable()
 	return nil
+}
+
+// rowsHold is the charge insertRow took for rows.
+func rowsHold(rows []joinRow) int64 {
+	var sz int64
+	for _, row := range rows {
+		sz += rowHold(row.raw)
+	}
+	return sz
+}
+
+// rowHold is the charge of one stored build row: its field bytes plus a
+// fixed per-row overhead.
+func rowHold(raw [][]byte) int64 {
+	var sz int64 = 48
+	for _, f := range raw {
+		sz += int64(len(f))
+	}
+	return sz
 }
 
 // resetTable drops the build table and returns its held bytes (arena growth

@@ -12,8 +12,10 @@ import (
 // keyEncoder resolves a tuple's key expressions into encoded key fields and
 // their combined hash without decoding or re-allocating anything in the
 // steady state. Column-reference keys (the overwhelmingly common case after
-// the rewrite rules) are sliced straight out of the tuple's raw fields;
-// computed keys are evaluated and encoded into a reusable buffer.
+// the rewrite rules) are sliced straight out of the tuple's raw fields; path
+// keys (value($v, "k"), runtime.PathEval) copy the selected member's bytes
+// behind a sequence count; other computed keys are evaluated and encoded.
+// Path and computed keys go into one reusable buffer.
 //
 // The returned field slices are scratch: they alias either the frame or the
 // encoder's buffer and are only valid until the next resolve call. Callers
@@ -22,7 +24,7 @@ type keyEncoder struct {
 	evals  []runtime.Evaluator
 	cols   []int    // column per key when every eval is a ColumnEval, else nil
 	fields [][]byte // scratch: resolved encoded key fields
-	buf    []byte   // scratch: encodings of computed keys
+	buf    []byte   // scratch: encodings of path and computed keys
 	offs   []int    // scratch: field boundaries inside buf
 }
 
@@ -67,21 +69,19 @@ func (ke *keyEncoder) resolve(ctx *TaskCtx, lt *frame.LazyTuple) ([][]byte, uint
 				// only framed tuples).
 				return nil, 0, fmt.Errorf("runtime: column %d out of range [0,%d)", c, lt.FieldCount())
 			}
-			ke.fields[i] = lt.RawField(c)
+			ke.fields[i], _ = lt.RawField(c)
 		}
 	} else {
-		// Computed keys: evaluate, then encode into one buffer. Offsets are
+		// Path and computed keys: encode into one buffer. Offsets are
 		// recorded during the loop and sliced afterwards, because append may
 		// move the buffer while later keys are encoded.
 		ke.buf = ke.buf[:0]
 		ke.offs = ke.offs[:0]
 		for _, ev := range ke.evals {
-			v, err := ev.Eval(ctx.RT, lt)
-			if err != nil {
+			ke.offs = append(ke.offs, len(ke.buf))
+			if err := ke.encode(ctx, ev, lt); err != nil {
 				return nil, 0, err
 			}
-			ke.offs = append(ke.offs, len(ke.buf))
-			ke.buf = item.EncodeSeq(ke.buf, v)
 		}
 		ke.offs = append(ke.offs, len(ke.buf))
 		for i := range ke.evals {
@@ -97,6 +97,26 @@ func (ke *keyEncoder) resolve(ctx *TaskCtx, lt *frame.LazyTuple) ([][]byte, uint
 		h = h*1099511628211 ^ hf
 	}
 	return ke.fields, h, nil
+}
+
+// encode appends one key's encoded sequence to the buffer: a path key copies
+// its member from the frame (the same bytes EncodeSeq would write for the
+// decoded member, so the hash equals HashSeq by construction); anything else
+// is evaluated and encoded.
+func (ke *keyEncoder) encode(ctx *TaskCtx, ev runtime.Evaluator, lt *frame.LazyTuple) error {
+	if p, ok := ev.(runtime.PathEval); ok {
+		buf, ok, err := p.AppendEncoded(ke.buf, lt)
+		if err != nil || ok {
+			ke.buf = buf
+			return err
+		}
+	}
+	v, err := ev.Eval(ctx.RT, lt)
+	if err != nil {
+		return err
+	}
+	ke.buf = item.EncodeSeq(ke.buf, v)
+	return nil
 }
 
 // matchEncodedKey compares two resolved key-field lists. Byte equality is

@@ -281,52 +281,36 @@ type AggDef struct {
 	Arg runtime.Evaluator
 }
 
-// countFastCols maps each aggregate to the raw column its argument reads,
-// when the fast path applies: the argument is a plain column reference and
-// the aggregate state only counts items (runtime.CountStepper). Such
-// aggregates step on item.SeqCountEncoded of the raw field — one uvarint
-// read instead of a field decode. -1 disables the fast path.
-func countFastCols(aggs []AggDef) []int {
-	cols := make([]int, len(aggs))
+// countFast returns, per aggregate, the encoded counter its argument offers
+// when the fast path applies: the argument is a column or path reference
+// (runtime.EncodedCounter) and the aggregate state only counts items
+// (runtime.CountStepper). Such aggregates step on the item count read from
+// the encoded field instead of a decoded argument. nil entries evaluate
+// the argument.
+func countFast(aggs []AggDef) []runtime.EncodedCounter {
+	counters := make([]runtime.EncodedCounter, len(aggs))
 	for i, a := range aggs {
-		cols[i] = -1
-		ce, ok := a.Arg.(runtime.ColumnEval)
-		if !ok {
-			continue
-		}
-		if _, ok := a.Fn.New().(runtime.CountStepper); ok {
-			cols[i] = ce.Col
+		if c, ok := a.Arg.(runtime.EncodedCounter); ok {
+			if _, ok := a.Fn.New().(runtime.CountStepper); ok {
+				counters[i] = c
+			}
 		}
 	}
-	return cols
+	return counters
 }
 
-// stepStates folds one tuple into a row of aggregate states. fastCols
-// enables the encoded count fast path (nil or -1 entries evaluate the
-// argument normally). hold, when non-nil, is charged with any state growth.
-func stepStates(ctx *TaskCtx, aggs []AggDef, fastCols []int, states []runtime.AggState, lt *frame.LazyTuple, hold func(int64)) error {
+// stepStates folds one tuple into a row of aggregate states. counters
+// (countFast's) enables the encoded count fast path. hold, when non-nil, is
+// charged with any state growth.
+func stepStates(ctx *TaskCtx, aggs []AggDef, counters []runtime.EncodedCounter, states []runtime.AggState, lt *frame.LazyTuple, hold func(int64)) error {
 	for i := range aggs {
 		st := states[i]
 		var before int64
 		if hold != nil {
 			before = st.Size()
 		}
-		if c := colOf(fastCols, i); c >= 0 && c < lt.RawFieldCount() {
-			n, err := item.SeqCountEncoded(lt.RawField(c))
-			if err != nil {
-				return err
-			}
-			if err := st.(runtime.CountStepper).StepCount(n); err != nil {
-				return err
-			}
-		} else {
-			v, err := aggs[i].Arg.Eval(ctx.RT, lt)
-			if err != nil {
-				return err
-			}
-			if err := st.Step(v); err != nil {
-				return err
-			}
+		if err := stepState(ctx, aggs[i], counters[i], st, lt); err != nil {
+			return err
 		}
 		if hold != nil {
 			if grew := st.Size() - before; grew > 0 {
@@ -337,6 +321,25 @@ func stepStates(ctx *TaskCtx, aggs []AggDef, fastCols []int, states []runtime.Ag
 	return nil
 }
 
+// stepState folds one tuple into one aggregate's state, on the encoded
+// count when the aggregate has a counter (nil evaluates the argument).
+func stepState(ctx *TaskCtx, agg AggDef, counter runtime.EncodedCounter, st runtime.AggState, lt *frame.LazyTuple) error {
+	if counter != nil {
+		n, ok, err := counter.CountEncoded(lt)
+		if err != nil {
+			return err
+		}
+		if ok {
+			return st.(runtime.CountStepper).StepCount(n)
+		}
+	}
+	v, err := agg.Arg.Eval(ctx.RT, lt)
+	if err != nil {
+		return err
+	}
+	return st.Step(v)
+}
+
 // newAggStates returns a fresh state for every aggregate.
 func newAggStates(aggs []AggDef) []runtime.AggState {
 	states := make([]runtime.AggState, len(aggs))
@@ -344,13 +347,6 @@ func newAggStates(aggs []AggDef) []runtime.AggState {
 		states[i] = a.Fn.New()
 	}
 	return states
-}
-
-func colOf(cols []int, i int) int {
-	if cols == nil {
-		return -1
-	}
-	return cols[i]
 }
 
 // AggregateSpec folds the whole input into a single output tuple holding one
@@ -373,19 +369,19 @@ type aggregateOp struct {
 	spec     *AggregateSpec
 	out      Writer
 	states   []runtime.AggState
-	fastCols []int
+	counters []runtime.EncodedCounter
 }
 
 func (o *aggregateOp) Open() error {
 	o.states = newAggStates(o.spec.Aggs)
-	o.fastCols = countFastCols(o.spec.Aggs)
+	o.counters = countFast(o.spec.Aggs)
 	return o.out.Open()
 }
 
 func (o *aggregateOp) Push(fr *frame.Frame) error {
 	defer o.ctx.recycle(fr)
 	return forEachTupleView(fr, func(lt *frame.LazyTuple) error {
-		return stepStates(o.ctx, o.spec.Aggs, o.fastCols, o.states, lt, nil)
+		return stepStates(o.ctx, o.spec.Aggs, o.counters, o.states, lt, nil)
 	})
 }
 
@@ -443,7 +439,7 @@ type groupByOp struct {
 	out  Writer
 
 	keys     *keyEncoder
-	fastCols []int
+	counters []runtime.EncodedCounter
 	table    map[uint64]*group
 	order    []*group // insertion order for deterministic output
 	arena    byteArena
@@ -484,7 +480,7 @@ func (o *groupByOp) profExtras(x *opExtras) {
 func (o *groupByOp) Open() error {
 	o.table = make(map[uint64]*group)
 	o.keys = newKeyEncoder(o.spec.Keys)
-	o.fastCols = countFastCols(o.spec.Aggs)
+	o.counters = countFast(o.spec.Aggs)
 	o.budget = o.ctx.SpillBudget
 	// Spilling snapshots and re-merges every aggregate state; an aggregate
 	// that cannot pins the operator to the in-memory path.
@@ -548,7 +544,7 @@ func (o *groupByOp) step(w *wave, tag byte, lt *frame.LazyTuple) error {
 	if tag == spillTagPartial {
 		err = o.mergePartial(g, lt.Raw()[nk:])
 	} else {
-		err = stepStates(o.ctx, o.spec.Aggs, o.fastCols, g.states, lt, o.hold)
+		err = stepStates(o.ctx, o.spec.Aggs, o.counters, g.states, lt, o.hold)
 	}
 	if err != nil {
 		return err

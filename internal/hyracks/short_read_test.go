@@ -105,6 +105,9 @@ func TestFailingReadNamesMorsel(t *testing.T) {
 			if !named.MatchString(err.Error()) {
 				t.Errorf("staged=%v parts=%d: error does not name the morsel: %v", staged, parts, err)
 			}
+			if !errors.Is(err, errDisk) {
+				t.Errorf("staged=%v parts=%d: error does not wrap the read failure: %v", staged, parts, err)
+			}
 			if cur := acct.Current(); cur != 0 {
 				t.Errorf("staged=%v parts=%d: accountant balance = %d after the failure, want 0", staged, parts, cur)
 			}

@@ -384,3 +384,43 @@ func TestSpillAccountantBalancesWithProfile(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinFlushHoldsAboutOneBuffer: when a build table overflows, the flush
+// writes it out partition by partition and releases each row's charge once
+// it is written, so the accountant never holds the whole table plus a full
+// fan-out of partition buffers — at most about one buffer above the table.
+func TestJoinFlushHoldsAboutOneBuffer(t *testing.T) {
+	acct := frame.NewAccountant(0)
+	const budget = 256 << 10
+	ctx := &TaskCtx{RT: &runtime.Ctx{Accountant: acct}, SpillDir: t.TempDir(), SpillBudget: budget}
+	j := newJoiner(ctx, &JoinSpec{BuildKeys: []runtime.Evaluator{runtime.ColumnEval{Col: 0}}})
+	for i := 0; j.memory <= budget; i++ {
+		key := item.EncodeSeq(nil, item.Single(item.String(fmt.Sprintf("k%06d", i))))
+		h, err := chainKeyHash([][]byte{key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := [][]byte{key, bytes.Repeat([]byte{'v'}, 80)}
+		if err := j.insertRow(h, [][]byte{key}, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := acct.Current()
+	acct.ResetPeak()
+	ps := j.root.split(ctx, &j.spill)
+	if err := j.flushTable(ps); err != nil {
+		t.Fatal(err)
+	}
+	bsize := int64(ctx.spillBlockSize())
+	if rise := acct.Peak() - before; rise > 2*bsize {
+		t.Errorf("the flush raised the accounted bytes by %d over the %d-byte table, want <= %d (two %d-byte partition buffers)",
+			rise, before, 2*bsize, bsize)
+	}
+	if got, want := acct.Current(), int64(ctx.spillFanout())*bsize; got != want {
+		t.Errorf("after the flush the accountant holds %d bytes, want the %d of the open partition buffers", got, want)
+	}
+	ps.abort()
+	if got := acct.Current(); got != 0 {
+		t.Errorf("after abort the accountant holds %d bytes, want 0", got)
+	}
+}

@@ -143,24 +143,32 @@ func (r *Registry) resolve(collection, file string) *fileEntry {
 		// it is stale.
 		*e = fileEntry{ident: ident, hasIdent: true}
 	}
-	if !e.probed && r.pers != nil {
-		e.probed = true
-		sc, err := LoadSidecar(SidecarPathFor(file, r.pers.Dir), ident)
-		if err != nil {
-			r.stats.SidecarMisses++
-		} else {
-			r.stats.SidecarLoads++
-			for _, p := range sc.Paths {
-				if e.zones == nil {
-					e.zones = map[string]PathZones{}
-				}
-				if _, have := e.zones[p.Path]; !have {
-					e.zones[p.Path] = PathZones{Grain: p.ZoneGrain, Size: ident.Size, Stats: p.Zones}
-				}
-			}
+	r.loadSidecarLocked(file, e)
+	return e
+}
+
+// loadSidecarLocked merges the file's sidecar, validated against the
+// entry's identity, into the entry, once per identity; paths the entry
+// already holds win. Caller holds r.mu for writing.
+func (r *Registry) loadSidecarLocked(file string, e *fileEntry) {
+	if e.probed || r.pers == nil {
+		return
+	}
+	e.probed = true
+	sc, err := LoadSidecar(SidecarPathFor(file, r.pers.Dir), e.ident)
+	if err != nil {
+		r.stats.SidecarMisses++
+		return
+	}
+	r.stats.SidecarLoads++
+	for _, p := range sc.Paths {
+		if e.zones == nil {
+			e.zones = map[string]PathZones{}
+		}
+		if _, have := e.zones[p.Path]; !have {
+			e.zones[p.Path] = PathZones{Grain: p.ZoneGrain, Size: e.ident.Size, Stats: p.Zones}
 		}
 	}
-	return e
 }
 
 // persistLocked writes one file's entry through to its sidecar. Caller holds
@@ -186,7 +194,9 @@ func (r *Registry) persistLocked(file string, e *fileEntry) {
 
 // Add registers (or replaces) a zone map, merging its per-file zone stats
 // into the per-file entries under the identity each file had when the build
-// read it (and through to sidecars, with persistence configured).
+// read it (and through to sidecars, with persistence configured). A file's
+// sidecar is loaded before the merge, so the rewritten sidecar keeps the
+// paths other processes built: a sidecar only ever gains paths.
 func (r *Registry) Add(zm *ZoneMap) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -196,6 +206,9 @@ func (r *Registry) Add(zm *ZoneMap) {
 		id, durable := zm.idents[f]
 		if e.hasIdent != durable || e.ident != id {
 			*e = fileEntry{ident: id, hasIdent: durable}
+		}
+		if durable {
+			r.loadSidecarLocked(f, e)
 		}
 		e.probed = true
 		if e.zones == nil {

@@ -42,18 +42,38 @@ type FileStats struct {
 	Count int64
 }
 
-func (st *FileStats) observe(it item.Item) {
-	if st.Count == 0 {
-		st.Min, st.Max = it, it
-	} else {
-		if item.Compare(it, st.Min) < 0 {
+// observe folds one encoded scalar into the stats, decoding it only when it
+// becomes the new minimum or maximum.
+func (st *FileStats) observe(enc []byte) error {
+	lo, hi := st.Count == 0, st.Count == 0
+	if !lo {
+		c, err := item.CompareEncoded(enc, st.Min)
+		if err != nil {
+			return err
+		}
+		lo = c < 0
+	}
+	if !hi {
+		c, err := item.CompareEncoded(enc, st.Max)
+		if err != nil {
+			return err
+		}
+		hi = c > 0
+	}
+	if lo || hi {
+		it, _, err := item.Decode(enc)
+		if err != nil {
+			return err
+		}
+		if lo {
 			st.Min = it
 		}
-		if item.Compare(it, st.Max) > 0 {
+		if hi {
 			st.Max = it
 		}
 	}
 	st.Count++
+	return nil
 }
 
 // PathZones is the dense per-zone stats of one file at one path: zone i
@@ -98,10 +118,11 @@ type ZoneMap struct {
 // (NDJSON, newline-separated records, or one whole document) — so the map
 // covers exactly the records a scan of the file would emit. Every file is
 // read once and its record items feed the zones of every path. With a
-// single path the stats pass is the streaming projected scan (nothing off
-// the path is materialized); with several, each record is parsed once and
-// every path is applied to it. Non-scalar items (objects, arrays) are
-// rejected: zone maps index scalar paths.
+// single path the stats pass is the streaming projected scan over encoded
+// values (nothing off the path is materialized, and a value is decoded only
+// when it becomes a zone's new minimum or maximum); with several, each
+// record is parsed once and every path is applied to it. Non-scalar items
+// (objects, arrays) are rejected: zone maps index scalar paths.
 func BuildWith(src runtime.Source, collection string, paths []jsonparse.Path, zoneGrain int64) ([]*ZoneMap, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("index: no paths to build")
@@ -125,18 +146,17 @@ func BuildWith(src runtime.Source, collection string, paths []jsonparse.Path, zo
 	}
 	for _, f := range files {
 		zones := make([][]FileStats, len(paths))
-		observe := func(pathIdx int, lineStart int64, it item.Item) error {
-			switch it.Kind() {
+		observe := func(pathIdx int, lineStart int64, enc []byte) error {
+			switch k := item.EncodedKind(enc); k {
 			case item.KindObject, item.KindArray:
 				return fmt.Errorf("path %s yields a %s; zone maps index scalar paths",
-					paths[pathIdx], it.Kind())
+					paths[pathIdx], k)
 			}
 			zi := int(lineStart / zoneGrain)
 			for len(zones[pathIdx]) <= zi {
 				zones[pathIdx] = append(zones[pathIdx], FileStats{})
 			}
-			zones[pathIdx][zi].observe(it)
-			return nil
+			return zones[pathIdx][zi].observe(enc)
 		}
 
 		if id, ok := src.Ident(f); ok {
@@ -149,14 +169,16 @@ func BuildWith(src runtime.Source, collection string, paths []jsonparse.Path, zo
 		cr := &runtime.CountingReader{R: rc}
 		lx := jsonparse.NewStreamLexerAt(cr, jsonparse.DefaultChunkSize, 0)
 		if len(paths) == 1 {
-			_, err = jsonparse.ScanRecords(lx, paths[0], -1, func(ls int64, it item.Item) error {
-				return observe(0, ls, it)
+			_, err = jsonparse.ScanEncoded(lx, paths[0], -1, func(ls int64, enc []byte) error {
+				return observe(0, ls, enc[1:]) // enc is a one-item sequence
 			})
 		} else {
+			var scratch []byte
 			_, err = jsonparse.ScanRecords(lx, nil, -1, func(ls int64, record item.Item) error {
 				for i, p := range paths {
 					for _, it := range jsonparse.ApplyPath(record, p) {
-						if err := observe(i, ls, it); err != nil {
+						scratch = item.Encode(scratch[:0], it)
+						if err := observe(i, ls, scratch); err != nil {
 							return err
 						}
 					}

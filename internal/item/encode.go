@@ -38,21 +38,13 @@ const (
 func Encode(dst []byte, it Item) []byte {
 	switch x := it.(type) {
 	case Null:
-		return append(dst, tagNull)
+		return AppendNull(dst)
 	case Bool:
-		if x {
-			return append(dst, tagTrue)
-		}
-		return append(dst, tagFalse)
+		return AppendBool(dst, bool(x))
 	case Number:
-		dst = append(dst, tagNumber)
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(float64(x)))
-		return append(dst, b[:]...)
+		return AppendNumber(dst, float64(x))
 	case String:
-		dst = append(dst, tagString)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...)
+		return AppendString(dst, x)
 	case Array:
 		dst = append(dst, tagArray)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
@@ -64,8 +56,7 @@ func Encode(dst []byte, it Item) []byte {
 		dst = append(dst, tagObject)
 		dst = binary.AppendUvarint(dst, uint64(len(x.keys)))
 		for i, k := range x.keys {
-			dst = binary.AppendUvarint(dst, uint64(len(k)))
-			dst = append(dst, k...)
+			dst = AppendKey(dst, k)
 			dst = Encode(dst, x.vals[i])
 		}
 		return dst
@@ -76,6 +67,68 @@ func Encode(dst []byte, it Item) []byte {
 	default:
 		panic(fmt.Sprintf("item: cannot encode %T", it))
 	}
+}
+
+// The append functions below write the encoding piece by piece, for
+// producers that never build an Item (the streaming JSON encoder). Each
+// appends exactly what Encode appends for the corresponding item; containers
+// are opened with a one-byte count placeholder that PatchCount fills in
+// once the members are written (Encode knows its counts up front and writes
+// them directly, so it stays an independent oracle for PatchCount).
+
+// AppendNull appends the encoding of null.
+func AppendNull(dst []byte) []byte { return append(dst, tagNull) }
+
+// AppendBool appends the encoding of a boolean.
+func AppendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, tagTrue)
+	}
+	return append(dst, tagFalse)
+}
+
+// AppendNumber appends the encoding of a number.
+func AppendNumber(dst []byte, f float64) []byte {
+	dst = append(dst, tagNumber)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+// AppendString appends the encoding of a string.
+func AppendString[S ~string | ~[]byte](dst []byte, s S) []byte {
+	dst = append(dst, tagString)
+	return AppendKey(dst, s)
+}
+
+// AppendKey appends an object key (length-prefixed bytes, no tag); the
+// member's value follows it.
+func AppendKey[S ~string | ~[]byte](dst []byte, k S) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(k)))
+	return append(dst, k...)
+}
+
+// AppendArrayStart appends an array header whose count is not yet known and
+// returns the count's position for PatchCount.
+func AppendArrayStart(dst []byte) ([]byte, int) { return append(dst, tagArray, 0), len(dst) + 1 }
+
+// AppendObjectStart is AppendArrayStart for an object; key/value pairs
+// (AppendKey then the value) follow it.
+func AppendObjectStart(dst []byte) ([]byte, int) { return append(dst, tagObject, 0), len(dst) + 1 }
+
+// PatchCount writes count n into the one-byte placeholder at dst[at] (an
+// array or object header, or a sequence count reserved by the caller),
+// shifting everything after it when n needs a wider uvarint.
+func PatchCount(dst []byte, at, n int) []byte {
+	if n < 0x80 {
+		dst[at] = byte(n)
+		return dst
+	}
+	var b [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(b[:], uint64(n))
+	end := len(dst)
+	dst = append(dst, b[:w-1]...)
+	copy(dst[at+w:], dst[at+1:end])
+	copy(dst[at:], b[:w])
+	return dst
 }
 
 // Decode decodes one item from buf, returning the item and the number of
@@ -153,26 +206,35 @@ func Decode(buf []byte) (Item, int, error) {
 		}
 		return &Object{keys: keys, vals: vals}, pos, nil
 	case tagDateTime:
-		y, w := binary.Uvarint(buf[1:])
-		if w <= 0 {
-			return nil, 0, fmt.Errorf("item: bad dateTime year")
+		d, n, err := decodeDateTime(buf)
+		if err != nil {
+			return nil, 0, err
 		}
-		pos := 1 + w
-		if pos+5 > len(buf) {
-			return nil, 0, fmt.Errorf("item: truncated dateTime")
-		}
-		d := DateTime{
-			Year:   int(y),
-			Month:  int(buf[pos]),
-			Day:    int(buf[pos+1]),
-			Hour:   int(buf[pos+2]),
-			Minute: int(buf[pos+3]),
-			Second: int(buf[pos+4]),
-		}
-		return d, pos + 5, nil
+		return d, n, nil
 	default:
 		return nil, 0, fmt.Errorf("item: unknown tag 0x%02x", tag)
 	}
+}
+
+// decodeDateTime decodes the dateTime item at buf[0:] (its tag included).
+func decodeDateTime(buf []byte) (DateTime, int, error) {
+	y, w := binary.Uvarint(buf[1:])
+	if w <= 0 {
+		return DateTime{}, 0, fmt.Errorf("item: bad dateTime year")
+	}
+	pos := 1 + w
+	if pos+5 > len(buf) {
+		return DateTime{}, 0, fmt.Errorf("item: truncated dateTime")
+	}
+	d := DateTime{
+		Year:   int(y),
+		Month:  int(buf[pos]),
+		Day:    int(buf[pos+1]),
+		Hour:   int(buf[pos+2]),
+		Minute: int(buf[pos+3]),
+		Second: int(buf[pos+4]),
+	}
+	return d, pos + 5, nil
 }
 
 // EncodeSeq appends the binary encoding of a sequence to dst.

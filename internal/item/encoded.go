@@ -98,6 +98,136 @@ func IsEmptySeqEncoded(buf []byte) bool {
 	return w > 0 && n == 0
 }
 
+// Cursor walks the items of an encoded sequence without decoding them. It is
+// the read side of evaluation on encoded bytes: a path step reads one object
+// member (Member), a comparison reads one scalar (CompareEncoded), and
+// nothing else is decoded.
+type Cursor struct {
+	buf  []byte
+	pos  int
+	left uint64
+}
+
+// NewCursor positions a cursor before the first item of the encoded
+// sequence seq.
+func NewCursor(seq []byte) (Cursor, error) {
+	n, w := binary.Uvarint(seq)
+	if w <= 0 {
+		return Cursor{}, fmt.Errorf("item: bad sequence count")
+	}
+	return Cursor{buf: seq, pos: w, left: n}, nil
+}
+
+// Next returns the encoding of the next item (a sub-slice of the sequence),
+// or ok=false past the last one.
+func (c *Cursor) Next() (it []byte, ok bool, err error) {
+	if c.left == 0 {
+		return nil, false, nil
+	}
+	end, err := skipEncodedItem(c.buf, c.pos)
+	if err != nil {
+		return nil, false, err
+	}
+	it = c.buf[c.pos:end]
+	c.pos = end
+	c.left--
+	return it, true, nil
+}
+
+// Member returns the encoding of the value stored under key when it (one
+// encoded item) is an object holding key, exactly the item Object.Value
+// would return; ok is false for any other item.
+func Member(it []byte, key string) (val []byte, ok bool, err error) {
+	if len(it) == 0 || it[0] != tagObject {
+		return nil, false, nil
+	}
+	n, pos, err := encodedCount(it, 1, "object")
+	if err != nil {
+		return nil, false, err
+	}
+	for i := uint64(0); i < n; i++ {
+		k, vpos, err := encodedKey(it, pos)
+		if err != nil {
+			return nil, false, err
+		}
+		if pos, err = skipEncodedItem(it, vpos); err != nil {
+			return nil, false, err
+		}
+		if string(k) == key {
+			return it[vpos:pos], true, nil
+		}
+	}
+	return nil, false, nil
+}
+
+// EncodedKind reports the kind of one well-formed encoded item (as returned
+// by Cursor.Next or Member).
+func EncodedKind(it []byte) Kind {
+	switch it[0] {
+	case tagNull:
+		return KindNull
+	case tagFalse, tagTrue:
+		return KindBool
+	case tagNumber:
+		return KindNumber
+	case tagString:
+		return KindString
+	case tagArray:
+		return KindArray
+	case tagObject:
+		return KindObject
+	default:
+		return KindDateTime
+	}
+}
+
+// CompareEncoded returns Compare(Decode(it), b) for one well-formed encoded
+// item it and a scalar (null, boolean, number, string or dateTime) b,
+// reading the scalar in place.
+func CompareEncoded(it []byte, b Item) (int, error) {
+	if ka, kb := EncodedKind(it), b.Kind(); ka != kb {
+		return cmp3(ka < kb, ka > kb), nil
+	}
+	switch y := b.(type) {
+	case Null:
+		return 0, nil
+	case Number:
+		if len(it) < 9 {
+			return 0, fmt.Errorf("item: truncated number")
+		}
+		x := math.Float64frombits(binary.LittleEndian.Uint64(it[1:]))
+		return cmp3(x < float64(y), x > float64(y)), nil
+	case String:
+		x, _, err := encodedBytes(it, 1, "string")
+		if err != nil {
+			return 0, err
+		}
+		return cmp3(string(x) < string(y), string(x) > string(y)), nil
+	case Bool:
+		x := it[0] == tagTrue
+		return cmp3(!x && bool(y), x && !bool(y)), nil
+	case DateTime:
+		x, _, err := decodeDateTime(it)
+		if err != nil {
+			return 0, err
+		}
+		return x.Compare(y), nil
+	default:
+		return 0, fmt.Errorf("item: cannot compare encoded %s in place", b.Kind())
+	}
+}
+
+func cmp3(less, greater bool) int {
+	switch {
+	case less:
+		return -1
+	case greater:
+		return 1
+	default:
+		return 0
+	}
+}
+
 // hashEncodedItem folds one encoded item at buf[pos:] into h, mirroring
 // hashItem over the decoded form, and returns the new hash and the position
 // just past the item.

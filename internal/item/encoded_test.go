@@ -153,3 +153,70 @@ func TestSeqCountEncoded(t *testing.T) {
 		t.Error("IsEmptySeqEncoded(nil) = true")
 	}
 }
+
+// TestQuickCursorMemberCompareMatchDecoded: walking an encoded sequence with
+// a Cursor yields exactly the encodings of its items; Member returns the
+// encoding of Object.Value; EncodedKind is Kind; and CompareEncoded orders an
+// encoded item against a scalar exactly as Compare does on the decoded item.
+func TestQuickCursorMemberCompareMatchDecoded(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	f := func(a, b, c anyItem, n uint8) bool {
+		s := Sequence{a.It, b.It, c.It}[:int(n)%4]
+		cur, err := NewCursor(EncodeSeq(nil, s))
+		if err != nil {
+			return false
+		}
+		for _, want := range s {
+			enc, ok, err := cur.Next()
+			if err != nil || !ok || string(enc) != string(Encode(nil, want)) || EncodedKind(enc) != want.Kind() {
+				return false
+			}
+			for _, key := range []string{"a", "b", "c", "h", ""} {
+				v, ok, err := Member(enc, key)
+				var dv Item
+				if o, isObj := want.(*Object); isObj {
+					dv = o.Value(key)
+				}
+				if err != nil || ok != (dv != nil) || (ok && string(v) != string(Encode(nil, dv))) {
+					return false
+				}
+			}
+			// Any scalar against any scalar: same kinds compare in place,
+			// other kinds order by kind.
+			for _, other := range []Item{randomItem(r, 0), want, DateTime{Year: 2000, Month: 1, Day: 1}} {
+				if other.Kind() == KindArray || other.Kind() == KindObject {
+					continue
+				}
+				got, err := CompareEncoded(enc, other)
+				if err != nil || got != Compare(want, other) {
+					return false
+				}
+			}
+		}
+		_, ok, err := cur.Next()
+		return !ok && err == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPatchCountMatchesUvarint: a container opened with a one-byte count
+// placeholder and patched afterwards encodes exactly as Encode, across the
+// uvarint width boundaries.
+func TestPatchCountMatchesUvarint(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 129, 300, 16383, 16384} {
+		arr := make(Array, n)
+		for i := range arr {
+			arr[i] = Number(float64(i))
+		}
+		dst, at := AppendArrayStart([]byte{0xAA})
+		for _, m := range arr {
+			dst = AppendNumber(dst, float64(m.(Number)))
+		}
+		dst = PatchCount(dst, at, n)
+		if want := Encode([]byte{0xAA}, arr); string(dst) != string(want) {
+			t.Errorf("n=%d: patched array differs from Encode", n)
+		}
+	}
+}

@@ -181,68 +181,53 @@ func (d DateTime) Compare(e DateTime) int {
 }
 
 // ParseDateTime parses an ISO-8601-like dateTime of the forms
-// "2006-01-02T15:04", "2006-01-02T15:04:05" or "2006-01-02".
+// "2006-01-02T15:04", "2006-01-02T15:04:05" or "2006-01-02". Every field is
+// one or more plain decimal digits (no sign, no fraction); the fields are
+// read in place, so parsing allocates only for the error of a bad input.
 func ParseDateTime(s string) (DateTime, error) {
 	var d DateTime
-	bad := func() (DateTime, error) {
-		return DateTime{}, fmt.Errorf("item: invalid dateTime %q", s)
-	}
-	date := s
-	if i := strings.IndexByte(s, 'T'); i >= 0 {
-		date = s[:i]
-		clock := s[i+1:]
-		parts := strings.Split(clock, ":")
-		if len(parts) != 2 && len(parts) != 3 {
-			return bad()
-		}
-		var err error
-		if d.Hour, err = atoiStrict(parts[0]); err != nil {
-			return bad()
-		}
-		if d.Minute, err = atoiStrict(parts[1]); err != nil {
-			return bad()
-		}
-		if len(parts) == 3 {
-			if d.Second, err = atoiStrict(parts[2]); err != nil {
-				return bad()
-			}
+	date, clock, timed := strings.Cut(s, "T")
+	ok := fieldThen(&date, &d.Year, '-') && fieldThen(&date, &d.Month, '-') && fieldThen(&date, &d.Day, 0)
+	if timed {
+		ok = ok && fieldThen(&clock, &d.Hour, ':')
+		if ok && fieldThen(&clock, &d.Minute, ':') {
+			ok = fieldThen(&clock, &d.Second, 0)
+		} else {
+			ok = ok && fieldThen(&clock, &d.Minute, 0)
 		}
 	}
-	dp := strings.Split(date, "-")
-	if len(dp) != 3 {
-		return bad()
-	}
-	var err error
-	if d.Year, err = atoiStrict(dp[0]); err != nil {
-		return bad()
-	}
-	if d.Month, err = atoiStrict(dp[1]); err != nil {
-		return bad()
-	}
-	if d.Day, err = atoiStrict(dp[2]); err != nil {
-		return bad()
-	}
-	if d.Month < 1 || d.Month > 12 || d.Day < 1 || d.Day > 31 ||
+	if !ok || d.Month < 1 || d.Month > 12 || d.Day < 1 || d.Day > 31 ||
 		d.Hour < 0 || d.Hour > 23 || d.Minute < 0 || d.Minute > 59 ||
 		d.Second < 0 || d.Second > 60 {
-		return bad()
+		return DateTime{}, fmt.Errorf("item: invalid dateTime %q", s)
 	}
 	return d, nil
 }
 
-func atoiStrict(s string) (int, error) {
-	if s == "" {
-		return 0, fmt.Errorf("empty number")
+// fieldThen reads one run of at least one decimal digit from the front of
+// *s into *n, then requires the separator sep after it (sep 0 requires the
+// end of *s), and advances *s past both. It reports false when the digits or
+// the separator are missing.
+func fieldThen(s *string, n *int, sep byte) bool {
+	t := *s
+	i, v := 0, 0
+	for i < len(t) && t[i] >= '0' && t[i] <= '9' {
+		v = v*10 + int(t[i]-'0')
+		i++
 	}
-	n := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("non-digit %q", c)
-		}
-		n = n*10 + int(c-'0')
+	if i == 0 {
+		return false
 	}
-	return n, nil
+	switch {
+	case sep == 0 && i == len(t):
+		*s = ""
+	case sep != 0 && i < len(t) && t[i] == sep:
+		*s = t[i+1:]
+	default:
+		return false
+	}
+	*n = v
+	return true
 }
 
 // String renders the dateTime in ISO form.

@@ -1,6 +1,7 @@
 // Package jsonparse implements raw-JSON processing for the engine: a
-// low-level tokenizer, a tree parser producing item.Item values, and a
-// streaming path projector that extracts only the items matching a
+// low-level tokenizer, a value encoder that writes the item encoding (the
+// tuple-field format of Hyracks frames) straight from the token stream, and
+// a streaming path projector that encodes only the values matching a
 // projection path without materializing the rest of the document. The
 // projector is the mechanism behind the DATASCAN operator's second argument
 // (§4.2 of the paper): it is what lets the engine forward one small object
@@ -11,12 +12,12 @@
 // O(chunk size), not O(file size). Error offsets are absolute file offsets.
 //
 // The tokenizer is on-demand: string tokens are exposed as byte-slice views
-// (StrBytes) that stay valid until the lexer next advances, object keys that
-// must be materialized share one string through an intern table (InternKey),
-// and number tokens carry their raw text — shape-validated eagerly, but
-// converted to float64 only when a consumer calls NumValue. Subtrees that a
-// projection discards are skipped by SkipValueRaw, a structural scan over
-// raw bytes that never materializes tokens at all.
+// (StrBytes) that stay valid until the lexer next advances (the encoder
+// copies them straight into the encoding), and number tokens carry their
+// raw text — shape-validated eagerly, but converted to float64 only when a
+// consumer calls NumValue. Subtrees that a projection discards are skipped
+// by SkipValueRaw, a structural scan over raw bytes that never materializes
+// tokens at all.
 package jsonparse
 
 import (
@@ -27,8 +28,6 @@ import (
 	"math/bits"
 	"strconv"
 	"unicode/utf8"
-
-	"vxq/internal/item"
 )
 
 // TokenKind identifies a JSON token.
@@ -122,16 +121,11 @@ type Lexer struct {
 	// from under the caller. Reused across members.
 	keyScratch []byte
 
-	// intern maps object-key bytes to a shared string so a key that repeats
-	// across millions of records is materialized once (see InternKey).
-	intern map[string]string
-
-	// strItems caches boxed item.String values the same way intern caches
-	// key strings: projected low-cardinality string fields (enum-like codes
-	// such as "TMIN") repeat across millions of records, and reusing the
-	// boxed item removes both the string copy and the interface allocation
-	// from the per-record path (see internStringItem).
-	strItems map[string]item.Item
+	// enc holds the item encoding the projector builds for each emitted
+	// value, and keySpans the key positions of the objects being encoded
+	// (see encodeObject); both are reused across values and streams.
+	enc      []byte
+	keySpans []keySpan
 
 	// Current token state, valid after Next.
 	Kind TokenKind
@@ -176,13 +170,11 @@ func NewStreamLexerAt(r io.Reader, chunkSize int, base int64) *Lexer {
 }
 
 // ResetStream rebinds a streaming lexer to a new reader whose first byte
-// sits at absolute offset base, reusing the chunk buffer, the token scratch
-// buffer, and the object-key intern table. It is how a scan task amortizes
-// its lexer allocations across the many files and morsels it processes (the
-// intern table carrying over is the point: the same record schema repeats
-// across morsels). Calling it on a lexer built over an in-memory slice
-// allocates a fresh chunk buffer (the slice belongs to the caller and is
-// never written).
+// sits at absolute offset base, reusing the chunk buffer and the token and
+// encoding scratch buffers. It is how a scan task amortizes its lexer
+// allocations across the many files and morsels it processes. Calling it on
+// a lexer built over an in-memory slice allocates a fresh chunk buffer (the
+// slice belongs to the caller and is never written).
 func (l *Lexer) ResetStream(r io.Reader, base int64) {
 	if l.r == nil || len(l.buf) < minChunkSize {
 		l.buf = make([]byte, DefaultChunkSize)
@@ -197,37 +189,8 @@ func (l *Lexer) ResetStream(r io.Reader, base int64) {
 
 // StrBytes returns the decoded string value of the current TokString token
 // as a byte-slice view. The view is only valid until the lexer next
-// advances; callers that keep the value must copy it (StrValue, InternKey).
+// advances; callers that keep the value must copy it.
 func (l *Lexer) StrBytes() []byte { return l.str }
-
-// StrValue materializes the current TokString token as a Go string.
-func (l *Lexer) StrValue() string { return string(l.str) }
-
-// maxInternEntries caps the intern table: document keys number in the dozens
-// in practice, but adversarial input (random keys) must not grow the table
-// without bound. Beyond the cap, keys are materialized per occurrence.
-const maxInternEntries = 1 << 12
-
-// InternKey materializes the current TokString token through the lexer's
-// intern table: every occurrence of the same key bytes returns the same
-// string, so a key repeated across millions of records is allocated once.
-func (l *Lexer) InternKey() string { return l.internBytes(l.str) }
-
-// internBytes is InternKey for an explicit byte view (the raw key scan
-// returns key bytes without touching token state).
-func (l *Lexer) internBytes(b []byte) string {
-	if s, ok := l.intern[string(b)]; ok { // no-alloc map probe
-		return s
-	}
-	s := string(b)
-	if l.intern == nil {
-		l.intern = make(map[string]string, 16)
-	}
-	if len(l.intern) < maxInternEntries {
-		l.intern[s] = s
-	}
-	return s
-}
 
 // SkipPastNewline advances the cursor just past the next '\n' byte,
 // reporting false if the input ends first. Raw newlines cannot occur inside
@@ -282,8 +245,10 @@ func (l *Lexer) errf(format string, args ...any) error {
 	return l.errfAt(int64(l.Offset()), format, args...)
 }
 
+// errfAt formats a syntax error at an absolute offset; a %w verb keeps the
+// wrapped cause (a read failure) reachable through errors.Is.
 func (l *Lexer) errfAt(off int64, format string, args ...any) error {
-	return fmt.Errorf("json: offset %d: %s", off, fmt.Sprintf(format, args...))
+	return fmt.Errorf("json: offset %d: "+format, append([]any{off}, args...)...)
 }
 
 // refill discards the consumed prefix of the buffer and reads more input.
@@ -311,7 +276,7 @@ func (l *Lexer) refill() (bool, error) {
 		}
 		if err != nil {
 			l.eof = true
-			return got, l.errf("read: %v", err)
+			return got, l.errf("read: %w", err)
 		}
 		if n > 0 {
 			return true, nil
@@ -1125,7 +1090,7 @@ func (l *Lexer) scanEscape() error {
 		}
 		r, err := hex4(l.buf[l.pos : l.pos+4])
 		if err != nil {
-			return l.errf("bad \\u escape: %v", err)
+			return l.errf("bad \\u escape: %w", err)
 		}
 		l.pos += 4
 		if utf16IsHighSurrogate(r) {

@@ -1,6 +1,7 @@
 package jsonparse
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -22,144 +23,132 @@ func ParseReader(r io.Reader, chunkSize int) (item.Item, error) {
 	return parseLexer(NewStreamLexer(r, chunkSize))
 }
 
+// parseLexer encodes the document from the token stream and decodes the
+// encoding: the tree is built in one place, item.Decode.
 func parseLexer(l *Lexer) (item.Item, error) {
-	if err := l.Next(); err != nil {
-		return nil, err
-	}
-	it, err := parseValue(l)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.Next(); err != nil {
-		return nil, err
-	}
-	if l.Kind != TokEOF {
-		return nil, fmt.Errorf("json: offset %d: trailing content after document", l.Offset())
-	}
-	return it, nil
+	var doc item.Item
+	err := projectLexer(l, nil, decoded(func(it item.Item) error { doc = it; return nil }))
+	return doc, err
 }
 
-// parseValue parses the value whose first token is the lexer's current
-// token; on return the current token is the value's last token.
-func parseValue(l *Lexer) (item.Item, error) {
+// decoded adapts an item callback to the projector's encoded emits.
+func decoded(emit func(item.Item) error) func(enc []byte) error {
+	return func(enc []byte) error {
+		it, _, err := item.Decode(enc[1:]) // enc is a one-item sequence
+		if err != nil {
+			return err
+		}
+		return emit(it)
+	}
+}
+
+// encodeValue appends the item encoding of the value whose first token is
+// the lexer's current token; on return the current token is the value's last
+// token. The bytes are exactly item.Encode of the tree the value denotes:
+// numbers convert through NumValue, container counts are back-patched
+// (item.PatchCount), and an object with a repeated key fails with
+// item.NewObject's error once the object is complete.
+func (l *Lexer) encodeValue(dst []byte) ([]byte, error) {
 	switch l.Kind {
 	case TokNull:
-		return item.Null{}, nil
-	case TokTrue:
-		return item.Bool(true), nil
-	case TokFalse:
-		return item.Bool(false), nil
+		return item.AppendNull(dst), nil
+	case TokTrue, TokFalse:
+		return item.AppendBool(dst, l.Kind == TokTrue), nil
 	case TokNumber:
 		n, err := l.NumValue()
-		if err != nil {
-			return nil, err
-		}
-		return item.Number(n), nil
+		return item.AppendNumber(dst, n), err
 	case TokString:
-		return l.internStringItem(), nil
+		return item.AppendString(dst, l.str), nil
 	case TokLBracket:
-		return parseArray(l)
+		return l.encodeArray(dst)
 	case TokLBrace:
-		return parseObject(l)
+		return l.encodeObject(dst)
 	case TokEOF:
-		return nil, fmt.Errorf("json: unexpected end of input")
+		return dst, fmt.Errorf("json: unexpected end of input")
 	default:
-		return nil, fmt.Errorf("json: offset %d: unexpected token %s", l.Offset(), l.Kind)
+		return dst, fmt.Errorf("json: offset %d: unexpected token %s", l.Offset(), l.Kind)
 	}
 }
 
-func parseArray(l *Lexer) (item.Item, error) {
-	var arr item.Array
-	if err := l.Next(); err != nil {
-		return nil, err
+func (l *Lexer) encodeArray(dst []byte) ([]byte, error) {
+	dst, at := item.AppendArrayStart(dst)
+	if err := l.Next(); err != nil || l.Kind == TokRBracket {
+		return dst, err
 	}
-	if l.Kind == TokRBracket {
-		return item.Array{}, nil
-	}
-	for {
-		it, err := parseValue(l)
-		if err != nil {
-			return nil, err
+	for n := 1; ; n++ {
+		var err error
+		if dst, err = l.encodeValue(dst); err != nil {
+			return dst, err
 		}
-		arr = append(arr, it)
 		if err := l.Next(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		switch l.Kind {
 		case TokComma:
 			if err := l.Next(); err != nil {
-				return nil, err
+				return dst, err
 			}
 		case TokRBracket:
-			return arr, nil
+			return item.PatchCount(dst, at, n), nil
 		default:
-			return nil, fmt.Errorf("json: offset %d: expected ',' or ']', got %s", l.Offset(), l.Kind)
+			return dst, fmt.Errorf("json: offset %d: expected ',' or ']', got %s", l.Offset(), l.Kind)
 		}
 	}
 }
 
-func parseObject(l *Lexer) (item.Item, error) {
-	var keys []string
-	var vals []item.Item
-	if err := l.Next(); err != nil {
-		return nil, err
-	}
-	if l.Kind == TokRBrace {
-		return item.MustObject(nil, nil), nil
-	}
-	for {
-		if l.Kind != TokString {
-			return nil, fmt.Errorf("json: offset %d: expected object key, got %s", l.Offset(), l.Kind)
-		}
-		key := l.InternKey()
-		if err := l.Next(); err != nil {
-			return nil, err
-		}
-		if l.Kind != TokColon {
-			return nil, fmt.Errorf("json: offset %d: expected ':', got %s", l.Offset(), l.Kind)
-		}
-		if err := l.Next(); err != nil {
-			return nil, err
-		}
-		v, err := parseValue(l)
+// encodeObject scans members with objectMember, the projector's raw key
+// scan. Key positions inside dst go on the lexer's keySpans stack (offsets
+// stay valid: a nested container only ever shifts bytes after its own
+// header) until the closing brace checks them for duplicates.
+func (l *Lexer) encodeObject(dst []byte) ([]byte, error) {
+	dst, at := item.AppendObjectStart(dst)
+	base := len(l.keySpans)
+	for n := 0; ; n++ {
+		kb, closed, err := l.objectMember(n == 0)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		keys = append(keys, key)
-		vals = append(vals, v)
+		if closed {
+			err = dupKey(dst, l.keySpans[base:])
+			l.keySpans = l.keySpans[:base]
+			return item.PatchCount(dst, at, n), err
+		}
+		dst = item.AppendKey(dst, kb)
+		l.keySpans = append(l.keySpans, keySpan{len(dst) - len(kb), len(dst)})
 		if err := l.Next(); err != nil {
-			return nil, err
+			return dst, err
 		}
-		switch l.Kind {
-		case TokComma:
-			if err := l.Next(); err != nil {
-				return nil, err
-			}
-		case TokRBrace:
-			return item.NewObject(keys, vals)
-		default:
-			return nil, fmt.Errorf("json: offset %d: expected ',' or '}', got %s", l.Offset(), l.Kind)
+		if dst, err = l.encodeValue(dst); err != nil {
+			return dst, err
 		}
 	}
 }
 
-// internStringItem materializes the current TokString token as a boxed
-// item.String through the lexer's string-item cache: a value repeated across
-// records (status codes, enum-like fields) costs its string copy and
-// interface allocation once, and zero allocations on every later occurrence.
-// The cache shares maxInternEntries with the key intern table; past the cap,
-// values are materialized per occurrence.
-func (l *Lexer) internStringItem() item.Item {
-	if it, ok := l.strItems[string(l.str)]; ok { // no-alloc map probe
-		return it
+// keySpan locates one object key's bytes inside an encoding being written.
+type keySpan struct{ start, end int }
+
+// dupKey reports the first key that repeats an earlier one, in NewObject's
+// words. Records have a handful of keys, compared pairwise in place; wide
+// objects go through a set.
+func dupKey(enc []byte, keys []keySpan) error {
+	var seen map[string]struct{}
+	if len(keys) > 16 {
+		seen = make(map[string]struct{}, len(keys))
 	}
-	s := item.String(l.str)
-	var it item.Item = s
-	if l.strItems == nil {
-		l.strItems = make(map[string]item.Item, 16)
+	for j, kj := range keys {
+		k := enc[kj.start:kj.end]
+		if seen != nil {
+			if _, dup := seen[string(k)]; dup {
+				return fmt.Errorf("item: duplicate object key %q", k)
+			}
+			seen[string(k)] = struct{}{}
+			continue
+		}
+		for _, ki := range keys[:j] {
+			if bytes.Equal(enc[ki.start:ki.end], k) {
+				return fmt.Errorf("item: duplicate object key %q", k)
+			}
+		}
 	}
-	if len(l.strItems) < maxInternEntries {
-		l.strItems[string(s)] = it
-	}
-	return it
+	return nil
 }

@@ -202,7 +202,7 @@ func ApplyStep(seq item.Sequence, s Step) item.Sequence {
 //
 // Project(data, nil, emit) emits the whole document (equivalent to Parse).
 func Project(data []byte, path Path, emit func(item.Item) error) error {
-	return projectLexer(NewLexer(data), path, emit)
+	return projectLexer(NewLexer(data), path, decoded(emit))
 }
 
 // ProjectReader streams over a JSON document read from r through a
@@ -211,37 +211,54 @@ func Project(data []byte, path Path, emit func(item.Item) error) error {
 // whole file is never materialized: peak memory is O(chunkSize + largest
 // emitted item), not O(file size). Error offsets are absolute file offsets.
 func ProjectReader(r io.Reader, chunkSize int, path Path, emit func(item.Item) error) error {
-	return projectLexer(NewStreamLexer(r, chunkSize), path, emit)
+	return projectLexer(NewStreamLexer(r, chunkSize), path, decoded(emit))
 }
 
 // ScanValues processes a concatenated stream of top-level JSON values (the
 // generalization of a single-document file: NDJSON, newline-separated
 // records, or one whole document), applying path to each value and emitting
-// the projected items. Only values whose line starts at an absolute offset
-// < limit are processed (limit < 0 means unbounded); a value is parsed to
-// completion even when it extends past the limit. This is exactly the morsel
-// ownership rule: a record belongs to the byte range its line start falls
-// in, where the line start is the offset just past the last '\n' before the
-// record (LineStart). Anchoring ownership at the newline — not at the
-// record's first non-whitespace byte — keeps the producer's cut-off
-// consistent with the consumer's SkipPastNewline alignment, so a record
-// preceded by post-newline whitespace that straddles a boundary is emitted
-// exactly once. It returns the number of top-level values processed.
+// the projected items. It is ScanEncoded with each emitted encoding decoded.
 func ScanValues(l *Lexer, path Path, limit int64, emit func(item.Item) error) (int, error) {
 	return ScanRecords(l, path, limit, func(_ int64, it item.Item) error { return emit(it) })
 }
 
 // ScanRecords is ScanValues with record provenance: emit additionally
 // receives the line-start offset of the record each projected item came from
-// (the same offset ScanValues bounds with limit). Zone-map builds use it to
+// (the same offset ScanEncoded bounds with limit). Zone-map builds use it to
 // assign per-record stats to byte-range zones that line up exactly with
 // morsel ownership.
 func ScanRecords(l *Lexer, path Path, limit int64, emit func(lineStart int64, it item.Item) error) (int, error) {
+	var start int64
+	tree := decoded(func(it item.Item) error { return emit(start, it) })
+	return ScanEncoded(l, path, limit, func(ls int64, enc []byte) error {
+		start = ls
+		return tree(enc)
+	})
+}
+
+// ScanEncoded processes a concatenated stream of top-level JSON values,
+// applying path to each value and emitting the item encoding of every
+// projected value as a one-item sequence (item.EncodeSeq's layout, a frame
+// field), built straight from the token stream: no item tree is built. The
+// encoding is scratch, valid until emit returns. emit also receives the
+// line-start offset of the record the value came from.
+//
+// Only values whose line starts at an absolute offset < limit are processed
+// (limit < 0 means unbounded); a value is parsed to completion even when it
+// extends past the limit. This is exactly the morsel ownership rule: a
+// record belongs to the byte range its line start falls in, where the line
+// start is the offset just past the last '\n' before the record
+// (LineStart). Anchoring ownership at the newline — not at the record's
+// first non-whitespace byte — keeps the producer's cut-off consistent with
+// the consumer's SkipPastNewline alignment, so a record preceded by
+// post-newline whitespace that straddles a boundary is emitted exactly once.
+// It returns the number of top-level values processed.
+func ScanEncoded(l *Lexer, path Path, limit int64, emit func(lineStart int64, enc []byte) error) (int, error) {
 	n := 0
 	// One closure for the whole scan (not one per record): start is rebound
 	// each iteration, keeping the hot path at zero allocations per record.
 	var start int64
-	wrapped := func(it item.Item) error { return emit(start, it) }
+	wrapped := func(enc []byte) error { return emit(start, enc) }
 	for {
 		done, err := l.AtEOF()
 		if err != nil {
@@ -267,7 +284,7 @@ func ScanRecords(l *Lexer, path Path, limit int64, emit func(lineStart int64, it
 	}
 }
 
-func projectLexer(l *Lexer, path Path, emit func(item.Item) error) error {
+func projectLexer(l *Lexer, path Path, emit func([]byte) error) error {
 	if err := l.Next(); err != nil {
 		return err
 	}
@@ -284,14 +301,17 @@ func projectLexer(l *Lexer, path Path, emit func(item.Item) error) error {
 }
 
 // projectValue processes the value whose first token is current, applying
-// path[0:] to it. On return the current token is the value's last token.
-func projectValue(l *Lexer, path Path, emit func(item.Item) error) error {
+// path[0:] to it and emitting each projected value's one-item sequence
+// encoding. On return the current token is the value's last token.
+func projectValue(l *Lexer, path Path, emit func([]byte) error) error {
 	if len(path) == 0 {
-		it, err := parseValue(l)
+		l.keySpans = l.keySpans[:0]
+		enc, err := l.encodeValue(append(l.enc[:0], 1))
+		l.enc = enc
 		if err != nil {
 			return err
 		}
-		return emit(it)
+		return emit(enc)
 	}
 	step := path[0]
 	rest := path[1:]
@@ -335,7 +355,7 @@ func bytesEqString(b []byte, s string) bool {
 	return true
 }
 
-func projectObjectKey(l *Lexer, key string, rest Path, emit func(item.Item) error) error {
+func projectObjectKey(l *Lexer, key string, rest Path, emit func([]byte) error) error {
 	// Current token is '{'. Member boundaries, keys and colons are consumed
 	// by the raw member scan, and non-matching values by SkipNextValue, so
 	// a member that is not projected never materializes a single token.
@@ -362,7 +382,7 @@ func projectObjectKey(l *Lexer, key string, rest Path, emit func(item.Item) erro
 	}
 }
 
-func projectObjectKeys(l *Lexer, rest Path, emit func(item.Item) error) error {
+func projectObjectKeys(l *Lexer, rest Path, emit func([]byte) error) error {
 	// keys-or-members on an object: emit each key (a string item) after
 	// applying the remaining path to it. A string with remaining steps
 	// yields nothing, so only an empty rest emits.
@@ -377,7 +397,8 @@ func projectObjectKeys(l *Lexer, rest Path, emit func(item.Item) error) error {
 		}
 		first = false
 		if len(rest) == 0 {
-			if err := emit(item.String(l.internBytes(kb))); err != nil {
+			l.enc = item.AppendString(append(l.enc[:0], 1), kb)
+			if err := emit(l.enc); err != nil {
 				return err
 			}
 		}
@@ -387,7 +408,7 @@ func projectObjectKeys(l *Lexer, rest Path, emit func(item.Item) error) error {
 	}
 }
 
-func projectArrayMembers(l *Lexer, rest Path, emit func(item.Item) error) error {
+func projectArrayMembers(l *Lexer, rest Path, emit func([]byte) error) error {
 	if err := l.Next(); err != nil {
 		return err
 	}
@@ -414,7 +435,7 @@ func projectArrayMembers(l *Lexer, rest Path, emit func(item.Item) error) error 
 	}
 }
 
-func projectArrayIndex(l *Lexer, index int, rest Path, emit func(item.Item) error) error {
+func projectArrayIndex(l *Lexer, index int, rest Path, emit func([]byte) error) error {
 	if err := l.Next(); err != nil {
 		return err
 	}

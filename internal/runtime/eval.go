@@ -17,6 +17,12 @@ type Tuple interface {
 	// must remain valid indefinitely (it never aliases reusable buffers),
 	// so evaluators and aggregate states may retain it.
 	Field(i int) (item.Sequence, error)
+	// RawField returns the encoded bytes of field i (item.EncodeSeq's
+	// layout) when the tuple holds them, for evaluation on encoded bytes.
+	// The bytes alias a frame: they are valid only during the current
+	// evaluation and must never be retained or returned. ok is false for
+	// fields that exist only decoded (appended fields, SeqTuple).
+	RawField(i int) ([]byte, bool)
 }
 
 // SeqTuple adapts a plain slice of decoded field sequences to the Tuple
@@ -29,9 +35,16 @@ func (s SeqTuple) FieldCount() int { return len(s) }
 // Field implements Tuple.
 func (s SeqTuple) Field(i int) (item.Sequence, error) {
 	if i < 0 || i >= len(s) {
-		return nil, fmt.Errorf("runtime: column %d out of range [0,%d)", i, len(s))
+		return nil, columnRangeError(i, s)
 	}
 	return s[i], nil
+}
+
+// RawField implements Tuple: a SeqTuple holds no encoded bytes.
+func (s SeqTuple) RawField(int) ([]byte, bool) { return nil, false }
+
+func columnRangeError(col int, tup Tuple) error {
+	return fmt.Errorf("runtime: column %d out of range [0,%d)", col, tup.FieldCount())
 }
 
 // Evaluator computes an item sequence from one tuple.
@@ -58,7 +71,7 @@ type ColumnEval struct{ Col int }
 // Eval returns the field's sequence.
 func (e ColumnEval) Eval(_ *Ctx, tup Tuple) (item.Sequence, error) {
 	if e.Col < 0 || e.Col >= tup.FieldCount() {
-		return nil, fmt.Errorf("runtime: column %d out of range [0,%d)", e.Col, tup.FieldCount())
+		return nil, columnRangeError(e.Col, tup)
 	}
 	return tup.Field(e.Col)
 }

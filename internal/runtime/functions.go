@@ -148,7 +148,12 @@ var (
 	FnDayFromDateTime   = dateComponent("day-from-dateTime", func(d item.DateTime) int { return d.Day })
 )
 
+// comparisons maps each value comparison's name to the outcome test it
+// applies to item.Compare's result (CompareEval reuses it).
+var comparisons = map[string]func(c int) bool{}
+
 func comparison(name string, ok func(c int) bool) *Function {
+	comparisons[name] = ok
 	return register(&Function{
 		Name:  name,
 		Arity: 2,

@@ -104,3 +104,37 @@ func remountedDocsStopPruning(t *testing.T, noSidecars bool) {
 		t.Fatalf("after the re-mount: %d files skipped, want 0", res.Stats.FilesSkipped)
 	}
 }
+
+// TestSidecarKeepsPathsOtherEnginesBuilt: a build merges into the file's
+// sidecar instead of replacing it. Engine A indexes ("v"), a fresh engine B
+// indexes ("w") over the same files, and a third fresh engine still prunes
+// a "v"-range query on the sidecar alone.
+func TestSidecarKeepsPathsOtherEnginesBuilt(t *testing.T) {
+	dir := t.TempDir()
+	docs := map[string][]byte{
+		"a.json": []byte("{\"v\":1,\"w\":10}\n{\"v\":2,\"w\":20}\n"),
+		"b.json": []byte("{\"v\":300,\"w\":30}\n{\"v\":400,\"w\":40}\n"),
+	}
+	for name, b := range docs {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{`("v")`, `("w")`} {
+		eng := New(Options{Partitions: 2})
+		eng.Mount("/c", dir)
+		if err := eng.BuildIndex("/c", path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := New(Options{Partitions: 2})
+	eng.Mount("/c", dir)
+	res, err := eng.Query(staleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 0 || res.Stats.FilesSkipped == 0 {
+		t.Fatalf("v-range query after builds of v then w: %d items, %d files skipped; want 0 items and files skipped",
+			len(res.Items), res.Stats.FilesSkipped)
+	}
+}
