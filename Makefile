@@ -84,11 +84,13 @@ profile-smoke:
 # jsonparse tests, cross-checked against encoding/json), the token-stream
 # value encoder against item.Encode of the test-side tree parser, the
 # record-boundary scanner against its scalar reference over the chunk-size
-# sweep, and the speculative parallel indexer against the sequential builder
-# across worker/chunk/grain sweeps. Seeds under testdata/fuzz are always
-# replayed.
+# sweep, the speculative parallel indexer against the sequential builder
+# across worker/chunk/grain sweeps, and the dateTime parser's in-place []byte
+# form against its string form and the split oracle. Seeds under
+# testdata/fuzz are always replayed.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRawSkipDifferential -fuzztime=10s ./internal/jsonparse
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeValue -fuzztime=10s ./internal/jsonparse
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryScanner -fuzztime=10s ./internal/jsonparse
 	$(GO) test -run='^$$' -fuzz=FuzzSpeculativeIndex -fuzztime=10s ./internal/jsonparse
+	$(GO) test -run='^$$' -fuzz=FuzzParseDateTime -fuzztime=10s ./internal/item

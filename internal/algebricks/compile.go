@@ -178,15 +178,6 @@ func exprEval(e Expr, schema []Var) (runtime.Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(x.Args) == 2 {
-			p, isPath := pathEval(x.Args[0], schema)
-			c, isConst := x.Args[1].(*ConstExpr)
-			if isPath && isConst {
-				if ce, ok := runtime.NewCompareEval(fn, p, c.Seq); ok {
-					return ce, nil
-				}
-			}
-		}
 		args := make([]runtime.Evaluator, len(x.Args))
 		for i, a := range x.Args {
 			ev, err := exprEval(a, schema)
@@ -195,43 +186,95 @@ func exprEval(e Expr, schema []Var) (runtime.Evaluator, error) {
 			}
 			args[i] = ev
 		}
-		return runtime.CallEval{Fn: fn, Args: args}, nil
+		call := runtime.CallEval{Fn: fn, Args: args}
+		if ev, ok := encodedCall(x, call, schema); ok {
+			return ev, nil
+		}
+		return call, nil
 	default:
 		return nil, fmt.Errorf("algebricks: unknown expression %T", e)
 	}
 }
 
-// pathEval compiles value(…value($v, "k1")…, "kn") with constant string keys
-// over a column to the evaluator that walks the encoded field
-// (runtime.PathEval); ok is false for any other expression.
-func pathEval(e Expr, schema []Var) (runtime.PathEval, bool) {
-	x, ok := e.(*CallExpr)
-	if !ok || x.Fn != "value" || len(x.Args) != 2 {
-		return runtime.PathEval{}, false
+// encodedCall returns the evaluator that runs call on encoded bytes when x
+// has one of the shapes the runtime evaluates there: a connective, a value
+// comparison of an encoded operand with a constant, dateTime(o),
+// dateTime(data(o)) and the date-part functions of an encoded operand. An
+// encoded operand is a path (a column with zero or more constant keys) or
+// another call compiled to an encoded appender. ok is false for everything
+// else, which stays the CallEval.
+func encodedCall(x *CallExpr, call runtime.CallEval, schema []Var) (runtime.Evaluator, bool) {
+	if ce, ok := runtime.NewConnectiveEval(call); ok {
+		return ce, true
 	}
-	k, ok := x.Args[1].(*ConstExpr)
-	if !ok || len(k.Seq) != 1 {
-		return runtime.PathEval{}, false
+	if len(x.Args) == 0 {
+		return nil, false
 	}
-	key, ok := k.Seq[0].(item.String)
-	if !ok {
-		return runtime.PathEval{}, false
-	}
-	var p runtime.PathEval
-	switch in := x.Args[0].(type) {
-	case *VarExpr:
-		col, err := columnOf(schema, in.V)
-		if err != nil {
-			return runtime.PathEval{}, false
+	operand, operandEv := x.Args[0], call.Args[0]
+	if d, ok := operand.(*CallExpr); ok && x.Fn == "dateTime" && d.Fn == "data" && len(d.Args) == 1 {
+		// dateTime(data(o)) reads o: data() is the identity on the strings
+		// dateTime accepts, and any other item falls back to call.
+		if inner, ok := operandEv.(runtime.CallEval); ok {
+			operand, operandEv = d.Args[0], inner.Args[0]
 		}
-		p.Col = col
+	}
+	arg, isOperand := encodedOperand(operand, operandEv, schema)
+	switch {
+	case !isOperand:
+		return nil, false
+	case len(x.Args) == 2:
+		if c, isConst := x.Args[1].(*ConstExpr); isConst {
+			return runtime.NewCompareEval(call.Fn, arg, c.Seq)
+		}
+		return nil, false
+	case len(x.Args) != 1:
+		return nil, false
+	case x.Fn == "dateTime":
+		return runtime.DateTimeEval{Call: call, Arg: arg}, true
 	default:
-		if p, ok = pathEval(in, schema); !ok {
+		return runtime.NewDatePartEval(call, arg)
+	}
+}
+
+// encodedOperand returns the encoded form of operand e, compiled to ev: the
+// path it is, or ev itself when ev is an encoded appender. dateTime(data(o))
+// is handled by its caller: data(o) alone is not an appender.
+func encodedOperand(e Expr, ev runtime.Evaluator, schema []Var) (runtime.EncodedAppender, bool) {
+	if p, ok := pathEval(e, schema); ok {
+		return p, true
+	}
+	a, ok := ev.(runtime.EncodedAppender)
+	return a, ok
+}
+
+// pathEval compiles a column, or value(…value($v, "k1")…, "kn") with
+// constant string keys over one, to the evaluator that walks the encoded
+// field (runtime.PathEval); ok is false for any other expression.
+func pathEval(e Expr, schema []Var) (runtime.PathEval, bool) {
+	switch x := e.(type) {
+	case *VarExpr:
+		col, err := columnOf(schema, x.V)
+		return runtime.PathEval{Col: col}, err == nil
+	case *CallExpr:
+		if x.Fn != "value" || len(x.Args) != 2 {
 			return runtime.PathEval{}, false
 		}
+		k, ok := x.Args[1].(*ConstExpr)
+		if !ok || len(k.Seq) != 1 {
+			return runtime.PathEval{}, false
+		}
+		key, ok := k.Seq[0].(item.String)
+		if !ok {
+			return runtime.PathEval{}, false
+		}
+		p, ok := pathEval(x.Args[0], schema)
+		if !ok {
+			return runtime.PathEval{}, false
+		}
+		p.Keys = append(p.Keys[:len(p.Keys):len(p.Keys)], string(key))
+		return p, true
 	}
-	p.Keys = append(p.Keys[:len(p.Keys):len(p.Keys)], string(key))
-	return p, true
+	return runtime.PathEval{}, false
 }
 
 // Aggregate function lowering tables: logical name to physical aggregate

@@ -12,19 +12,22 @@ import (
 // don't touch — the binary-tuple discipline Hyracks operators follow.
 //
 // A LazyTuple also carries appended (computed) fields, so assign-style
-// operators can extend a tuple without re-encoding its existing fields.
-// Raw slices alias the frame buffer and must not be retained past the
-// frame's lifetime; decoded sequences are freshly allocated by DecodeSeq and
-// are safe to retain indefinitely.
+// operators can extend a tuple without re-encoding its existing fields. An
+// appended field is held encoded too (AppendRaw), so later evaluators of the
+// same operator read it through RawField like a base field, and Field
+// decodes it only when asked.
+// Raw slices alias the frame buffer (or the appender's scratch) and must not
+// be retained past the tuple; decoded sequences are freshly allocated by
+// DecodeSeq and are safe to retain indefinitely.
 //
 // The zero value is an empty tuple; Reset rebinds the view to a new tuple
 // while reusing the memo storage, so iterating a frame with one LazyTuple
 // performs no per-tuple allocation beyond the decodes actually requested.
 type LazyTuple struct {
 	raw   [][]byte        // encoded base fields, aliasing the frame
-	seqs  []item.Sequence // memoized decodes, parallel to raw
+	extra [][]byte        // encoded appended fields, past the base fields
+	seqs  []item.Sequence // memoized decodes: base fields, then appended ones
 	dec   []bool          // which entries of seqs are populated
-	extra []item.Sequence // computed fields appended past the base fields
 }
 
 // Reset rebinds the view to the given raw fields, dropping memoized decodes
@@ -51,32 +54,33 @@ func (t *LazyTuple) FieldCount() int { return len(t.raw) + len(t.extra) }
 // RawFieldCount reports the number of raw (encoded) base fields.
 func (t *LazyTuple) RawFieldCount() int { return len(t.raw) }
 
-// RawField returns the encoded bytes of base field i, aliasing the frame.
-// Appended fields have no raw encoding (ok is false); callers encode them
-// when emitting.
+// RawField returns the encoded bytes of field i: a base field's bytes alias
+// the frame, an appended field's are the slice given to AppendRaw.
 func (t *LazyTuple) RawField(i int) ([]byte, bool) {
-	if i < 0 || i >= len(t.raw) {
+	switch {
+	case i < 0 || i >= t.FieldCount():
 		return nil, false
+	case i < len(t.raw):
+		return t.raw[i], true
+	default:
+		return t.extra[i-len(t.raw)], true
 	}
-	return t.raw[i], true
 }
 
 // Raw returns the raw base field slices. The slice and its contents alias
 // the frame buffer.
 func (t *LazyTuple) Raw() [][]byte { return t.raw }
 
-// Field decodes field i on first access and memoizes the result. Appended
-// fields are returned as stored. The returned sequence is freshly allocated
-// (never aliases frame bytes) and may be retained by the caller.
+// Field decodes field i on first access and memoizes the result. The
+// returned sequence is freshly allocated (never aliases frame bytes) and may
+// be retained by the caller.
 func (t *LazyTuple) Field(i int) (item.Sequence, error) {
-	if i < 0 || i >= t.FieldCount() {
+	raw, ok := t.RawField(i)
+	if !ok {
 		return nil, fmt.Errorf("frame: field index %d out of range [0,%d)", i, t.FieldCount())
 	}
-	if i >= len(t.raw) {
-		return t.extra[i-len(t.raw)], nil
-	}
 	if !t.dec[i] {
-		s, err := item.DecodeSeq(t.raw[i])
+		s, err := item.DecodeSeq(raw)
 		if err != nil {
 			return nil, err
 		}
@@ -86,5 +90,11 @@ func (t *LazyTuple) Field(i int) (item.Sequence, error) {
 	return t.seqs[i], nil
 }
 
-// Append adds a computed field after the base fields.
-func (t *LazyTuple) Append(s item.Sequence) { t.extra = append(t.extra, s) }
+// AppendRaw adds a computed field after the base fields, given as its
+// encoded sequence (item.EncodeSeq's layout). The bytes must stay unchanged
+// until the next Reset.
+func (t *LazyTuple) AppendRaw(enc []byte) {
+	t.extra = append(t.extra, enc)
+	t.seqs = append(t.seqs, nil)
+	t.dec = append(t.dec, false)
+}

@@ -27,9 +27,13 @@ func TestLazyTupleDecodeOnDemand(t *testing.T) {
 	if len(s1) > 0 && &s1[0] != &s1b[0] {
 		t.Error("Field(1) not memoized")
 	}
-	lt.Append(item.Single(item.String("extra")))
+	extra := item.EncodeSeq(nil, item.Single(item.String("extra")))
+	lt.AppendRaw(extra)
 	if lt.FieldCount() != 4 {
-		t.Fatalf("FieldCount after Append = %d", lt.FieldCount())
+		t.Fatalf("FieldCount after AppendRaw = %d", lt.FieldCount())
+	}
+	if b, ok := lt.RawField(3); !ok || &b[0] != &extra[0] {
+		t.Errorf("RawField(3) = %x, %v; want the appended bytes", b, ok)
 	}
 	s3, err := lt.Field(3)
 	if err != nil || len(s3) != 1 || !item.Equal(s3[0], item.String("extra")) {

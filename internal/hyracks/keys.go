@@ -12,10 +12,10 @@ import (
 // keyEncoder resolves a tuple's key expressions into encoded key fields and
 // their combined hash without decoding or re-allocating anything in the
 // steady state. Column-reference keys (the overwhelmingly common case after
-// the rewrite rules) are sliced straight out of the tuple's raw fields; path
-// keys (value($v, "k"), runtime.PathEval) copy the selected member's bytes
-// behind a sequence count; other computed keys are evaluated and encoded.
-// Path and computed keys go into one reusable buffer.
+// the rewrite rules) are sliced straight out of the tuple's raw fields; other
+// keys are appended through runtime.AppendEval (a path key, value($v, "k"),
+// copies the selected member's bytes behind a sequence count) into one
+// reusable buffer.
 //
 // The returned field slices are scratch: they alias either the frame or the
 // encoder's buffer and are only valid until the next resolve call. Callers
@@ -99,24 +99,15 @@ func (ke *keyEncoder) resolve(ctx *TaskCtx, lt *frame.LazyTuple) ([][]byte, uint
 	return ke.fields, h, nil
 }
 
-// encode appends one key's encoded sequence to the buffer: a path key copies
-// its member from the frame (the same bytes EncodeSeq would write for the
-// decoded member, so the hash equals HashSeq by construction); anything else
-// is evaluated and encoded.
+// encode appends one key's encoded sequence to the buffer (runtime.AppendEval:
+// a path key copies its member from the frame, the same bytes EncodeSeq
+// would write for the decoded member, so the hash equals HashSeq by
+// construction; anything else that cannot append encoded is evaluated and
+// encoded).
 func (ke *keyEncoder) encode(ctx *TaskCtx, ev runtime.Evaluator, lt *frame.LazyTuple) error {
-	if p, ok := ev.(runtime.PathEval); ok {
-		buf, ok, err := p.AppendEncoded(ke.buf, lt)
-		if err != nil || ok {
-			ke.buf = buf
-			return err
-		}
-	}
-	v, err := ev.Eval(ctx.RT, lt)
-	if err != nil {
-		return err
-	}
-	ke.buf = item.EncodeSeq(ke.buf, v)
-	return nil
+	buf, err := runtime.AppendEval(ke.buf, ev, ctx.RT, lt)
+	ke.buf = buf
+	return err
 }
 
 // matchEncodedKey compares two resolved key-field lists. Byte equality is

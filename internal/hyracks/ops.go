@@ -92,7 +92,8 @@ func (o *assignOp) Push(fr *frame.Frame) error {
 	defer o.ctx.recycle(fr)
 	// Per-frame scratch: existing fields pass through as raw bytes; computed
 	// fields are encoded into one reusable buffer (emit copies what it
-	// frames, so both are free again after each tuple).
+	// frames, so both are free again after each tuple), on the encoded bytes
+	// where the evaluator can (runtime.AppendEval).
 	var (
 		out  [][]byte
 		proj [][]byte
@@ -102,13 +103,12 @@ func (o *assignOp) Push(fr *frame.Frame) error {
 		out = append(out[:0], lt.Raw()...)
 		enc = enc[:0]
 		for _, ev := range o.spec.Evals {
-			v, err := ev.Eval(o.ctx.RT, lt)
-			if err != nil {
+			start := len(enc)
+			var err error
+			if enc, err = runtime.AppendEval(enc, ev, o.ctx.RT, lt); err != nil {
 				return err
 			}
-			lt.Append(v) // later evaluators see the appended field
-			start := len(enc)
-			enc = item.EncodeSeq(enc, v)
+			lt.AppendRaw(enc[start:]) // later evaluators see the appended field
 			out = append(out, enc[start:])
 		}
 		// enc may have been reallocated while growing; earlier slices still
@@ -300,21 +300,21 @@ func countFast(aggs []AggDef) []runtime.EncodedCounter {
 }
 
 // stepStates folds one tuple into a row of aggregate states. counters
-// (countFast's) enables the encoded count fast path. hold, when non-nil, is
-// charged with any state growth.
-func stepStates(ctx *TaskCtx, aggs []AggDef, counters []runtime.EncodedCounter, states []runtime.AggState, lt *frame.LazyTuple, hold func(int64)) error {
+// (countFast's) enables the encoded count fast path. grew, when non-nil, is
+// increased by the states' growth.
+func stepStates(ctx *TaskCtx, aggs []AggDef, counters []runtime.EncodedCounter, states []runtime.AggState, lt *frame.LazyTuple, grew *int64) error {
 	for i := range aggs {
 		st := states[i]
 		var before int64
-		if hold != nil {
+		if grew != nil {
 			before = st.Size()
 		}
 		if err := stepState(ctx, aggs[i], counters[i], st, lt); err != nil {
 			return err
 		}
-		if hold != nil {
-			if grew := st.Size() - before; grew > 0 {
-				hold(grew)
+		if grew != nil {
+			if d := st.Size() - before; d > 0 {
+				*grew += d
 			}
 		}
 	}
@@ -431,7 +431,11 @@ type group struct {
 	keyFields [][]byte // encoded key fields (arena-interned by groupByOp)
 	states    []runtime.AggState
 	next      *group // hash-chain for collision handling
+	held      int64  // charge of the group and its states' growth; its keys are charged with the arena
 }
+
+// groupOverhead is the fixed charge of one group.
+const groupOverhead = 64
 
 type groupByOp struct {
 	ctx  *TaskCtx
@@ -541,11 +545,14 @@ func (o *groupByOp) step(w *wave, tag byte, lt *frame.LazyTuple) error {
 	if g == nil {
 		g = o.newGroup(h, kf)
 	}
+	var grew int64
 	if tag == spillTagPartial {
-		err = o.mergePartial(g, lt.Raw()[nk:])
+		err = o.mergePartial(g, lt.Raw()[nk:], &grew)
 	} else {
-		err = stepStates(o.ctx, o.spec.Aggs, o.counters, g.states, lt, o.hold)
+		err = stepStates(o.ctx, o.spec.Aggs, o.counters, g.states, lt, &grew)
 	}
+	g.held += grew
+	o.hold(grew)
 	if err != nil {
 		return err
 	}
@@ -556,8 +563,8 @@ func (o *groupByOp) step(w *wave, tag byte, lt *frame.LazyTuple) error {
 }
 
 // mergePartial folds a partial record's aggregate snapshots into the group's
-// states.
-func (o *groupByOp) mergePartial(g *group, snaps [][]byte) error {
+// states, adding their growth to grew.
+func (o *groupByOp) mergePartial(g *group, snaps [][]byte, grew *int64) error {
 	for i, st := range g.states {
 		snap, err := item.DecodeSeq(snaps[i])
 		if err != nil {
@@ -567,8 +574,8 @@ func (o *groupByOp) mergePartial(g *group, snaps [][]byte) error {
 		if err := st.(runtime.SpillableState).Merge(snap); err != nil {
 			return err
 		}
-		if grew := st.Size() - before; grew > 0 {
-			o.hold(grew)
+		if d := st.Size() - before; d > 0 {
+			*grew += d
 		}
 	}
 	return nil
@@ -579,16 +586,16 @@ func (o *groupByOp) mergePartial(g *group, snaps [][]byte) error {
 // charged like the other holds), and chains the fresh group into the table.
 func (o *groupByOp) newGroup(h uint64, kf [][]byte) *group {
 	stored := make([][]byte, len(kf))
-	var sz int64 = 64
+	var sz int64 = groupOverhead
 	for i, f := range kf {
 		cp, grew := o.arena.copy(f)
 		stored[i] = cp
 		sz += grew
 	}
-	g := &group{keyFields: stored, states: newAggStates(o.spec.Aggs), next: o.table[h]}
+	g := &group{keyFields: stored, states: newAggStates(o.spec.Aggs), next: o.table[h], held: groupOverhead}
 	o.table[h] = g
 	o.order = append(o.order, g)
-	o.hold(sz) // charged until the table resets
+	o.hold(sz) // charged until the table resets or the group is flushed
 	return g
 }
 
@@ -597,24 +604,39 @@ func (o *groupByOp) newGroup(h uint64, kf [][]byte) *group {
 // chained key hash raw tuples use, then drops the table. A key has exactly
 // one partial per wave and it lands in its partition file before any of the
 // key's raw records, so replaying the file merges aggregate state in original
-// arrival order (float sums stay bit-identical to the in-memory path).
+// arrival order (float sums stay bit-identical to the in-memory path). The
+// partitions are written one after another, each in insertion order (the
+// same files an interleaved write produces), and each group's charge is
+// released once its partial is written, so the flush holds about one block
+// buffer over the table rather than a full fan-out; the arena holding the
+// keys is released with the table at the end.
 func (o *groupByOp) flushGroups(ps *spillParts) error {
-	var fields [][]byte
+	parts := make([][]*group, len(ps.ws))
 	for _, g := range o.order {
-		fields = append(fields[:0], g.keyFields...)
-		for _, st := range g.states {
-			snap, err := st.(runtime.SpillableState).Snapshot()
-			if err != nil {
-				return err
-			}
-			fields = append(fields, item.EncodeSeq(nil, snap))
-		}
 		h, err := chainKeyHash(g.keyFields)
 		if err != nil {
 			return err
 		}
-		if err := ps.write(h, spillTagPartial, fields); err != nil {
-			return err
+		p := spillRoute(h, ps.depth, len(ps.ws))
+		parts[p] = append(parts[p], g)
+	}
+	var fields [][]byte
+	for p, groups := range parts {
+		for _, g := range groups {
+			fields = append(fields[:0], g.keyFields...)
+			for _, st := range g.states {
+				snap, err := st.(runtime.SpillableState).Snapshot()
+				if err != nil {
+					return err
+				}
+				fields = append(fields, item.EncodeSeq(nil, snap))
+			}
+			if err := ps.writeTo(p, spillTagPartial, fields); err != nil {
+				return err
+			}
+			g.states = nil
+			o.memory -= g.held
+			o.ctx.releaseHold(g.held)
 		}
 	}
 	o.resetTable()

@@ -424,3 +424,49 @@ func TestJoinFlushHoldsAboutOneBuffer(t *testing.T) {
 		t.Errorf("after abort the accountant holds %d bytes, want 0", got)
 	}
 }
+
+// TestGroupByFlushHoldsAboutOneBuffer is the group-by twin of
+// TestJoinFlushHoldsAboutOneBuffer: when the group table overflows, the flush
+// writes its groups out partition by partition and releases each group's
+// charge once its partial is written, so the accountant never holds the
+// whole table plus a full fan-out of partition buffers — at most about one
+// buffer above the table. The arena holding the keys is released at the end.
+func TestGroupByFlushHoldsAboutOneBuffer(t *testing.T) {
+	acct := frame.NewAccountant(0)
+	const budget = 256 << 10
+	ctx := &TaskCtx{RT: &runtime.Ctx{Accountant: acct}, SpillDir: t.TempDir(), SpillBudget: budget}
+	spec := &GroupBySpec{
+		Keys: []runtime.Evaluator{col(0)},
+		Aggs: []AggDef{{Fn: runtime.MustAgg("agg-count"), Arg: col(1)}, {Fn: runtime.MustAgg("agg-sum"), Arg: col(1)}},
+	}
+	// The table alone, filled past the budget without flushing (budget 0).
+	o := &groupByOp{ctx: ctx, spec: spec, table: map[uint64]*group{}, keys: newKeyEncoder(spec.Keys), counters: countFast(spec.Aggs)}
+	var lt frame.LazyTuple
+	for i := 0; o.memory <= budget; i++ {
+		lt.Reset([][]byte{
+			item.EncodeSeq(nil, item.Single(item.String(fmt.Sprintf("k%06d", i)))),
+			item.EncodeSeq(nil, item.Single(item.Number(float64(i)))),
+		})
+		if err := o.step(&o.root, spillTagRaw, &lt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := acct.Current()
+	acct.ResetPeak()
+	ps := o.root.split(ctx, &o.spill)
+	if err := o.flushGroups(ps); err != nil {
+		t.Fatal(err)
+	}
+	bsize := int64(ctx.spillBlockSize())
+	if rise := acct.Peak() - before; rise > 2*bsize {
+		t.Errorf("the flush raised the accounted bytes by %d over the %d-byte table, want <= %d (two %d-byte partition buffers)",
+			rise, before, 2*bsize, bsize)
+	}
+	if got, want := acct.Current(), int64(ctx.spillFanout())*bsize; got != want {
+		t.Errorf("after the flush the accountant holds %d bytes, want the %d of the open partition buffers", got, want)
+	}
+	ps.abort()
+	if got := acct.Current(); got != 0 {
+		t.Errorf("after abort the accountant holds %d bytes, want 0", got)
+	}
+}

@@ -24,6 +24,9 @@ import (
 //	version uint32               format version; readers reject mismatches
 //	size    int64                data-file size at write time
 //	mtime   int64                data-file mtime (UnixNano) at write time
+//	dev     uint64               device of the data file at write time
+//	ino     uint64               inode of the data file at write time
+//	ctime   int64                data-file ctime (UnixNano) at write time
 //	npaths  uvarint              per-path zone indexes
 //	per path:
 //	  plen  uvarint, path bytes  jsonparse postfix path text
@@ -35,18 +38,19 @@ import (
 //	crc     uint32               IEEE CRC-32 of everything above
 //
 // Validation rule: a sidecar is valid for a data file iff magic and version
-// match, (size, mtime) equal the file's current identity, and the CRC checks
-// out. Any mismatch, short read, or decode error is a cache miss — the scan
-// runs unpruned until the next build rewrites the sidecar — never a query
-// error. Version 1 also carried record-boundary splits; version 2 dropped
-// them, so a version-1 sidecar is such a miss.
+// match, (size, mtime, dev, ino, ctime) equal the file's current identity,
+// and the CRC checks out. Any mismatch, short read, or decode error is a
+// cache miss — the scan runs unpruned until the next build rewrites the
+// sidecar — never a query error. Version 1 also carried record-boundary
+// splits; version 2 dropped them; version 3 added dev, ino and ctime to the
+// identity. A sidecar of an older version is such a miss.
 
 // sidecarMagic identifies a vxq structural-index sidecar.
 const sidecarMagic = "VXQS"
 
 // SidecarVersion is the current sidecar format version. Bump it whenever the
 // layout changes; readers treat any other version as a miss.
-const SidecarVersion uint32 = 2
+const SidecarVersion uint32 = 3
 
 // Sidecar is the decoded form of one data file's persistent index.
 type Sidecar struct {
@@ -91,6 +95,9 @@ func (s *Sidecar) Encode() []byte {
 	b = binary.LittleEndian.AppendUint32(b, SidecarVersion)
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Ident.Size))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.Ident.ModTimeNanos))
+	b = binary.LittleEndian.AppendUint64(b, s.Ident.Dev)
+	b = binary.LittleEndian.AppendUint64(b, s.Ident.Ino)
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.Ident.CtimeNanos))
 	b = binary.AppendUvarint(b, uint64(len(s.Paths)))
 	for _, p := range s.Paths {
 		b = binary.AppendUvarint(b, uint64(len(p.Path)))
@@ -216,6 +223,9 @@ func DecodeSidecar(b []byte) (*Sidecar, error) {
 	s := &Sidecar{}
 	s.Ident.Size = r.i64()
 	s.Ident.ModTimeNanos = r.i64()
+	s.Ident.Dev = uint64(r.i64())
+	s.Ident.Ino = uint64(r.i64())
+	s.Ident.CtimeNanos = r.i64()
 	npaths := r.count("path")
 	for i := 0; i < npaths && r.err == nil; i++ {
 		var p SidecarPathZones
@@ -294,8 +304,7 @@ func LoadSidecar(path string, ident runtime.FileIdent) (*Sidecar, error) {
 		return nil, err
 	}
 	if s.Ident != ident {
-		return nil, fmt.Errorf("index: sidecar identity mismatch (have size=%d mtime=%d, file size=%d mtime=%d)",
-			s.Ident.Size, s.Ident.ModTimeNanos, ident.Size, ident.ModTimeNanos)
+		return nil, fmt.Errorf("index: sidecar identity mismatch (have %+v, file %+v)", s.Ident, ident)
 	}
 	return s, nil
 }

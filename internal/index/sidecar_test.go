@@ -235,6 +235,39 @@ func TestRegistryWarmStartFromSidecars(t *testing.T) {
 	}
 }
 
+// TestSidecarV2IsCountedMiss: a version-2 sidecar, whose identity is only
+// (size, mtime), is a counted miss: a fresh registry neither loads nor
+// prunes on it, however well its size and mtime match the file.
+func TestSidecarV2IsCountedMiss(t *testing.T) {
+	dir := t.TempDir()
+	src := writeNDJSONDir(t, dir, 1, 50)
+	reg := NewRegistry(src.Ident)
+	reg.SetPersistence(&Persistence{})
+	reg.Add(buildValueZones(t, src))
+	files, _ := src.Files("/nd")
+	path := files[0] + runtime.SidecarSuffix
+	v3, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Version 2 is version 3 without dev, ino and ctime after the mtime.
+	v2 := append([]byte("VXQS"), 2, 0, 0, 0)
+	v2 = append(v2, v3[8:24]...)
+	v2 = append(v2, v3[48:len(v3)-4]...)
+	v2 = binary.LittleEndian.AppendUint32(v2, crc32.ChecksumIEEE(v2))
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewRegistry(src.Ident)
+	fresh.SetPersistence(&Persistence{})
+	if _, ok := fresh.FileZones("/nd", valuePath(), files[0]); ok {
+		t.Fatal("a version-2 sidecar served zones")
+	}
+	if st := fresh.Stats(); st.SidecarMisses != 1 || st.SidecarLoads != 0 {
+		t.Fatalf("stats = %+v, want 1 miss and no load", st)
+	}
+}
+
 // TestRegistryInvalidation: a changed file (mtime or size) makes its sidecar
 // stale — lookups miss, and the next build rewrites the sidecar under the
 // new identity. A corrupt sidecar is likewise a silent miss.

@@ -135,3 +135,25 @@ func TestParseDateTimeAllocatesNothing(t *testing.T) {
 		t.Errorf("ParseDateTime allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// FuzzParseDateTime: the []byte form of ParseDateTime, which reads an
+// encoded string's bytes in place, accepts exactly what the string form
+// accepts, with the same fields and error text, and both agree with the
+// split oracle.
+func FuzzParseDateTime(f *testing.F) {
+	for _, s := range []string{"", "2013-12-25", "2013-12-25T00:05", "2013-12-25T00:05:07",
+		"2013-13-01", "2013-12-25T24:00", "+2013-12-25", "2013-12-25TT00:05", "99999999999999999999-12-25"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, gerr := ParseDateTime([]byte(s))
+		str, serr := ParseDateTime(s)
+		want, werr := parseDateTimeSplit(s)
+		if got != str || fmt.Sprint(gerr) != fmt.Sprint(serr) {
+			t.Fatalf("ParseDateTime([]byte(%q)) = %+v, %v; string form %+v, %v", s, got, gerr, str, serr)
+		}
+		if str != want || fmt.Sprint(serr) != fmt.Sprint(werr) {
+			t.Fatalf("ParseDateTime(%q) = %+v, %v; split oracle %+v, %v", s, str, serr, want, werr)
+		}
+	})
+}

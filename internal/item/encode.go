@@ -61,9 +61,7 @@ func Encode(dst []byte, it Item) []byte {
 		}
 		return dst
 	case DateTime:
-		dst = append(dst, tagDateTime)
-		dst = binary.AppendUvarint(dst, uint64(x.Year))
-		return append(dst, byte(x.Month), byte(x.Day), byte(x.Hour), byte(x.Minute), byte(x.Second))
+		return AppendDateTime(dst, x)
 	default:
 		panic(fmt.Sprintf("item: cannot encode %T", it))
 	}
@@ -104,6 +102,13 @@ func AppendString[S ~string | ~[]byte](dst []byte, s S) []byte {
 func AppendKey[S ~string | ~[]byte](dst []byte, k S) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(k)))
 	return append(dst, k...)
+}
+
+// AppendDateTime appends the encoding of a dateTime.
+func AppendDateTime(dst []byte, d DateTime) []byte {
+	dst = append(dst, tagDateTime)
+	dst = binary.AppendUvarint(dst, uint64(d.Year))
+	return append(dst, byte(d.Month), byte(d.Day), byte(d.Hour), byte(d.Minute), byte(d.Second))
 }
 
 // AppendArrayStart appends an array header whose count is not yet known and

@@ -181,6 +181,26 @@ func EncodedKind(it []byte) Kind {
 	}
 }
 
+// EncodedString returns the bytes of one encoded string item in place (a
+// sub-slice of it); ok is false for an item of any other kind.
+func EncodedString(it []byte) (s []byte, ok bool, err error) {
+	if len(it) == 0 || it[0] != tagString {
+		return nil, false, nil
+	}
+	s, _, err = encodedBytes(it, 1, "string")
+	return s, err == nil, err
+}
+
+// EncodedDateTime decodes one encoded dateTime item without boxing it; ok
+// is false for an item of any other kind.
+func EncodedDateTime(it []byte) (d DateTime, ok bool, err error) {
+	if len(it) == 0 || it[0] != tagDateTime {
+		return DateTime{}, false, nil
+	}
+	d, _, err = decodeDateTime(it)
+	return d, err == nil, err
+}
+
 // CompareEncoded returns Compare(Decode(it), b) for one well-formed encoded
 // item it and a scalar (null, boolean, number, string or dateTime) b,
 // reading the scalar in place.

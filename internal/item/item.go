@@ -184,9 +184,16 @@ func (d DateTime) Compare(e DateTime) int {
 // "2006-01-02T15:04", "2006-01-02T15:04:05" or "2006-01-02". Every field is
 // one or more plain decimal digits (no sign, no fraction); the fields are
 // read in place, so parsing allocates only for the error of a bad input.
-func ParseDateTime(s string) (DateTime, error) {
+// The []byte form reads an encoded string's bytes without copying them.
+func ParseDateTime[S ~string | ~[]byte](s S) (DateTime, error) {
 	var d DateTime
-	date, clock, timed := strings.Cut(s, "T")
+	date, clock, timed := s, s[len(s):], false
+	for i := 0; i < len(s); i++ {
+		if s[i] == 'T' {
+			date, clock, timed = s[:i], s[i+1:], true
+			break
+		}
+	}
 	ok := fieldThen(&date, &d.Year, '-') && fieldThen(&date, &d.Month, '-') && fieldThen(&date, &d.Day, 0)
 	if timed {
 		ok = ok && fieldThen(&clock, &d.Hour, ':')
@@ -199,7 +206,7 @@ func ParseDateTime(s string) (DateTime, error) {
 	if !ok || d.Month < 1 || d.Month > 12 || d.Day < 1 || d.Day > 31 ||
 		d.Hour < 0 || d.Hour > 23 || d.Minute < 0 || d.Minute > 59 ||
 		d.Second < 0 || d.Second > 60 {
-		return DateTime{}, fmt.Errorf("item: invalid dateTime %q", s)
+		return DateTime{}, fmt.Errorf("item: invalid dateTime %q", string(s))
 	}
 	return d, nil
 }
@@ -208,7 +215,7 @@ func ParseDateTime(s string) (DateTime, error) {
 // *s into *n, then requires the separator sep after it (sep 0 requires the
 // end of *s), and advances *s past both. It reports false when the digits or
 // the separator are missing.
-func fieldThen(s *string, n *int, sep byte) bool {
+func fieldThen[S ~string | ~[]byte](s *S, n *int, sep byte) bool {
 	t := *s
 	i, v := 0, 0
 	for i < len(t) && t[i] >= '0' && t[i] <= '9' {
@@ -220,7 +227,7 @@ func fieldThen(s *string, n *int, sep byte) bool {
 	}
 	switch {
 	case sep == 0 && i == len(t):
-		*s = ""
+		*s = t[i:]
 	case sep != 0 && i < len(t) && t[i] == sep:
 		*s = t[i+1:]
 	default:

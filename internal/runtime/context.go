@@ -51,12 +51,18 @@ type Source interface {
 // a sidecar sits next to its data file but is never itself a record file.
 const SidecarSuffix = ".vxqx"
 
-// FileIdent is the durable identity of a file: the (size, mtime) pair that
-// persistent caches validate against. Two observations with equal idents are
-// treated as the same bytes; any change to the file bumps at least one field.
+// FileIdent is the durable identity of a file that persistent caches
+// validate against: its size and mtime, the device and inode it lives on,
+// and its ctime. Two observations with equal idents are treated as the same
+// bytes. The mtime alone does not witness change: a same-size rewrite whose
+// old mtime is put back (os.Chtimes, a restoring copy) keeps it, but the
+// ctime, which no caller can set, moves on every write, and a file replaced
+// by rename gets a new inode.
 type FileIdent struct {
 	Size         int64
 	ModTimeNanos int64
+	Dev, Ino     uint64
+	CtimeNanos   int64
 }
 
 // CountingReader wraps an io.Reader and counts the bytes delivered, so
@@ -125,13 +131,15 @@ func (s *DirSource) Size(path string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// Ident reports a file's durable (size, mtime) identity from the filesystem.
+// Ident reports a file's durable identity from the filesystem. On a
+// platform whose stat does not report device, inode and ctime (statIdent),
+// ok is false, so nothing is pruned or cached on the file's account.
 func (s *DirSource) Ident(path string) (FileIdent, bool) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return FileIdent{}, false
 	}
-	return FileIdent{Size: fi.Size(), ModTimeNanos: fi.ModTime().UnixNano()}, true
+	return statIdent(fi)
 }
 
 // MemSource is an in-memory Source, used by tests.
@@ -276,6 +284,10 @@ type Ctx struct {
 	// argument arrays. A Ctx is confined to one partition pipeline, so the
 	// stack needs no locking.
 	argScratch [][]item.Sequence
+	// encStack holds the encoded operands of encoded evaluators, one reused
+	// buffer per nesting depth (see operand); encDepth is the next free one.
+	encStack [][]byte
+	encDepth int
 }
 
 // borrowArgs pops (or allocates) an argument slice of length n. Safe on a

@@ -18,10 +18,13 @@ type Tuple interface {
 	// so evaluators and aggregate states may retain it.
 	Field(i int) (item.Sequence, error)
 	// RawField returns the encoded bytes of field i (item.EncodeSeq's
-	// layout) when the tuple holds them, for evaluation on encoded bytes.
-	// The bytes alias a frame: they are valid only during the current
+	// layout) when the tuple holds them, for evaluation on encoded bytes:
+	// a framed field, or a field an ASSIGN appended encoded
+	// (frame.LazyTuple.AppendRaw). The bytes alias a frame or the
+	// operator's scratch: they are valid only during the current
 	// evaluation and must never be retained or returned. ok is false for
-	// fields that exist only decoded (appended fields, SeqTuple).
+	// fields that exist only decoded (SeqTuple) and for columns out of
+	// range.
 	RawField(i int) ([]byte, bool)
 }
 

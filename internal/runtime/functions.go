@@ -123,7 +123,12 @@ var FnDateTime = register(&Function{
 	},
 })
 
+// dateParts maps each date-part function's name to the part it reads
+// (DatePartEval reuses it).
+var dateParts = map[string]func(item.DateTime) int{}
+
 func dateComponent(name string, get func(item.DateTime) int) *Function {
+	dateParts[name] = get
 	return register(&Function{
 		Name:  name,
 		Arity: 1,

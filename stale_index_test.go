@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // staleQuery selects the records whose "v" lies in [100, 200]. Its SELECT
@@ -136,5 +137,81 @@ func TestSidecarKeepsPathsOtherEnginesBuilt(t *testing.T) {
 	if len(res.Items) != 0 || res.Stats.FilesSkipped == 0 {
 		t.Fatalf("v-range query after builds of v then w: %d items, %d files skipped; want 0 items and files skipped",
 			len(res.Items), res.Stats.FilesSkipped)
+	}
+}
+
+// TestSameSizeRewriteWithRestoredMtime: a file rewritten with bytes of the
+// same size whose old mtime is then put back (os.Chtimes, as a restoring
+// copy does) must not be pruned on, or served from, what was built or cached
+// for its old bytes. The file's ctime moves on the rewrite, and no caller can
+// set it back. Covered with sidecars on (the same engine and a fresh one),
+// with sidecars off, and with the result cache on.
+func TestSameSizeRewriteWithRestoredMtime(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"sidecars":     {Partitions: 2},
+		"no_sidecars":  {Partitions: 2, DisableSidecars: true},
+		"result_cache": {Partitions: 2, ResultCacheBytes: 1 << 20},
+	} {
+		t.Run(name, func(t *testing.T) { sameSizeRewriteWithRestoredMtime(t, opts) })
+	}
+}
+
+func sameSizeRewriteWithRestoredMtime(t *testing.T, opts Options) {
+	const query = `for $v in collection("/c")("v") where $v ge 4 return $v`
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.json")
+	if err := os.WriteFile(path, []byte("{\"v\":1}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Engine {
+		eng := New(opts)
+		eng.Mount("/c", dir)
+		return eng
+	}
+	eng := open()
+	if err := eng.BuildIndex("/c", `("v")`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 0 || res.Stats.FilesSkipped != 1 {
+		t.Fatalf("before the rewrite: %d items, %d files skipped; want 0 and 1", len(res.Items), res.Stats.FilesSkipped)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let the clock pass a coarse timestamp tick, so the rewrite's ctime
+	// differs from the first write's on any filesystem with sub-tick
+	// timestamps.
+	time.Sleep(50 * time.Millisecond)
+	if err := os.WriteFile(path, []byte("{\"v\":5}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(path); err != nil || after.Size() != fi.Size() || !after.ModTime().Equal(fi.ModTime()) {
+		t.Fatalf("rewrite did not keep size and mtime: %v", err)
+	}
+	hits := eng.CacheStats().ResultHits
+	engines := []*Engine{eng}
+	if !opts.DisableSidecars {
+		engines = append(engines, open()) // loads the file's sidecar
+	}
+	for i, e := range engines {
+		res, err := e.Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Items) != 1 || JSON(res.Items[0]) != "5" || res.Stats.FilesSkipped != 0 {
+			t.Fatalf("engine %d after the rewrite: items %v, %d files skipped; want [5] and 0",
+				i, res.Items, res.Stats.FilesSkipped)
+		}
+	}
+	if h := eng.CacheStats().ResultHits; h != hits {
+		t.Fatalf("the query after the rewrite was a result-cache hit (%d → %d)", hits, h)
 	}
 }
