@@ -197,16 +197,12 @@ func exprEval(e Expr, schema []Var) (runtime.Evaluator, error) {
 }
 
 // encodedCall returns the evaluator that runs call on encoded bytes when x
-// has one of the shapes the runtime evaluates there: a connective, a value
-// comparison of an encoded operand with a constant, dateTime(o),
-// dateTime(data(o)) and the date-part functions of an encoded operand. An
-// encoded operand is a path (a column with zero or more constant keys) or
+// has one of the shapes the runtime evaluates there: a value comparison of
+// an encoded operand with a constant, dateTime(o), dateTime(data(o)) and the
+// date-part functions of an encoded operand. An encoded operand is a path (a column with zero or more constant keys) or
 // another call compiled to an encoded appender. ok is false for everything
 // else, which stays the CallEval.
 func encodedCall(x *CallExpr, call runtime.CallEval, schema []Var) (runtime.Evaluator, bool) {
-	if ce, ok := runtime.NewConnectiveEval(call); ok {
-		return ce, true
-	}
 	if len(x.Args) == 0 {
 		return nil, false
 	}

@@ -13,8 +13,8 @@ import (
 // encoded operand (such a path, a bare column, or a call compiled to an
 // encoded appender) with one comparable constant to a CompareEval,
 // dateTime(o), dateTime(data(o)) and the date parts of an encoded operand
-// to DateTimeEval and DatePartEval, the connectives to ConnectiveEval, and
-// everything else stays a CallEval.
+// to DateTimeEval and DatePartEval, and everything else (the connectives
+// included) stays a CallEval.
 func TestExprEvalCompilesEncodedShapes(t *testing.T) {
 	schema := []Var{7, 9}
 	str := func(s string) Expr { return &ConstExpr{Seq: item.Single(item.String(s))} }
@@ -69,15 +69,6 @@ func TestExprEvalCompilesEncodedShapes(t *testing.T) {
 			c, ok := ev.(runtime.CompareEval)
 			return ok && reflect.DeepEqual(c.Arg, colPath)
 		}},
-		"and(not(column), boolean(column))": {call("and", call("not", col), call("boolean", col)), func(ev runtime.Evaluator) bool {
-			c, ok := ev.(runtime.ConnectiveEval)
-			if !ok || len(c.Args) != 2 {
-				return false
-			}
-			_, not := c.Args[0].(runtime.ConnectiveEval)
-			_, boolean := c.Args[1].(runtime.ConnectiveEval)
-			return not && boolean
-		}},
 	} {
 		ev, err := exprEval(c.e, schema)
 		if err != nil {
@@ -88,20 +79,21 @@ func TestExprEvalCompilesEncodedShapes(t *testing.T) {
 		}
 	}
 	for name, e := range map[string]Expr{
-		"data(path)":           call("data", path),
-		"dateTime(data(call))": call("dateTime", call("data", call("keys-or-members", col))),
-		"dateTime of two":      call("dateTime", col, col),
-		"count(column)":        call("count", col),
-		"not of two":           call("not", col, col),
-		"year(sub(column, 1))": call("year-from-dateTime", call("sub", col, num(1))),
-		"eq(data(column), 1)":  call("eq", call("data", col), num(1)),
-		"numeric key":          value(&VarExpr{V: 7}, &ConstExpr{Seq: item.Single(item.Number(1))}),
-		"computed key":         value(&VarExpr{V: 7}, &VarExpr{V: 9}),
-		"path over a call":     value(&CallExpr{Fn: "keys-or-members", Args: []Expr{&VarExpr{V: 7}}}, str("a")),
-		"eq of two paths":      &CallExpr{Fn: "eq", Args: []Expr{path, path}},
-		"eq with null":         &CallExpr{Fn: "eq", Args: []Expr{path, &ConstExpr{Seq: item.Single(item.Null{})}}},
-		"constant first":       &CallExpr{Fn: "eq", Args: []Expr{str("TMIN"), path}},
-		"not a comparison":     &CallExpr{Fn: "sub", Args: []Expr{path, &ConstExpr{Seq: item.Single(item.Number(1))}}},
+		"data(path)":                        call("data", path),
+		"dateTime(data(call))":              call("dateTime", call("data", call("keys-or-members", col))),
+		"dateTime of two":                   call("dateTime", col, col),
+		"count(column)":                     call("count", col),
+		"not of two":                        call("not", col, col),
+		"and(not(column), boolean(column))": call("and", call("not", col), call("boolean", col)),
+		"year(sub(column, 1))":              call("year-from-dateTime", call("sub", col, num(1))),
+		"eq(data(column), 1)":               call("eq", call("data", col), num(1)),
+		"numeric key":                       value(&VarExpr{V: 7}, &ConstExpr{Seq: item.Single(item.Number(1))}),
+		"computed key":                      value(&VarExpr{V: 7}, &VarExpr{V: 9}),
+		"path over a call":                  value(&CallExpr{Fn: "keys-or-members", Args: []Expr{&VarExpr{V: 7}}}, str("a")),
+		"eq of two paths":                   &CallExpr{Fn: "eq", Args: []Expr{path, path}},
+		"eq with null":                      &CallExpr{Fn: "eq", Args: []Expr{path, &ConstExpr{Seq: item.Single(item.Null{})}}},
+		"constant first":                    &CallExpr{Fn: "eq", Args: []Expr{str("TMIN"), path}},
+		"not a comparison":                  &CallExpr{Fn: "sub", Args: []Expr{path, &ConstExpr{Seq: item.Single(item.Number(1))}}},
 	} {
 		ev, err := exprEval(e, schema)
 		if err != nil {

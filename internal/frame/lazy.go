@@ -14,8 +14,8 @@ import (
 // A LazyTuple also carries appended (computed) fields, so assign-style
 // operators can extend a tuple without re-encoding its existing fields. An
 // appended field is held encoded too (AppendRaw), so later evaluators of the
-// same operator read it through RawField like a base field, and Field
-// decodes it only when asked.
+// same operator read it through RawField like a base field; Field returns
+// the decoded form AppendRaw was given, or decodes the bytes when asked.
 // Raw slices alias the frame buffer (or the appender's scratch) and must not
 // be retained past the tuple; decoded sequences are freshly allocated by
 // DecodeSeq and are safe to retain indefinitely.
@@ -92,9 +92,11 @@ func (t *LazyTuple) Field(i int) (item.Sequence, error) {
 
 // AppendRaw adds a computed field after the base fields, given as its
 // encoded sequence (item.EncodeSeq's layout). The bytes must stay unchanged
-// until the next Reset.
-func (t *LazyTuple) AppendRaw(enc []byte) {
+// until the next Reset. A non-nil dec is the same field decoded (the
+// sequence an evaluator returned before it was encoded); Field returns it
+// instead of decoding enc, so it must be retainable like a decode.
+func (t *LazyTuple) AppendRaw(enc []byte, dec item.Sequence) {
 	t.extra = append(t.extra, enc)
-	t.seqs = append(t.seqs, nil)
-	t.dec = append(t.dec, false)
+	t.seqs = append(t.seqs, dec)
+	t.dec = append(t.dec, dec != nil)
 }

@@ -28,7 +28,7 @@ func TestLazyTupleDecodeOnDemand(t *testing.T) {
 		t.Error("Field(1) not memoized")
 	}
 	extra := item.EncodeSeq(nil, item.Single(item.String("extra")))
-	lt.AppendRaw(extra)
+	lt.AppendRaw(extra, nil)
 	if lt.FieldCount() != 4 {
 		t.Fatalf("FieldCount after AppendRaw = %d", lt.FieldCount())
 	}
@@ -39,8 +39,18 @@ func TestLazyTupleDecodeOnDemand(t *testing.T) {
 	if err != nil || len(s3) != 1 || !item.Equal(s3[0], item.String("extra")) {
 		t.Fatalf("Field(3) = %v, %v", s3, err)
 	}
-	if _, err := lt.Field(4); err == nil {
-		t.Error("Field(4): want out-of-range error")
+	// A field appended with its decoded form is read from that form.
+	dec := item.Single(item.Number(7))
+	lt.AppendRaw(item.EncodeSeq(nil, dec), dec)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if s4, err := lt.Field(4); err != nil || &s4[0] != &dec[0] {
+			t.Fatalf("Field(4) = %v, %v; want the sequence given to AppendRaw", s4, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Field of a field appended decoded allocates %.1f times", allocs)
+	}
+	if _, err := lt.Field(5); err == nil {
+		t.Error("Field(5): want out-of-range error")
 	}
 	for i, want := range seqs {
 		got, err := lt.Field(i)

@@ -162,6 +162,39 @@ func TestAssignAddsField(t *testing.T) {
 	}
 }
 
+// sharedEval returns one sequence for every tuple.
+type sharedEval struct{ seq item.Sequence }
+
+func (e sharedEval) Eval(*runtime.Ctx, runtime.Tuple) (item.Sequence, error) { return e.seq, nil }
+
+// aliasEval reports whether field Col of the tuple is the very sequence seq.
+type aliasEval struct {
+	Col int
+	seq item.Sequence
+}
+
+func (e aliasEval) Eval(_ *runtime.Ctx, tup runtime.Tuple) (item.Sequence, error) {
+	s, err := tup.Field(e.Col)
+	return item.Single(item.Bool(err == nil && len(s) == 1 && &s[0] == &e.seq[0])), err
+}
+
+// TestAssignKeepsEvaluatedSequence: a later evaluator of the same ASSIGN
+// reads a field an earlier one computed through Eval as that sequence, not
+// as a fresh decode of its encoding.
+func TestAssignKeepsEvaluatedSequence(t *testing.T) {
+	seq := item.Single(item.String("computed"))
+	spec := &AssignSpec{Evals: []runtime.Evaluator{sharedEval{seq}, aliasEval{Col: 1, seq: seq}}}
+	res := runBoth(t, scanJob(1, measurementsPath(), spec), envFactory(testSource()))
+	if len(res.Rows) != 6 {
+		t.Fatalf("rows = %d", len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		if !item.EqualSeq(row[2], item.Single(item.Bool(true))) {
+			t.Fatalf("the second evaluator read a decoded copy of the first's result: row %s", item.JSONSeq(row[2]))
+		}
+	}
+}
+
 func TestUnnestSplitsSequence(t *testing.T) {
 	// Scan whole docs, then unnest root array, then unnest results.
 	ops := []OpSpec{

@@ -105,7 +105,7 @@ func (ke *keyEncoder) resolve(ctx *TaskCtx, lt *frame.LazyTuple) ([][]byte, uint
 // construction; anything else that cannot append encoded is evaluated and
 // encoded).
 func (ke *keyEncoder) encode(ctx *TaskCtx, ev runtime.Evaluator, lt *frame.LazyTuple) error {
-	buf, err := runtime.AppendEval(ke.buf, ev, ctx.RT, lt)
+	buf, _, err := runtime.AppendEval(ke.buf, ev, ctx.RT, lt)
 	ke.buf = buf
 	return err
 }

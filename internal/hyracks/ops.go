@@ -104,11 +104,14 @@ func (o *assignOp) Push(fr *frame.Frame) error {
 		enc = enc[:0]
 		for _, ev := range o.spec.Evals {
 			start := len(enc)
-			var err error
-			if enc, err = runtime.AppendEval(enc, ev, o.ctx.RT, lt); err != nil {
+			var (
+				seq item.Sequence
+				err error
+			)
+			if enc, seq, err = runtime.AppendEval(enc, ev, o.ctx.RT, lt); err != nil {
 				return err
 			}
-			lt.AppendRaw(enc[start:]) // later evaluators see the appended field
+			lt.AppendRaw(enc[start:], seq) // later evaluators see the appended field
 			out = append(out, enc[start:])
 		}
 		// enc may have been reallocated while growing; earlier slices still

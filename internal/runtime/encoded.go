@@ -27,21 +27,23 @@ type EncodedAppender interface {
 // AppendEval appends the encoding of ev's result over tup to dst: on the
 // encoded bytes when ev is an EncodedAppender that can, else through Eval
 // and item.EncodeSeq. The ASSIGN operator and the key encoder of group-by,
-// join and hash exchange both write their computed fields through it.
-func AppendEval(dst []byte, ev Evaluator, ctx *Ctx, tup Tuple) ([]byte, error) {
+// join and hash exchange both write their computed fields through it. When
+// it evaluated, it also returns the sequence Eval returned (nil otherwise),
+// which the ASSIGN keeps so that a later evaluator does not decode it again.
+func AppendEval(dst []byte, ev Evaluator, ctx *Ctx, tup Tuple) ([]byte, item.Sequence, error) {
 	if a, ok := ev.(EncodedAppender); ok {
 		n := len(dst)
 		out, ok, err := a.AppendEncoded(dst, ctx, tup)
 		if err != nil || ok {
-			return out, err
+			return out, nil, err
 		}
 		dst = out[:n]
 	}
 	v, err := ev.Eval(ctx, tup)
 	if err != nil {
-		return dst, err
+		return dst, nil, err
 	}
-	return item.EncodeSeq(dst, v), nil
+	return item.EncodeSeq(dst, v), v, nil
 }
 
 // operand positions an iterator over the items of an encoded operand. A
@@ -230,20 +232,6 @@ type EncodedCounter interface {
 	CountEncoded(tup Tuple) (n int64, ok bool, err error)
 }
 
-// Shared results of the comparison and connective evaluators: like
-// ConstEval's, callers never modify them.
-var (
-	trueSeq  = item.Sequence{item.Bool(true)}
-	falseSeq = item.Sequence{item.Bool(false)}
-)
-
-func boolSeq(b bool) item.Sequence {
-	if b {
-		return trueSeq
-	}
-	return falseSeq
-}
-
 // CompareEval is a value comparison (eq, ne, lt, le, gt, ge) of an encoded
 // operand with a number, string, boolean or dateTime constant. When the
 // operand yields one item of the constant's kind, the item is compared in
@@ -256,6 +244,10 @@ type CompareEval struct {
 	Arg   EncodedAppender
 	Const item.Item
 	holds func(c int) bool
+	// path is Arg when Arg is a path (onPath), the hot case: Eval reads it
+	// in place without going through operand.
+	path   PathEval
+	onPath bool
 }
 
 // NewCompareEval returns the in-place form of fn(arg, c), or ok=false when
@@ -272,12 +264,24 @@ func NewCompareEval(fn *Function, arg EncodedAppender, c item.Sequence) (Compare
 		return CompareEval{}, false
 	}
 	call := CallEval{Fn: fn, Args: []Evaluator{arg, ConstEval{Seq: c}}}
-	return CompareEval{Call: call, Arg: arg, Const: c[0], holds: holds}, true
+	path, onPath := arg.(PathEval)
+	return CompareEval{Call: call, Arg: arg, Const: c[0], holds: holds, path: path, onPath: onPath}, true
 }
 
 // Eval implements Evaluator.
 func (e CompareEval) Eval(ctx *Ctx, tup Tuple) (item.Sequence, error) {
-	it, depth, ok := ctx.operand(e.Arg, tup)
+	var (
+		it    pathIter
+		depth = -1
+		ok    bool
+	)
+	if e.onPath {
+		var err error
+		it, ok, err = e.path.iter(tup)
+		ok = ok && err == nil
+	} else {
+		it, depth, ok = ctx.operand(e.Arg, tup)
+	}
 	var v item.Sequence
 	if ok {
 		v, ok = e.compare(&it)
@@ -392,49 +396,4 @@ func (e DatePartEval) AppendEncoded(dst []byte, ctx *Ctx, tup Tuple) ([]byte, bo
 		}
 		return item.AppendNumber(dst, float64(e.part(d))), true
 	})
-}
-
-// ConnectiveEval is and, or, not or boolean over effective boolean values.
-// It evaluates every operand, in order, as the CallEval it replaces does
-// (so the same operand errors surface), and returns a shared true or false
-// sequence instead of a fresh one.
-type ConnectiveEval struct {
-	Args []Evaluator
-	any  bool // or: true when some operand is true; else every operand must be
-	neg  bool // not: the negation of the single operand's value
-}
-
-// NewConnectiveEval returns the form of call that returns shared results, or
-// ok=false when call is not one of and, or, not and boolean (the latter two
-// with exactly one operand).
-func NewConnectiveEval(call CallEval) (ConnectiveEval, bool) {
-	e := ConnectiveEval{Args: call.Args}
-	switch call.Fn {
-	case FnAnd:
-	case FnOr:
-		e.any = true
-	case FnNot, FnBoolean:
-		e.neg = call.Fn == FnNot
-		if len(call.Args) != 1 {
-			return ConnectiveEval{}, false
-		}
-	default:
-		return ConnectiveEval{}, false
-	}
-	return e, true
-}
-
-// Eval implements Evaluator.
-func (e ConnectiveEval) Eval(ctx *Ctx, tup Tuple) (item.Sequence, error) {
-	b := !e.any
-	for _, a := range e.Args {
-		v, err := a.Eval(ctx, tup)
-		if err != nil {
-			return nil, err
-		}
-		if item.EffectiveBoolean(v) == e.any {
-			b = e.any
-		}
-	}
-	return boolSeq(b != e.neg), nil
 }

@@ -92,7 +92,7 @@ func tupleViews(fields []item.Sequence) []Tuple {
 	framed.Reset(raw)
 	appended.Reset(nil)
 	for _, b := range raw {
-		appended.AppendRaw(b)
+		appended.AppendRaw(b, nil)
 	}
 	return []Tuple{&framed, &appended, SeqTuple(fields)}
 }
@@ -196,10 +196,7 @@ func TestEncodedEvaluatorsAllocateNothing(t *testing.T) {
 			e, _ := NewCompareEval(fn, dp, item.Single(item.Number(c)))
 			return e
 		}
-		and := func(a, b Evaluator) Evaluator {
-			e, _ := NewConnectiveEval(CallEval{Fn: FnAnd, Args: []Evaluator{a, b}})
-			return e
-		}
+		and := func(a, b Evaluator) Evaluator { return CallEval{Fn: FnAnd, Args: []Evaluator{a, b}} }
 		return and(and(cmp(FnGe, FnYearFromDateTime, 2003), cmp(FnEq, FnMonthFromDateTime, 12)), cmp(FnEq, FnDayFromDateTime, 25))
 	}
 	selectAppended, selectInlined := where(PathEval{Col: 1}), where(assign)
@@ -215,10 +212,10 @@ func TestEncodedEvaluatorsAllocateNothing(t *testing.T) {
 			t.Fatalf("count = %d, %v, %v", n, ok, err)
 		}
 		lt.Reset(lt.Raw())
-		if enc, err = AppendEval(enc[:0], assignEv, ctx, &lt); err != nil {
+		if enc, _, err = AppendEval(enc[:0], assignEv, ctx, &lt); err != nil {
 			t.Fatal(err)
 		}
-		lt.AppendRaw(enc)
+		lt.AppendRaw(enc, nil)
 		if v, err := selectAppended.Eval(ctx, &lt); err != nil || !item.EffectiveBoolean(v) {
 			t.Fatalf("date predicate on the appended field = %v, %v", v, err)
 		}
@@ -305,8 +302,9 @@ func randDateOperand(r *rand.Rand, depth int) (EncodedAppender, Evaluator) {
 
 // checkAppender compares an encoded evaluator with the CallEval tree it
 // replaces over one tuple: Eval, AppendEncoded (when it reports ok) and
-// AppendEval must all give the reference's result, bytes and error, and the
-// scratch stack must be empty afterwards.
+// AppendEval must all give the reference's result, bytes and error (and the
+// sequence AppendEval returns, when it evaluated, must be that result), and
+// the scratch stack must be empty afterwards.
 func checkAppender(ctx *Ctx, ev EncodedAppender, ref Evaluator, tup Tuple) error {
 	want, werr := ref.Eval(ctx, tup)
 	got, gerr := ev.Eval(ctx, tup)
@@ -318,9 +316,12 @@ func checkAppender(ctx *Ctx, ev EncodedAppender, ref Evaluator, tup Tuple) error
 	if enc, ok, err := ev.AppendEncoded(prefix, ctx, tup); (err != nil && err.Error() != fmt.Sprint(werr)) || (ok && (werr != nil || !bytes.Equal(enc, wantEnc))) {
 		return fmt.Errorf("AppendEncoded = %x, %v, %v; want %x, %v", enc, ok, err, wantEnc, werr)
 	}
-	enc, err := AppendEval([]byte{0xEE}, ev, ctx, tup)
+	enc, seq, err := AppendEval([]byte{0xEE}, ev, ctx, tup)
 	if fmt.Sprint(err) != fmt.Sprint(werr) || (werr == nil && !bytes.Equal(enc, wantEnc)) {
 		return fmt.Errorf("AppendEval = %x, %v; want %x, %v", enc, err, wantEnc, werr)
+	}
+	if seq != nil && !item.EqualSeq(seq, want) {
+		return fmt.Errorf("AppendEval evaluated %s, want %s", item.JSONSeq(seq), item.JSONSeq(want))
 	}
 	if ctx != nil && ctx.encDepth != 0 {
 		return fmt.Errorf("scratch stack left at depth %d", ctx.encDepth)
@@ -397,73 +398,6 @@ func TestDateEvalsMatchCallEval(t *testing.T) {
 			if err := checkAppender(nil, ev, ref, tup); err != nil {
 				t.Fatalf("nil context, %T %#v: %v", tup, ev, err)
 			}
-		}
-	}
-}
-
-// failEval is an operand whose evaluation fails, to check that connectives
-// report operand errors as CallEval does.
-type failEval struct{}
-
-func (failEval) Eval(*Ctx, Tuple) (item.Sequence, error) { return nil, fmt.Errorf("operand failed") }
-
-// randConnective returns a random connective tree and the CallEval tree it
-// replaces, over paths, constants and failing operands.
-func randConnective(r *rand.Rand, depth int) (Evaluator, Evaluator) {
-	if depth == 0 || r.Intn(3) == 0 {
-		switch r.Intn(6) {
-		case 0:
-			return failEval{}, failEval{}
-		case 1, 2:
-			return randPath(r)
-		default:
-			c := ConstEval{Seq: randDiffSeq(r)}
-			return c, c
-		}
-	}
-	fn := []*Function{FnAnd, FnOr, FnNot, FnBoolean}[r.Intn(4)]
-	n := 1
-	if fn == FnAnd || fn == FnOr {
-		n = r.Intn(4)
-	}
-	var args, refs []Evaluator
-	for i := 0; i < n; i++ {
-		a, ref := randConnective(r, depth-1)
-		args, refs = append(args, a), append(refs, ref)
-	}
-	ev, ok := NewConnectiveEval(CallEval{Fn: fn, Args: args})
-	if !ok {
-		panic("NewConnectiveEval refused " + fn.Name)
-	}
-	return ev, CallEval{Fn: fn, Args: refs}
-}
-
-// TestConnectivesMatchCallEval: and, or, not and boolean return CallEval's
-// results and operand errors over nested connectives, paths, constants of
-// every kind and failing operands.
-func TestConnectivesMatchCallEval(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	ctx := NewCtx(nil)
-	for i := 0; i < 20000; i++ {
-		fields := []item.Sequence{randDiffSeq(r), randDiffSeq(r)}
-		ev, ref := randConnective(r, 3)
-		for _, tup := range tupleViews(fields) {
-			want, werr := ref.Eval(ctx, tup)
-			got, gerr := ev.Eval(ctx, tup)
-			if err := sameResult(got, want, gerr, werr); err != nil {
-				t.Fatalf("%T %#v over %v: %v", tup, ev, fields, err)
-			}
-		}
-	}
-	// not and boolean take exactly one operand; other functions are not
-	// connectives.
-	for _, call := range []CallEval{
-		{Fn: FnNot},
-		{Fn: FnBoolean, Args: []Evaluator{failEval{}, failEval{}}},
-		{Fn: FnEq, Args: []Evaluator{failEval{}}},
-	} {
-		if _, ok := NewConnectiveEval(call); ok {
-			t.Errorf("NewConnectiveEval accepted %s with %d operands", call.Fn.Name, len(call.Args))
 		}
 	}
 }

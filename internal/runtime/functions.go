@@ -180,7 +180,7 @@ func comparison(name string, ok func(c int) bool) *Function {
 			}
 			switch a.Kind() {
 			case item.KindNumber, item.KindString, item.KindBool, item.KindDateTime:
-				return item.Single(item.Bool(ok(item.Compare(a, b)))), nil
+				return boolSeq(ok(item.Compare(a, b))), nil
 			default:
 				return nil, fmt.Errorf("cannot compare %s values", a.Kind())
 			}
@@ -198,7 +198,23 @@ var (
 	FnGe = comparison("ge", func(c int) bool { return c >= 0 })
 )
 
-// Boolean connectives over effective boolean values.
+// Shared results of the connectives and of CompareEval: like ConstEval's,
+// callers never modify them.
+var (
+	trueSeq  = item.Sequence{item.Bool(true)}
+	falseSeq = item.Sequence{item.Bool(false)}
+)
+
+func boolSeq(b bool) item.Sequence {
+	if b {
+		return trueSeq
+	}
+	return falseSeq
+}
+
+// Boolean connectives over effective boolean values. CallEval evaluates
+// every operand before Apply runs, so an operand's error surfaces even when
+// an earlier operand decides the result.
 var (
 	FnAnd = register(&Function{
 		Name:  "and",
@@ -206,10 +222,10 @@ var (
 		Apply: func(_ *Ctx, args []item.Sequence) (item.Sequence, error) {
 			for _, a := range args {
 				if !item.EffectiveBoolean(a) {
-					return item.Single(item.Bool(false)), nil
+					return falseSeq, nil
 				}
 			}
-			return item.Single(item.Bool(true)), nil
+			return trueSeq, nil
 		},
 	})
 	FnOr = register(&Function{
@@ -218,17 +234,17 @@ var (
 		Apply: func(_ *Ctx, args []item.Sequence) (item.Sequence, error) {
 			for _, a := range args {
 				if item.EffectiveBoolean(a) {
-					return item.Single(item.Bool(true)), nil
+					return trueSeq, nil
 				}
 			}
-			return item.Single(item.Bool(false)), nil
+			return falseSeq, nil
 		},
 	})
 	FnNot = register(&Function{
 		Name:  "not",
 		Arity: 1,
 		Apply: func(_ *Ctx, args []item.Sequence) (item.Sequence, error) {
-			return item.Single(item.Bool(!item.EffectiveBoolean(args[0]))), nil
+			return boolSeq(!item.EffectiveBoolean(args[0])), nil
 		},
 	})
 	// FnBoolean computes the effective boolean value explicitly.
@@ -236,7 +252,7 @@ var (
 		Name:  "boolean",
 		Arity: 1,
 		Apply: func(_ *Ctx, args []item.Sequence) (item.Sequence, error) {
-			return item.Single(item.Bool(item.EffectiveBoolean(args[0]))), nil
+			return boolSeq(item.EffectiveBoolean(args[0])), nil
 		},
 	})
 )

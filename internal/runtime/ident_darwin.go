@@ -1,23 +1,5 @@
-//go:build darwin
-
 package runtime
 
-import (
-	"os"
-	"syscall"
-)
+import "syscall"
 
-// statIdent builds a file's identity from its stat result.
-func statIdent(fi os.FileInfo) (FileIdent, bool) {
-	st, ok := fi.Sys().(*syscall.Stat_t)
-	if !ok {
-		return FileIdent{}, false
-	}
-	return FileIdent{
-		Size:         fi.Size(),
-		ModTimeNanos: fi.ModTime().UnixNano(),
-		Dev:          uint64(st.Dev),
-		Ino:          st.Ino,
-		CtimeNanos:   st.Ctimespec.Nano(),
-	}, true
-}
+func ctimeNanos(st *syscall.Stat_t) int64 { return st.Ctimespec.Nano() }
