@@ -14,6 +14,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/hyracks ./internal/frame ./internal/jsonparse ./internal/index
+	$(GO) test -race -run 'TestCachedQueriesConcurrent' .
 
 fmt:
 	gofmt -l .

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"vxq/internal/gen"
 	"vxq/internal/index"
@@ -105,8 +104,8 @@ func TestPlanCacheLRUBound(t *testing.T) {
 }
 
 // diskSensorEngine writes a small generated collection to a temp dir and
-// mounts it — result-cache validation needs real file identities.
-func diskSensorEngine(t *testing.T, opts Options) (*Engine, string) {
+// mounts it.
+func diskSensorEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := gen.Default()
@@ -118,196 +117,14 @@ func diskSensorEngine(t *testing.T, opts Options) (*Engine, string) {
 	}
 	eng := New(opts)
 	eng.Mount("/sensors", dir)
-	return eng, dir
+	return eng
 }
 
-func TestResultCacheHit(t *testing.T) {
-	eng, _ := diskSensorEngine(t, Options{Partitions: 2, ResultCacheBytes: 1 << 20})
-	r1, err := eng.Query(apiQ1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Cache.ResultHit {
-		t.Fatal("first query cannot be a result hit")
-	}
-	r2, err := eng.Query(apiQ1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.Cache.ResultHit {
-		t.Fatal("repeated query over unchanged files missed the result cache")
-	}
-	if len(r1.Items) != len(r2.Items) {
-		t.Fatalf("cached result differs: %d vs %d items", len(r1.Items), len(r2.Items))
-	}
-	for i := range r1.Items {
-		if JSON(r1.Items[i]) != JSON(r2.Items[i]) {
-			t.Fatalf("cached item %d differs: %s vs %s", i, JSON(r1.Items[i]), JSON(r2.Items[i]))
-		}
-	}
-	cs := eng.CacheStats()
-	if cs.ResultHits != 1 || cs.ResultCacheBytes == 0 {
-		t.Errorf("result cache stats = %+v", cs)
-	}
-	// A hit returns a copy: mutating it must not poison the cache.
-	r2.Items[0] = nil
-	r3, err := eng.Query(apiQ1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r3.Cache.ResultHit || r3.Items[0] == nil {
-		t.Fatal("cache entry shares the caller's Items slice")
-	}
-}
-
-func TestResultCacheInvalidation(t *testing.T) {
-	eng, dir := diskSensorEngine(t, Options{Partitions: 1, ResultCacheBytes: 1 << 20})
-	if _, err := eng.Query(apiQ1); err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("mtime change", func(t *testing.T) {
-		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("glob: %v %v", files, err)
-		}
-		if err := os.Chtimes(files[0], time.Now(), time.Now().Add(5*time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Query(apiQ1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache.ResultHit {
-			t.Fatal("stale result served after a file changed")
-		}
-		// Re-cached under the new identity: next run hits again.
-		res, err = eng.Query(apiQ1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Cache.ResultHit {
-			t.Fatal("result not re-cached after invalidation")
-		}
-	})
-
-	t.Run("file added", func(t *testing.T) {
-		if err := os.WriteFile(filepath.Join(dir, "zz-extra.json"), []byte(`{"root":[]}`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Query(apiQ1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache.ResultHit {
-			t.Fatal("stale result served after a file was added to the collection")
-		}
-	})
-
-	t.Run("mount change", func(t *testing.T) {
-		if _, err := eng.Query(apiQ1); err != nil {
-			t.Fatal(err)
-		}
-		eng.MountDocs("/other", map[string][]byte{"d.json": []byte(`{"root":[]}`)})
-		res, err := eng.Query(apiQ1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache.ResultHit {
-			t.Fatal("stale result served after the mount set changed")
-		}
-	})
-}
-
-func TestResultCacheMemDocsNotValidatable(t *testing.T) {
-	// In-memory documents have no durable identity, but the mount generation
-	// covers wholesale replacement via MountDocs.
-	eng := sensorEngine(t, Options{Partitions: 1, ResultCacheBytes: 1 << 20})
-	if _, err := eng.Query(apiQ1); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Query(apiQ1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Cache.ResultHit {
-		t.Fatal("unchanged in-memory collection missed the result cache")
-	}
-	cfg := gen.Default()
-	cfg.Files = 4
-	cfg.RecordsPerFile = 4
-	cfg.MeasurementsPerArray = 10
-	docs, _, err := cfg.InMemory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.MountDocs("/sensors", docs)
-	res, err = eng.Query(apiQ1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache.ResultHit {
-		t.Fatal("stale result served after MountDocs replaced the collection")
-	}
-}
-
-func TestResultCacheBounded(t *testing.T) {
-	// A tiny budget: entries larger than the whole cache are simply not
-	// stored, so repeats keep executing (and keep being correct).
-	eng := sensorEngine(t, Options{Partitions: 1, ResultCacheBytes: 16})
-	for i := 0; i < 2; i++ {
-		res, err := eng.Query(apiQ1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache.ResultHit {
-			t.Fatal("oversized entry served from a 16-byte cache")
-		}
-	}
-	if cs := eng.CacheStats(); cs.ResultCacheBytes != 0 {
-		t.Errorf("cache charged %d bytes for entries it refused", cs.ResultCacheBytes)
-	}
-
-	// LRU eviction: with room for roughly one entry, alternating queries
-	// evict each other.
-	eng2 := sensorEngine(t, Options{Partitions: 1, ResultCacheBytes: 4 << 10})
-	qa := `collection("/sensors")("root")()("results")()("value")`
-	qb := `collection("/sensors")("root")()("results")()("date")`
-	if _, err := eng2.Query(qa); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng2.Query(qb); err != nil {
-		t.Fatal(err)
-	}
-	cs := eng2.CacheStats()
-	if cs.ResultCacheBytes > 4<<10 {
-		t.Errorf("cache over budget: %d bytes", cs.ResultCacheBytes)
-	}
-}
-
-func TestResultCacheExcludesJSONDoc(t *testing.T) {
-	dir := t.TempDir()
-	doc := filepath.Join(dir, "doc.json")
-	if err := os.WriteFile(doc, []byte(`{"a": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	eng := New(Options{ResultCacheBytes: 1 << 20})
-	q := fmt.Sprintf(`json-doc(%q)("a")`, doc)
-	for i := 0; i < 2; i++ {
-		res, err := eng.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache.ResultHit {
-			t.Fatal("json-doc query served from the result cache")
-		}
-	}
-}
-
-// TestCachedQueriesConcurrent hammers one engine from several goroutines with
-// both caches on — run under -race; results must stay correct throughout.
+// TestCachedQueriesConcurrent hammers one engine and its plan cache from
+// several goroutines — `make race` runs it under -race; results must stay
+// correct throughout.
 func TestCachedQueriesConcurrent(t *testing.T) {
-	eng, _ := diskSensorEngine(t, Options{Partitions: 2, ResultCacheBytes: 1 << 20})
+	eng := diskSensorEngine(t, Options{Partitions: 2})
 	want, err := eng.Query(apiQ1)
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +153,78 @@ func TestCachedQueriesConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// TestPlanCacheHoldsNoFileState: a compiled plan is reused across changes to
+// the data it reads — a file of a mounted directory gains a matching record,
+// a file joins the collection, MountDocs replaces the documents — and every
+// repeat is a plan hit that returns the new answer, pruning included: each
+// collection is indexed before the change.
+func TestPlanCacheHoldsNoFileState(t *testing.T) {
+	run := func(t *testing.T, eng *Engine, planHit bool, want string) {
+		t.Helper()
+		res, err := eng.Query(staleQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cache.PlanHit != planHit {
+			t.Fatalf("plan hit = %v, want %v", res.Cache.PlanHit, planHit)
+		}
+		if got := fmt.Sprint(itemsJSON(res.Items)); got != want {
+			t.Fatalf("items = %s, want %s", got, want)
+		}
+	}
+	dirEngine := func(t *testing.T) (*Engine, string) {
+		t.Helper()
+		dir := t.TempDir()
+		for name, b := range staleDocs() {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng := New(Options{Partitions: 2})
+		eng.Mount("/c", dir)
+		if err := eng.BuildIndex("/c", `("v")`); err != nil {
+			t.Fatal(err)
+		}
+		run(t, eng, false, "[]")
+		return eng, dir
+	}
+
+	t.Run("file changed", func(t *testing.T) {
+		eng, dir := dirEngine(t)
+		if err := os.WriteFile(filepath.Join(dir, "a.json"), []byte("{\"v\":1}\n{\"v\":150}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		run(t, eng, true, "[150]")
+	})
+	t.Run("file added", func(t *testing.T) {
+		eng, dir := dirEngine(t)
+		if err := os.WriteFile(filepath.Join(dir, "c.json"), []byte("{\"v\":120}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		run(t, eng, true, "[120]")
+	})
+	t.Run("docs remounted", func(t *testing.T) {
+		eng := New(Options{Partitions: 2})
+		eng.MountDocs("/c", staleDocs())
+		if err := eng.BuildIndex("/c", `("v")`); err != nil {
+			t.Fatal(err)
+		}
+		run(t, eng, false, "[]")
+		docs := staleDocs()
+		docs["b.json"] = []byte("{\"v\":300}\n{\"v\":180}\n")
+		eng.MountDocs("/c", docs)
+		run(t, eng, true, "[180]")
+	})
+}
+
+func itemsJSON(items []Item) []string {
+	out := make([]string, len(items))
+	for i, it := range items {
+		out[i] = JSON(it)
+	}
+	return out
 }
 
 // TestSidecarsWrittenByEngineIndexBuild: an engine with default options
@@ -416,11 +305,7 @@ func TestOneBigFileScan(t *testing.T) {
 		if res.Stats.ColdIndexBuilds != 0 {
 			t.Fatalf("%+v: %d cold index builds, want 0", opts, res.Stats.ColdIndexBuilds)
 		}
-		out := make([]string, len(res.Items))
-		for i, it := range res.Items {
-			out[i] = JSON(it)
-		}
-		return out
+		return itemsJSON(res.Items)
 	}
 	want := run(Options{Partitions: 1, MorselSize: 1 << 30}) // one whole-file morsel
 	if len(want) == 0 {
@@ -533,57 +418,5 @@ func TestSidecarV1MigratesOnBuild(t *testing.T) {
 	if res.Stats.FilesSkipped == 0 || res.Stats.MorselsSkipped == 0 {
 		t.Fatalf("range scan skipped %d files and %d morsels, want both > 0",
 			res.Stats.FilesSkipped, res.Stats.MorselsSkipped)
-	}
-}
-
-// TestResultCacheTruncatedMtimeConservativeMiss: a file whose mtime carries
-// no sub-second precision (a filesystem with second-granularity timestamps)
-// cannot witness a same-size rewrite made within the same second, so the
-// cache must treat its identity as unverifiable and miss rather than risk
-// serving a stale result.
-func TestResultCacheTruncatedMtimeConservativeMiss(t *testing.T) {
-	eng, dir := diskSensorEngine(t, Options{Partitions: 1, ResultCacheBytes: 1 << 20})
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("glob: %v %v", files, err)
-	}
-	// Truncate every file's mtime to a whole second, as a coarse filesystem
-	// would report it.
-	trunc := time.Now().Truncate(time.Second)
-	for _, f := range files {
-		if err := os.Chtimes(f, trunc, trunc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := eng.Query(apiQ1); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Query(apiQ1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache.ResultHit {
-		t.Fatal("result served from cache though the file identities cannot witness a same-second rewrite")
-	}
-	// Restoring sub-second mtimes makes identities reliable again: the entry
-	// re-caches and the next run hits.
-	for _, f := range files {
-		now := time.Now()
-		if now.Nanosecond()%1e9 == 0 {
-			now = now.Add(time.Microsecond)
-		}
-		if err := os.Chtimes(f, now, now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := eng.Query(apiQ1); err != nil {
-		t.Fatal(err)
-	}
-	res, err = eng.Query(apiQ1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Cache.ResultHit {
-		t.Fatal("result not cached once file identities became reliable")
 	}
 }

@@ -60,8 +60,7 @@ func run() error {
 	morselKB := fs.Int64("morsel-kb", 0, "scan morsel size in KiB (0 = default 4 MiB); large files split into byte-range morsels")
 	cacheDir := fs.String("cache-dir", "", "directory for persistent structural-index sidecars (default: next to each data file)")
 	noSidecars := fs.Bool("no-sidecars", false, "disable persistent index sidecars (in-memory indexes only)")
-	repeat := fs.Int("repeat", 1, "run the query this many times (warm runs exercise the plan/result caches and sidecars)")
-	resultCacheKB := fs.Int64("result-cache-kb", 0, "result cache budget in KiB (0 = disabled); only useful with -repeat")
+	repeat := fs.Int("repeat", 1, "run the query this many times (warm runs exercise the plan cache and sidecars)")
 	opMemKB := fs.Int64("op-mem-kb", 0, "per-operator memory budget in KiB before group-by/join/sort spill to disk (0 = never spill)")
 	spillDir := fs.String("spill-dir", "", "directory for operator spill files (default: the OS temp dir)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -91,7 +90,6 @@ func run() error {
 		MorselSize:             *morselKB << 10,
 		CacheDir:               *cacheDir,
 		DisableSidecars:        *noSidecars,
-		ResultCacheBytes:       *resultCacheKB << 10,
 		OpMemoryBudget:         *opMemKB << 10,
 		SpillDir:               *spillDir,
 		Profile:                *profile || *trace != "",
@@ -141,8 +139,8 @@ func run() error {
 				res.Stats.SpilledBytes, res.Stats.SpillPartitions, res.Stats.SpillWaves)
 		}
 		cs := eng.CacheStats()
-		fmt.Fprintf(os.Stderr, "cache: plan hit=%v result hit=%v  files skipped: %d  morsels skipped: %d  sidecars loaded/written: %d/%d\n",
-			res.Cache.PlanHit, res.Cache.ResultHit,
+		fmt.Fprintf(os.Stderr, "cache: plan hit=%v  files skipped: %d  morsels skipped: %d  sidecars loaded/written: %d/%d\n",
+			res.Cache.PlanHit,
 			res.Stats.FilesSkipped, res.Stats.MorselsSkipped,
 			cs.SidecarLoads, cs.SidecarWrites)
 	}

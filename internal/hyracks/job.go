@@ -242,28 +242,6 @@ func (j *Job) String() string {
 	return b.String()
 }
 
-// ScanCollections lists the collections the job's DATASCANs read, in
-// fragment order, deduplicated. Result caching uses it to know which files
-// a query's answer depends on.
-func (j *Job) ScanCollections() []string {
-	var (
-		seen map[string]bool
-		out  []string
-	)
-	for _, f := range j.Fragments {
-		s, ok := f.Source.(ScanSource)
-		if !ok || seen[s.Collection] {
-			continue
-		}
-		if seen == nil {
-			seen = map[string]bool{}
-		}
-		seen[s.Collection] = true
-		out = append(out, s.Collection)
-	}
-	return out
-}
-
 func (j *Job) exchange(id int) *Exchange {
 	for _, e := range j.Exchanges {
 		if e.ID == id {

@@ -3,8 +3,10 @@ package hyracks
 import (
 	"bytes"
 	"encoding/json"
+	goruntime "runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"vxq/internal/runtime"
 )
@@ -107,26 +109,56 @@ func TestProfileTreeMirrorsPlan(t *testing.T) {
 // TestProfileSelfTimesSumToWall: under the staged executor tasks run one at a
 // time, so the exclusive per-operator times must account for the job wall
 // within the documented 10% bound (executor setup between tasks is all that
-// is missing).
+// is missing). A run descheduled between tasks measures the host, not the
+// profile, so a run counts only when the host delivered a core through it:
+// the process's own CPU time over the run reaches 0.9 of the run's wall, the
+// calibrated-gate rule of internal/bench. Each run follows a forced GC, as
+// there. Runs repeat for up to profileBudget, and the first that counts is
+// judged; the test fails, naming the figures, when none counts. A budget of
+// time rather than of runs: on a 2-core host, beside internal/bench's timing
+// tests, the first run that counted was once the 14th.
 func TestProfileSelfTimesSumToWall(t *testing.T) {
+	const profileBudget = 5 * time.Second
 	src := &runtime.MemSource{Collections: map[string]map[string][]byte{
 		"/sensors": {
 			"a.json": ndSensorFile(1500, 120),
 			"b.json": ndSensorFile(1500, 120),
 		},
 	}}
-	res, err := RunStaged(twoStepGroupByJob(4, 2), &Env{Source: src, Profile: true, MorselSize: 16 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Profile
-	sum, wall := p.SelfSumNS(), p.WallNS
-	if wall <= 0 {
-		t.Fatalf("wall = %d", wall)
-	}
-	ratio := float64(sum) / float64(wall)
-	if ratio < 0.9 || ratio > 1.001 {
-		t.Errorf("self-time sum %d / wall %d = %.3f, want within [0.9, 1.0]", sum, wall, ratio)
+	deadline := time.Now().Add(profileBudget)
+	bestCPU, bestRatio := 0.0, 0.0
+	for run := 1; ; run++ {
+		goruntime.GC()
+		cpu0, haveCPU := processCPU()
+		start := time.Now()
+		res, err := RunStaged(twoStepGroupByJob(4, 2), &Env{Source: src, Profile: true, MorselSize: 16 << 10})
+		elapsed := time.Since(start)
+		cpu1, _ := processCPU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Profile
+		sum, wall := p.SelfSumNS(), p.WallNS
+		if wall <= 0 {
+			t.Fatalf("wall = %d", wall)
+		}
+		ratio := float64(sum) / float64(wall)
+		cpu := float64(cpu1-cpu0) / float64(elapsed)
+		if haveCPU && cpu < 0.9 {
+			if cpu > bestCPU {
+				bestCPU, bestRatio = cpu, ratio
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the host delivered no core through any of %d runs in %v: best CPU time %.2f of wall (self-time ratio %.3f), want >= 0.9",
+					run, profileBudget, bestCPU, bestRatio)
+			}
+			continue
+		}
+		if ratio < 0.9 || ratio > 1.001 {
+			t.Fatalf("run %d: self-time sum %d / wall %d = %.3f, want within [0.9, 1.0]", run, sum, wall, ratio)
+		}
+		t.Logf("run %d counted (CPU time %.2f of wall): self-time ratio %.3f", run, cpu, ratio)
+		return
 	}
 }
 

@@ -45,10 +45,12 @@ type fileEntry struct {
 //
 // Every lookup revalidates against the file's current identity, whether or
 // not persistence is configured: a stale entry is dropped and the lookup
-// misses (no pruning) until the next build. Files without a durable
-// identity cannot be checked; Drop is their change signal. With persistence
-// configured, per-file state is also written through to sidecar files, and
-// a lookup that finds nothing current in memory loads the file's sidecar.
+// misses (no pruning) until the next build. An identity that cannot witness
+// change (whole-second mtime and ctime) always misses. Files without a
+// durable identity cannot be checked; Drop is their change signal. With
+// persistence configured, per-file state is also written through to sidecar
+// files, and a lookup that finds nothing current in memory loads the file's
+// sidecar.
 type Registry struct {
 	mu    sync.RWMutex
 	ident func(file string) (runtime.FileIdent, bool)
@@ -105,8 +107,9 @@ func (r *Registry) entryLocked(collection, file string) *fileEntry {
 // current identity, loading the sidecar on first touch. A stale entry
 // (identity changed since it was observed) is emptied; a failed sidecar
 // load leaves a probed negative entry so the disk is not re-read every
-// query. Returns nil when nothing current is known about the file. Callers
-// must read the returned entry's fields under r.mu.
+// query. Returns nil when nothing current is known about the file, and for
+// a durable identity that cannot witness change (FileIdent.WitnessesChange).
+// Callers must read the returned entry's fields under r.mu.
 func (r *Registry) resolve(collection, file string) *fileEntry {
 	r.mu.RLock()
 	e := r.files[collection][file]
@@ -130,6 +133,12 @@ func (r *Registry) resolve(collection, file string) *fileEntry {
 			return nil
 		}
 		return e
+	}
+	if !ident.WitnessesChange() {
+		// Whole-second timestamps: a same-size rewrite within the second
+		// would keep this identity, so nothing recorded under it is
+		// trusted.
+		return nil
 	}
 	if known && seen == ident && (probed || pers == nil) {
 		return e

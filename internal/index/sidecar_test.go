@@ -434,6 +434,54 @@ func TestRegistryNoPersistence(t *testing.T) {
 	}
 }
 
+// identSource is a MemSource whose files report chosen durable identities.
+type identSource struct {
+	*runtime.MemSource
+	idents map[string]runtime.FileIdent
+}
+
+func (s identSource) Ident(path string) (runtime.FileIdent, bool) {
+	id, ok := s.idents[path]
+	return id, ok
+}
+
+// TestRegistryIgnoresIdentsThatCannotWitnessChange: a file whose mtime and
+// ctime are both whole seconds (a filesystem without sub-second timestamps,
+// where a same-size rewrite within the second keeps the identity) gets no
+// zones, neither from the build in this process nor from its sidecar in a
+// fresh one. A whole-second mtime beside a nanosecond ctime (a restored
+// mtime on a nanosecond filesystem) still prunes.
+func TestRegistryIgnoresIdentsThatCannotWitnessChange(t *testing.T) {
+	doc := []byte(`{"root":[{"results":[{"value":1}]}]}` + "\n")
+	const sec = int64(1_700_000_000) * 1e9
+	src := identSource{
+		MemSource: &runtime.MemSource{Collections: map[string]map[string][]byte{
+			"/nd": {"coarse.json": doc, "zero.json": doc, "restored.json": doc},
+		}},
+		idents: map[string]runtime.FileIdent{
+			"/nd/coarse.json":   {Size: int64(len(doc)), ModTimeNanos: sec, Ino: 1, CtimeNanos: sec + 1e9},
+			"/nd/zero.json":     {Size: int64(len(doc)), Ino: 2},
+			"/nd/restored.json": {Size: int64(len(doc)), ModTimeNanos: sec, Ino: 3, CtimeNanos: sec + 123_456_789},
+		},
+	}
+	pers := &Persistence{Dir: t.TempDir()}
+	built := NewRegistry(src.Ident)
+	built.SetPersistence(pers)
+	built.Add(buildValueZones(t, src))
+	fresh := NewRegistry(src.Ident)
+	fresh.SetPersistence(pers)
+	for name, reg := range map[string]*Registry{"built": built, "fresh": fresh} {
+		for file, want := range map[string]bool{"/nd/coarse.json": false, "/nd/zero.json": false, "/nd/restored.json": true} {
+			if _, ok := reg.FileZones("/nd", valuePath(), file); ok != want {
+				t.Errorf("%s registry, %s: zones found = %v, want %v", name, file, ok, want)
+			}
+		}
+	}
+	if st := fresh.Stats(); st.SidecarLoads != 1 || st.SidecarMisses != 0 {
+		t.Errorf("fresh registry: %+v, want the one trusted sidecar loaded and nothing else read", st)
+	}
+}
+
 // TestRegistryCacheDir: with a cache directory configured, sidecars land
 // there instead of next to the data (read-only data directories).
 func TestRegistryCacheDir(t *testing.T) {

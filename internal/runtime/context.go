@@ -51,10 +51,11 @@ type Source interface {
 // a sidecar sits next to its data file but is never itself a record file.
 const SidecarSuffix = ".vxqx"
 
-// FileIdent is the durable identity of a file that persistent caches
-// validate against: its size and mtime, the device and inode it lives on,
-// and its ctime. Two observations with equal idents are treated as the same
-// bytes. The mtime alone does not witness change: a same-size rewrite whose
+// FileIdent is the durable identity of a file that the zone index
+// (index.Registry and its sidecars) validates against: its size and mtime,
+// the device and inode it lives on, and its ctime. Two observations with
+// equal idents are treated as the same bytes, provided WitnessesChange
+// holds. The mtime alone does not witness change: a same-size rewrite whose
 // old mtime is put back (os.Chtimes, a restoring copy) keeps it, but the
 // ctime, which no caller can set, moves on every write, and a file replaced
 // by rename gets a new inode.
@@ -63,6 +64,16 @@ type FileIdent struct {
 	ModTimeNanos int64
 	Dev, Ino     uint64
 	CtimeNanos   int64
+}
+
+// WitnessesChange reports whether equal identities can be trusted to mean
+// unchanged bytes. It is false only when both the mtime and the ctime are
+// whole seconds (zero included): a filesystem without sub-second timestamps,
+// where a same-size rewrite within one second keeps the whole identity. A
+// whole-second mtime alone is no sign of that — tar and cp -p restore such
+// mtimes on nanosecond filesystems, whose ctime still moves on each write.
+func (id FileIdent) WitnessesChange() bool {
+	return id.ModTimeNanos%1e9 != 0 || id.CtimeNanos%1e9 != 0
 }
 
 // CountingReader wraps an io.Reader and counts the bytes delivered, so
@@ -133,7 +144,8 @@ func (s *DirSource) Size(path string) (int64, error) {
 
 // Ident reports a file's durable identity from the filesystem. On a
 // platform whose stat does not report device, inode and ctime (statIdent),
-// ok is false, so nothing is pruned or cached on the file's account.
+// ok is false: no sidecar covers the file, and only the engine that built
+// its zones prunes on them, until a re-mount (see statIdent there).
 func (s *DirSource) Ident(path string) (FileIdent, bool) {
 	fi, err := os.Stat(path)
 	if err != nil {

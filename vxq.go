@@ -38,7 +38,6 @@ package vxq
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"vxq/internal/core"
 	"vxq/internal/frame"
@@ -100,11 +99,6 @@ type Options struct {
 	// parse, rewrite and physical planning. 0 means DefaultPlanCacheSize;
 	// negative disables the cache.
 	PlanCacheSize int
-	// ResultCacheBytes bounds the result cache (bytes): a repeated
-	// deterministic query whose scanned files are unchanged — validated by
-	// each file's (size, mtime) identity and the engine's mount generation —
-	// returns its cached result without executing. 0 disables the cache.
-	ResultCacheBytes int64
 	// OpMemoryBudget bounds the bytes any one blocking operator instance
 	// (group-by, join build, sort) may hold before it goes out of core:
 	// group-by and join grace-hash-partition their state to disk and recurse,
@@ -133,11 +127,6 @@ type Engine struct {
 	docs    map[string]map[string][]byte
 	indexes *index.Registry
 	plans   *planCache
-	results *resultCache
-	// mountGen counts mount-set changes; result-cache entries remember the
-	// generation they were computed under and die when it moves, which
-	// covers the in-memory documents no file identity can validate.
-	mountGen atomic.Uint64
 }
 
 // New creates an engine.
@@ -158,9 +147,6 @@ func New(opts Options) *Engine {
 		}
 		e.plans = newPlanCache(size)
 	}
-	if opts.ResultCacheBytes > 0 {
-		e.results = newResultCache(opts.ResultCacheBytes)
-	}
 	if !opts.DisableSidecars {
 		e.indexes.SetPersistence(&index.Persistence{Dir: opts.CacheDir})
 	}
@@ -172,7 +158,7 @@ func New(opts Options) *Engine {
 // held in memory for it; sidecars still serve the files they match.
 func (e *Engine) Mount(name, dir string) {
 	e.mounts[name] = dir
-	e.remounted(name)
+	e.indexes.Drop(name)
 }
 
 // MountDocs registers an in-memory set of documents as a collection.
@@ -180,12 +166,7 @@ func (e *Engine) Mount(name, dir string) {
 // drops its zone stats: rebuild the index after changing the documents.
 func (e *Engine) MountDocs(name string, docs map[string][]byte) {
 	e.docs[name] = docs
-	e.remounted(name)
-}
-
-func (e *Engine) remounted(name string) {
 	e.indexes.Drop(name)
-	e.mountGen.Add(1)
 }
 
 // BuildIndex builds a zone-map index over a scalar path of a collection,
@@ -281,8 +262,8 @@ func (s *compositeSource) Size(path string) (int64, error) {
 }
 
 // Ident reports a file's durable identity. In-memory documents have none
-// (ok=false), so persistent caches never cover them; directory files get
-// their (size, mtime) from the filesystem.
+// (ok=false), so sidecars never cover them; directory files get theirs from
+// the filesystem (DirSource.Ident).
 func (s *compositeSource) Ident(path string) (runtime.FileIdent, bool) {
 	if _, err := s.mem.Size(path); err == nil {
 		return s.mem.Ident(path)
@@ -294,10 +275,6 @@ func (s *compositeSource) Ident(path string) (runtime.FileIdent, bool) {
 type CacheInfo struct {
 	// PlanHit is true when compilation was skipped (plan cache).
 	PlanHit bool
-	// ResultHit is true when execution was skipped entirely (result cache);
-	// Stats and PeakMemory then describe the original run that produced the
-	// cached result.
-	ResultHit bool
 }
 
 // Result is a query's outcome.
@@ -318,33 +295,19 @@ type Result struct {
 	// Profile is the per-operator execution profile (nil unless
 	// Options.Profile was set).
 	Profile *hyracks.Profile
-	// Cache reports which cache layers served this query.
+	// Cache reports whether the plan cache served this query.
 	Cache CacheInfo
 }
 
-// Query compiles and executes a JSONiq query. With the caches enabled (see
-// Options.PlanCacheSize and Options.ResultCacheBytes), a repeated query skips
-// compilation, and — when its scanned files are verifiably unchanged —
-// execution altogether; Result.Cache reports which layers served it.
+// Query compiles and executes a JSONiq query. With the plan cache enabled
+// (see Options.PlanCacheSize), a repeated query skips compilation;
+// Result.Cache reports whether it did. Execution always runs.
 func (e *Engine) Query(query string) (*Result, error) {
 	key := normalizeQuery(query) + "\x00" + e.optionFingerprint()
-	if e.results != nil && resultCacheable(key) {
-		if res, ok := e.results.lookup(key, e.resultStillValid); ok {
-			return res, nil
-		}
-	}
 	compiled, planHit, err := e.compileCached(query, key)
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot the scanned files before executing: if one changes mid-run,
-	// the stored snapshot no longer matches the file's post-change identity,
-	// so the very next lookup invalidates the (possibly torn) entry.
-	var snapshot []collSnap
-	if e.results != nil && resultCacheable(key) {
-		snapshot = e.snapshotCollections(compiled.Job.ScanCollections())
-	}
-	gen := e.mountGen.Load()
 	env := &hyracks.Env{
 		Source:         e.source(),
 		Accountant:     frame.NewAccountant(0),
@@ -383,12 +346,6 @@ func (e *Engine) Query(query string) (*Result, error) {
 		}
 		out.Items = append(out.Items, row[0]...)
 	}
-	if snapshot != nil {
-		cached := *out
-		cached.Profile = nil // profiles are per-execution, not part of the answer
-		cached.Cache = CacheInfo{}
-		e.results.store(&resultEntry{key: key, res: &cached, gen: gen, colls: snapshot})
-	}
 	return out, nil
 }
 
@@ -418,77 +375,10 @@ func (e *Engine) compileCached(query, key string) (c *core.Compiled, planHit boo
 	return c, false, nil
 }
 
-// snapshotCollections records the file set and identities of the scanned
-// collections. A nil return (any listing error) disables caching for this
-// query rather than caching something unverifiable.
-func (e *Engine) snapshotCollections(collections []string) []collSnap {
-	src := e.source()
-	out := make([]collSnap, 0, len(collections))
-	for _, coll := range collections {
-		files, err := src.Files(coll)
-		if err != nil {
-			return nil
-		}
-		cs := collSnap{name: coll, files: make([]fileSnap, len(files))}
-		for i, f := range files {
-			ident, ok := src.Ident(f)
-			cs.files[i] = fileSnap{path: f, ident: ident, durable: ok}
-		}
-		out = append(out, cs)
-	}
-	return out
-}
-
-// resultStillValid revalidates one cached entry: the mount set must be the
-// same generation, every scanned collection must list the same files, and
-// every file with a durable identity must still carry the identity the
-// snapshot saw.
-func (e *Engine) resultStillValid(entry *resultEntry) bool {
-	if entry.gen != e.mountGen.Load() {
-		return false
-	}
-	src := e.source()
-	for _, cs := range entry.colls {
-		files, err := src.Files(cs.name)
-		if err != nil || len(files) != len(cs.files) {
-			return false
-		}
-		for i, f := range files {
-			snap := cs.files[i]
-			if f != snap.path {
-				return false
-			}
-			ident, ok := src.Ident(f)
-			if ok != snap.durable || ident != snap.ident {
-				return false
-			}
-			if ok && !identReliable(ident) {
-				// A coarse mtime cannot distinguish a same-size rewrite made
-				// within its granularity from no change at all; miss
-				// conservatively rather than serve a possibly stale result.
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// identReliable reports whether a file identity can actually witness change:
-// an mtime of zero, or one truncated to whole seconds (a filesystem without
-// sub-second timestamps), leaves same-size rewrites within one second
-// invisible to the (size, mtime) comparison.
-func identReliable(id runtime.FileIdent) bool {
-	return id.ModTimeNanos != 0 && id.ModTimeNanos%1e9 != 0
-}
-
 // CacheStats is a snapshot of the engine's cache counters.
 type CacheStats struct {
 	// PlanHits / PlanMisses count compiled-plan cache outcomes.
 	PlanHits, PlanMisses int64
-	// ResultHits / ResultMisses count result cache outcomes.
-	ResultHits, ResultMisses int64
-	// ResultCacheBytes is the result cache's current accounted charge.
-	ResultCacheBytes int64
 	// SidecarLoads / SidecarMisses / SidecarWrites count persistent
 	// zone-index sidecar traffic.
 	SidecarLoads, SidecarMisses, SidecarWrites int64
@@ -501,12 +391,6 @@ func (e *Engine) CacheStats() CacheStats {
 		e.plans.mu.Lock()
 		cs.PlanHits, cs.PlanMisses = e.plans.hits, e.plans.misses
 		e.plans.mu.Unlock()
-	}
-	if e.results != nil {
-		e.results.mu.Lock()
-		cs.ResultHits, cs.ResultMisses = e.results.hits, e.results.misses
-		e.results.mu.Unlock()
-		cs.ResultCacheBytes = e.results.bytesUsed()
 	}
 	rs := e.indexes.Stats()
 	cs.SidecarLoads, cs.SidecarMisses, cs.SidecarWrites = rs.SidecarLoads, rs.SidecarMisses, rs.SidecarWrites
